@@ -64,11 +64,6 @@ impl ElephantTrapPolicy {
         self.tracked.len()
     }
 
-    /// Access count of a tracked block (tests/diagnostics).
-    pub fn access_count(&self, b: BlockId) -> Option<u64> {
-        self.trap.count(&b)
-    }
-
     /// `markBlockForDeletion`: one aging sweep of the circular list looking
     /// for a victim outside `evicting_file`. Detaches the victim from the
     /// policy's bookkeeping and returns it; `None` means "couldn't find a
@@ -228,11 +223,11 @@ mod tests {
         let mut p = ElephantTrapPolicy::new(1.0, 1, 10 * BLK);
         let mut rng = DetRng::new(1);
         p.on_map_task(ctx(&mut rng, 5, 0, false));
-        assert_eq!(p.access_count(BlockId(5)), Some(0));
+        assert_eq!(p.trap.count(&BlockId(5)), Some(0));
         for _ in 0..4 {
             p.on_map_task(ctx(&mut rng, 5, 0, true));
         }
-        assert_eq!(p.access_count(BlockId(5)), Some(4), "p=1: every hit lands");
+        assert_eq!(p.trap.count(&BlockId(5)), Some(4), "p=1: every hit lands");
         assert_eq!(p.stats().refreshes, 4);
 
         // With p=0 no refresh ever lands.
@@ -318,7 +313,7 @@ mod tests {
         p.forget(BlockId(1));
         assert_eq!(p.used_bytes(), 0);
         assert_eq!(p.tracked_count(), 0);
-        assert_eq!(p.access_count(BlockId(1)), None);
+        assert_eq!(p.trap.count(&BlockId(1)), None);
         p.forget(BlockId(1)); // idempotent
         let d = p.on_map_task(ctx(&mut rng, 2, 2, false));
         assert_eq!(d, ReplicationDecision::Replicate { evict: vec![] });

@@ -33,7 +33,6 @@ pub mod greedy_lru;
 pub mod lfu;
 pub mod policy;
 pub mod trap;
-pub mod trap_eval;
 
 pub use elephant::ElephantTrapPolicy;
 pub use greedy_lru::GreedyLru;
@@ -43,4 +42,3 @@ pub use policy::{
     VanillaPolicy,
 };
 pub use trap::CircularTrap;
-pub use trap_eval::{evaluate as evaluate_trap, TrapQuality};

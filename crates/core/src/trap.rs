@@ -56,11 +56,6 @@ impl<K: Eq + Hash + Copy> CircularTrap<K> {
         self.ring.is_empty()
     }
 
-    /// True when `k` is tracked.
-    pub fn contains(&self, k: &K) -> bool {
-        self.counts.contains_key(k)
-    }
-
     /// Access count of `k`, if tracked.
     pub fn count(&self, k: &K) -> Option<u64> {
         self.counts.get(k).copied()
@@ -146,15 +141,6 @@ impl<K: Eq + Hash + Copy> CircularTrap<K> {
             }
         }
         None
-    }
-
-    /// The tracked keys in ring order starting at the eviction pointer
-    /// (diagnostics and tests).
-    pub fn ring_from_pointer(&self) -> Vec<K> {
-        let n = self.ring.len();
-        (0..n)
-            .map(|i| self.ring[(self.pointer + i) % n])
-            .collect()
     }
 
     /// Keys sorted by descending access count (heavy hitters first). Ties
@@ -257,7 +243,7 @@ mod tests {
         assert!(t.remove(&2));
         assert!(!t.remove(&2));
         assert_eq!(t.len(), 4);
-        assert!(!t.contains(&2));
+        assert_eq!(t.count(&2), None);
         // Victim search still terminates and visits everyone.
         for _ in 0..4 {
             assert!(t.find_victim(1, |_| true).is_some());
@@ -273,7 +259,7 @@ mod tests {
         assert_eq!(t.find_victim(1, |_| true), None);
         // Reinsert works after emptying.
         assert!(t.insert(8));
-        assert_eq!(t.ring_from_pointer(), vec![8]);
+        assert_eq!(t.find_victim(1, |_| true), Some(8));
     }
 
     #[test]
@@ -282,10 +268,12 @@ mod tests {
         t.insert(1u32);
         t.insert(2);
         t.insert(3);
-        // ring_from_pointer puts the most recent insert LAST: the sweep
-        // reaches older entries first.
-        let ring = t.ring_from_pointer();
-        assert_eq!(*ring.last().expect("non-empty"), 3);
+        // The most recent insert comes LAST: the sweep reaches older
+        // entries first.
+        let victims: Vec<u32> = (0..3)
+            .filter_map(|_| t.find_victim(1, |_| true))
+            .collect();
+        assert_eq!(victims, vec![1, 2, 3]);
     }
 
     #[test]

@@ -68,7 +68,7 @@ impl DataNode {
         }
     }
 
-    /// Drop a primary replica (node decommission / rebalancing).
+    /// Drop a primary replica (a quarantined corrupt replica).
     pub fn remove_primary(&mut self, b: BlockId, bytes: u64) {
         if self.primary.remove(&b) {
             self.primary_bytes -= bytes;

@@ -360,70 +360,6 @@ impl Dfs {
         self.dns[node.idx()].add_primary(b, bytes);
     }
 
-    /// Migrate a primary replica of `b` from `src` to `dst` (balancer
-    /// move): the name node and both data nodes are updated atomically.
-    ///
-    /// # Panics
-    /// If `src` does not hold a primary replica of `b` or `dst` already
-    /// holds any replica of it.
-    pub fn move_primary(&mut self, b: BlockId, src: NodeId, dst: NodeId) {
-        assert!(
-            self.nn.primary_locations(b).contains(&src),
-            "source lacks a primary replica of {b}"
-        );
-        assert!(
-            !self.is_physically_present(dst, b),
-            "destination already holds {b}"
-        );
-        let bytes = self.nn.block_size(b);
-        self.nn.remove_primary_location(b, src);
-        self.nn.add_primary_location(b, dst);
-        self.dns[src.idx()].remove_primary(b, bytes);
-        self.dns[dst.idx()].add_primary(b, bytes);
-    }
-
-    /// Gracefully decommission a node: every replica it holds is first
-    /// copied to another live node (dynamic replicas are simply dropped —
-    /// the policies re-create them on demand), then the node is emptied.
-    /// Unlike [`Dfs::fail_node`] no availability window is ever open.
-    /// Returns the number of primary replicas migrated.
-    pub fn decommission_node(
-        &mut self,
-        node: NodeId,
-        live: &[NodeId],
-        rng: &mut DetRng,
-    ) -> usize {
-        let blocks = self.dns[node.idx()].all_blocks();
-        let mut migrated = 0;
-        for b in blocks {
-            if self.dns[node.idx()].holds_dynamic(b) {
-                self.evict_dynamic(node, b);
-                continue;
-            }
-            // Primary replica: copy before removal.
-            let existing = self.nn.locations(b);
-            let candidates: Vec<NodeId> = live
-                .iter()
-                .copied()
-                .filter(|n| *n != node && !existing.contains(n))
-                .collect();
-            if candidates.is_empty() {
-                // Cluster too small to rehome this replica: it stays; the
-                // caller decides whether that blocks the decommission.
-                continue;
-            }
-            let target = candidates[rng.index(candidates.len())];
-            self.move_primary(b, node, target);
-            migrated += 1;
-        }
-        migrated
-    }
-
-    /// Sum of disk writes across data nodes (thrashing metric).
-    pub fn total_disk_writes(&self) -> u64 {
-        self.dns.iter().map(|d| d.disk_writes).sum()
-    }
-
     /// Sum of dynamic-replica evictions across data nodes.
     pub fn total_evictions(&self) -> u64 {
         self.dns.iter().map(|d| d.evictions).sum()
@@ -557,7 +493,8 @@ mod tests {
             }
         }
         // 3 blocks x 3 replicas
-        assert_eq!(dfs.total_disk_writes(), 9);
+        let writes: u64 = dfs.datanodes().iter().map(|d| d.disk_writes).sum();
+        assert_eq!(writes, 9);
         assert_eq!(dfs.total_primary_bytes(), 3 * 300 * MB);
     }
 
@@ -992,42 +929,6 @@ mod tests {
         dfs.add_replica(b, target);
         assert!(dfs.visible_locations(b).contains(&target));
         assert!(dfs.is_physically_present(target, b));
-    }
-
-    #[test]
-    fn decommission_rehomes_every_replica_without_availability_loss() {
-        let (mut dfs, mut rng) = small_dfs();
-        for i in 0..6 {
-            dfs.create_file(
-                SimTime::ZERO,
-                format!("f{i}"),
-                256 * MB,
-                Some(NodeId(1)),
-                &DefaultPlacement,
-                &mut rng,
-                false,
-            );
-        }
-        // Add a dynamic replica on node 1 too.
-        let b0 = dfs.namenode().file(crate::ids::FileId(0)).blocks[0];
-        let outsider = (0..10)
-            .map(NodeId)
-            .find(|&n| !dfs.is_physically_present(n, b0))
-            .expect("free node");
-        dfs.insert_dynamic(SimTime::ZERO, outsider, b0);
-
-        let live: Vec<NodeId> = (0..10).map(NodeId).filter(|n| *n != NodeId(1)).collect();
-        let migrated = dfs.decommission_node(NodeId(1), &live, &mut rng);
-        assert!(migrated >= 6, "writer-local primaries moved: {migrated}");
-        assert_eq!(dfs.datanode(NodeId(1)).primary_bytes(), 0);
-        assert_eq!(dfs.datanode(NodeId(1)).dynamic_bytes(), 0);
-        // Full replication maintained throughout.
-        for i in 0..dfs.namenode().num_blocks() {
-            let b = BlockId(i as u64);
-            let locs = dfs.visible_locations(b);
-            assert!(locs.len() >= 3, "block {b} under-replicated");
-            assert!(!locs.contains(&NodeId(1)));
-        }
     }
 
     #[test]

@@ -22,23 +22,18 @@
 //! and are used by failure re-replication like any primary replica.
 //!
 //! Modules: [`ids`] (typed identifiers and metadata), [`placement`]
-//! (replica-target selection policies), [`namenode`], [`datanode`], the
-//! [`Dfs`] facade tying them together, the [`balancer`] (the HDFS balancer
-//! analog for evening out primary-byte utilization), and the write
-//! [`pipeline`] timing model (chained replica writes).
+//! (replica-target selection policies), [`namenode`], [`datanode`], and
+//! the [`Dfs`] facade tying them together.
 
 #![warn(missing_docs)]
 
-pub mod balancer;
 pub mod datanode;
 pub mod dfs;
 pub mod ids;
 pub mod namenode;
-pub mod pipeline;
 pub mod placement;
 
 pub use dfs::{Dfs, DfsConfig, FailOutcome, Quarantined};
 pub use ids::{BlockId, FileId};
 pub use namenode::NameNode;
-pub use balancer::{balance, BalanceReport};
 pub use placement::{DefaultPlacement, PlacementPolicy, RandomPlacement};

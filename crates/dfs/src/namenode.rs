@@ -130,7 +130,7 @@ impl NameNode {
     }
 
     /// Rebuild one block's merged list from scratch. Called on the rare
-    /// primary-set mutations (failure recovery, balancer moves) where a
+    /// primary-set mutations (failure recovery, quarantine) where a
     /// node may shift between the primary and dynamic segments; the hot
     /// dynamic insert/evict paths update the list incrementally instead.
     fn rebuild_merged(&mut self, idx: usize) {
@@ -265,7 +265,7 @@ impl NameNode {
         }
     }
 
-    /// Remove a primary replica location (balancer migration source).
+    /// Remove a primary replica location (a quarantined corrupt replica).
     pub fn remove_primary_location(&mut self, block: BlockId, node: NodeId) {
         self.primary[block.idx()].retain(|&n| n != node);
         self.rebuild_merged(block.idx());

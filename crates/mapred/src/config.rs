@@ -64,9 +64,6 @@ pub struct SimConfig {
     pub faults: FaultPlan,
     /// Speculative execution of stragglers (Hadoop-style backup tasks).
     pub speculation: Option<SpeculationConfig>,
-    /// Record a per-attempt task timeline in the results (adds memory
-    /// proportional to attempt count; off by default).
-    pub record_timeline: bool,
     /// Record a structured [`dare_trace`] event log of the whole run
     /// (scheduling, flows, replication, faults) into
     /// [`crate::SimResult::trace`]. Observation-only: a traced run is
@@ -199,7 +196,6 @@ impl SimConfig {
             scarlett: None,
             faults: FaultPlan::default(),
             speculation: None,
-            record_timeline: false,
             record_trace: false,
             check_invariants: false,
             naive_scan: false,
@@ -313,13 +309,6 @@ impl SimConfig {
     /// Enable per-event structural invariant checking.
     pub fn with_invariant_checks(mut self) -> Self {
         self.check_invariants = true;
-        self
-    }
-
-    /// Arm the deliberate recovery-path mutation (see
-    /// `seeded_bug_skip_heal_recheck`). Checker validation only.
-    pub fn with_seeded_heal_bug(mut self) -> Self {
-        self.seeded_bug_skip_heal_recheck = true;
         self
     }
 

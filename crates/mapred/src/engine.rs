@@ -1,7 +1,7 @@
 //! The discrete-event simulation engine.
 
 use crate::config::{SchedulerKind, SimConfig};
-use crate::result::{ProactiveStats, SimResult, TaskRecord};
+use crate::result::{ProactiveStats, SimResult};
 use crate::scarlett::{ProactiveTransfer, ScarlettState};
 use dare_core::{build_policy, PolicyCtx, ReplicationDecision, ReplicationPolicy};
 use dare_dfs::{BlockId, DefaultPlacement, Dfs};
@@ -340,9 +340,6 @@ pub struct Engine {
     gray_nic: Vec<f64>,
     /// Map-task attempts that had to be re-executed due to failures.
     pub reexecuted_tasks: u64,
-    /// Per-attempt timeline (only populated with `record_timeline`).
-    timeline: Vec<TaskRecord>,
-    timeline_idx: FxHashMap<(u32, u32, u32), usize>,
     /// Speculative backup attempts launched.
     pub speculative_launches: u64,
     /// Races resolved while a duplicate attempt was still running (the
@@ -877,8 +874,6 @@ impl Engine {
             slow_factor: vec![1.0; n],
             gray_disk: vec![1.0; n],
             gray_nic: vec![1.0; n],
-            timeline: Vec::new(),
-            timeline_idx: FxHashMap::default(),
             reexecuted_tasks: 0,
             speculative_launches: 0,
             speculative_wins: 0,
@@ -1099,11 +1094,6 @@ impl Engine {
         self.now
     }
 
-    /// Number of worker nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.crashed.len()
-    }
-
     /// Number of DFS blocks (inputs plus any job outputs registered).
     pub fn num_blocks(&self) -> usize {
         self.dfs.namenode().num_blocks()
@@ -1149,11 +1139,6 @@ impl Engine {
     /// Blocks whose every physical copy is gone.
     pub fn lost_block_count(&self) -> usize {
         self.lost_blocks.len()
-    }
-
-    /// Pending simulation events.
-    pub fn pending_events(&self) -> usize {
-        self.events.len()
     }
 
     /// Extract the structured trace recorded so far (only under
@@ -1758,21 +1743,6 @@ impl Engine {
         }
         self.running_on[node as usize].push((job, task));
         let present = self.dfs.is_physically_present(node_id, block);
-        if self.cfg.record_timeline {
-            self.timeline_idx
-                .insert((job, task, attempt), self.timeline.len());
-            self.timeline.push(TaskRecord {
-                job,
-                task,
-                attempt,
-                node,
-                speculative,
-                local_read: present,
-                launched: self.now,
-                read_done: None,
-                finished: None,
-            });
-        }
         let bytes = self.dfs.namenode().block_size(block);
         let file = self.dfs.namenode().file_of(block);
         if let Some(sc) = self.scarlett.as_mut() {
@@ -2148,7 +2118,6 @@ impl Engine {
             if self.jobs[f.job as usize].attempts[f.task as usize] != f.attempt {
                 continue; // attempt aborted by a failure while fetching
             }
-            self.mark_timeline(f.job, f.task, f.attempt, true, false);
             self.emit(TraceEvent::TaskReadDone {
                 job: f.job,
                 task: f.task,
@@ -2180,7 +2149,6 @@ impl Engine {
         }
         debug_assert!(self.active_local_reads[node as usize] > 0);
         self.active_local_reads[node as usize] -= 1;
-        self.mark_timeline(job, task, attempt, true, false);
         self.emit(TraceEvent::TaskReadDone {
             job,
             task,
@@ -2197,21 +2165,6 @@ impl Engine {
                 attempt,
             },
         );
-    }
-
-    /// Record a timeline milestone for an attempt (no-op unless tracing).
-    fn mark_timeline(&mut self, job: u32, task: u32, attempt: u32, read: bool, finish: bool) {
-        if !self.cfg.record_timeline {
-            return;
-        }
-        if let Some(&i) = self.timeline_idx.get(&(job, task, attempt)) {
-            if read {
-                self.timeline[i].read_done = Some(self.now);
-            }
-            if finish {
-                self.timeline[i].finished = Some(self.now);
-            }
-        }
     }
 
     /// Per-task compute time: the job's base compute ±10 % jitter, scaled
@@ -2295,7 +2248,6 @@ impl Engine {
         }
         self.running_on[node as usize].retain(|&(j, t)| !(j == job && t == task));
         self.free_map_slots[node as usize] += 1;
-        self.mark_timeline(job, task, attempt, false, true);
         {
             let js = &mut self.jobs[job as usize];
             js.live_attempts[task as usize] = js.live_attempts[task as usize].saturating_sub(1);
@@ -3024,7 +2976,11 @@ impl Engine {
             }
             let visible = self.dfs.visible_locations(b);
             let visible_at_start = visible.len() as u32;
-            if visible_at_start >= self.cfg.dfs.replication_factor
+            // Repairs of this block already in flight count toward RF: a
+            // rejoin can re-queue a block whose earlier repairs are still
+            // copying, and starting another would over-replicate it.
+            let in_flight = self.recovery_flows.values().filter(|r| r.block == b).count() as u32;
+            if visible_at_start + in_flight >= self.cfg.dfs.replication_factor
                 && !self.cfg.seeded_bug_skip_heal_recheck
             {
                 continue; // healed by another path (e.g. a rejoin) meanwhile
@@ -3473,11 +3429,6 @@ impl Engine {
             reexecuted_tasks: self.reexecuted_tasks,
             speculative_launches: self.speculative_launches,
             speculative_wins: self.speculative_wins,
-            timeline: if self.cfg.record_timeline {
-                Some(self.timeline)
-            } else {
-                None
-            },
             faults: self.stats,
             trace,
             telemetry,
@@ -3493,8 +3444,8 @@ impl Engine {
 /// NIC rate, reflecting the many-to-many shuffle), spends half a map's
 /// compute merging it, then commits its partition through an HDFS write
 /// pipeline whose steady-state rate is the min of mean disk and NIC rates
-/// (see `dare_dfs::pipeline`; the replication chain re-sends the bytes
-/// `replication - 1` times through NICs of that rate).
+/// (the replication chain re-sends the bytes `replication - 1` times
+/// through NICs of that rate).
 fn reduce_duration(
     output_bytes: u64,
     reduces: u32,
@@ -4104,33 +4055,32 @@ mod tests {
     }
 
     #[test]
-    fn timeline_records_every_attempt_with_monotone_milestones() {
+    fn task_spans_cover_every_attempt_with_monotone_milestones() {
+        use dare_trace::{task_spans, Loc};
         let wl = tiny_workload(8, 3, 30);
         let mut cfg = SimConfig::cct(PolicyKind::GreedyLru, SchedulerKind::Fifo, 61);
-        cfg.record_timeline = true;
+        cfg.record_trace = true;
         let r = crate::run(cfg, &wl);
-        let tl = r.timeline.as_ref().expect("timeline recorded");
+        let spans = task_spans(r.trace.as_ref().expect("tracing was on"));
         // No failures/speculation: exactly one attempt per map task.
-        assert_eq!(tl.len() as u64, r.run.maps);
-        for rec in tl {
-            assert!(!rec.speculative);
-            assert_eq!(rec.attempt, 0);
-            let read = rec.read_done.expect("attempt finished its read");
-            let fin = rec.finished.expect("attempt completed");
-            assert!(rec.launched <= read && read <= fin);
+        assert_eq!(spans.len() as u64, r.run.maps);
+        for s in &spans {
+            assert!(!s.speculative);
+            assert_eq!(s.attempt, 0);
+            assert!(s.committed, "attempt completed: {s:?}");
+            let read = s.read_done.expect("attempt finished its read");
+            let end = s.end.expect("attempt closed");
+            assert!(s.start <= read && read <= end);
         }
-        // Local-read attempts in the timeline match the locality metric.
-        let local = tl.iter().filter(|t| t.local_read).count() as u64;
+        // Node-local spans match the locality metric.
+        let local = spans.iter().filter(|s| s.loc == Loc::Node).count() as u64;
         let metric_local: u64 = r.outcomes.iter().map(|o| o.node_local as u64).sum();
         assert_eq!(local, metric_local);
-        // CSV export is well-formed.
-        let csv = crate::result::timeline_csv(tl);
-        assert_eq!(csv.lines().count(), tl.len() + 1);
-        assert!(csv.starts_with("job,task,attempt,node"));
     }
 
     #[test]
-    fn timeline_includes_failed_and_speculative_attempts() {
+    fn task_spans_include_failed_and_speculative_attempts() {
+        use dare_trace::task_spans;
         let wl = tiny_workload(8, 3, 30);
         let mut cfg = SimConfig::ec2(PolicyKind::Vanilla, SchedulerKind::Fifo, 62)
             .with_failures(vec![(25, 5)])
@@ -4138,24 +4088,24 @@ mod tests {
                 slowdown_factor: 1.2,
                 min_elapsed_secs: 2.0,
             });
-        cfg.record_timeline = true;
+        cfg.record_trace = true;
         let r = crate::run(cfg, &wl);
-        let tl = r.timeline.as_ref().expect("timeline recorded");
+        let spans = task_spans(r.trace.as_ref().expect("tracing was on"));
         assert!(
-            tl.len() as u64 >= r.run.maps,
-            "extra attempts appear in the timeline"
+            spans.len() as u64 >= r.run.maps,
+            "extra attempts appear among the spans"
         );
-        let aborted = tl.iter().filter(|t| t.finished.is_none()).count() as u64;
+        let uncommitted = spans.iter().filter(|s| !s.committed).count() as u64;
         assert!(
-            aborted <= r.reexecuted_tasks + r.speculative_launches,
-            "unfinished rows only from aborts/races"
+            uncommitted <= r.reexecuted_tasks + r.speculative_launches,
+            "uncommitted spans only from aborts/races"
         );
-        if r.speculative_launches > 0 {
-            assert!(tl.iter().any(|t| t.speculative));
+        if r.reexecuted_tasks > 0 {
+            assert!(spans.iter().any(|s| !s.committed), "failed attempts appear");
         }
-        // By default the timeline is absent.
-        let plain = crate::run(SimConfig::cct(PolicyKind::Vanilla, SchedulerKind::Fifo, 1), &wl);
-        assert!(plain.timeline.is_none());
+        if r.speculative_launches > 0 {
+            assert!(spans.iter().any(|s| s.speculative));
+        }
     }
 
     #[test]

@@ -35,7 +35,6 @@ pub mod config;
 pub mod engine;
 pub mod error;
 pub mod faults;
-pub mod gantt;
 pub mod golden;
 pub mod result;
 pub mod scarlett;

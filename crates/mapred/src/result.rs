@@ -1,7 +1,6 @@
 //! Results of one simulation run.
 
 use dare_metrics::{FaultStats, JobOutcome, RunMetrics};
-use dare_simcore::SimTime;
 
 /// Everything the experiments read out of a finished run.
 #[derive(Debug, Clone)]
@@ -39,8 +38,6 @@ pub struct SimResult {
     pub speculative_launches: u64,
     /// Task races resolved while a duplicate attempt was still running.
     pub speculative_wins: u64,
-    /// Per-attempt timeline, when `SimConfig::record_timeline` is set.
-    pub timeline: Option<Vec<TaskRecord>>,
     /// Failure-detection and recovery counters (all zero without faults).
     pub faults: FaultStats,
     /// Structured event trace, when `SimConfig::record_trace` is set.
@@ -65,56 +62,6 @@ pub struct SimResult {
     /// traced run leaves the file system in the same state as an untraced
     /// one.
     pub dfs_fingerprint: u64,
-}
-
-/// One map-task attempt's lifecycle (timeline tracing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TaskRecord {
-    /// Job index.
-    pub job: u32,
-    /// Task index within the job.
-    pub task: u32,
-    /// Attempt id.
-    pub attempt: u32,
-    /// Node the attempt ran on.
-    pub node: u32,
-    /// True for a speculative backup attempt.
-    pub speculative: bool,
-    /// True when the input was read from local disk.
-    pub local_read: bool,
-    /// Launch time.
-    pub launched: SimTime,
-    /// Input-read completion (None if the attempt was aborted mid-read).
-    pub read_done: Option<SimTime>,
-    /// Completion (None if aborted or if it lost a speculation race and
-    /// its result was discarded before finishing).
-    pub finished: Option<SimTime>,
-}
-
-/// Render a timeline as CSV (one row per attempt).
-pub fn timeline_csv(records: &[TaskRecord]) -> String {
-    let mut s = String::from(
-        "job,task,attempt,node,speculative,local_read,launched_s,read_done_s,finished_s\n",
-    );
-    for r in records {
-        let opt = |t: Option<SimTime>| {
-            t.map(|t| format!("{:.3}", t.as_secs_f64()))
-                .unwrap_or_default()
-        };
-        s.push_str(&format!(
-            "{},{},{},{},{},{},{:.3},{},{}\n",
-            r.job,
-            r.task,
-            r.attempt,
-            r.node,
-            r.speculative,
-            r.local_read,
-            r.launched.as_secs_f64(),
-            opt(r.read_done),
-            opt(r.finished),
-        ));
-    }
-    s
 }
 
 /// Counters of the epoch-based proactive replicator.

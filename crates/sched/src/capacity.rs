@@ -14,7 +14,7 @@
 //! ([`JobQueue::pick_best_for`]); [`crate::oracle::NaiveCapacityScheduler`]
 //! keeps the original scan for the differential tests.
 
-use crate::queue::{Assignment, JobId, JobQueue};
+use crate::queue::{Assignment, JobQueue};
 use crate::{LocationLookup, Scheduler};
 use dare_net::{NodeId, Topology};
 use dare_simcore::SimTime;
@@ -37,11 +37,6 @@ impl CapacityScheduler {
             running_scratch: vec![0; queues as usize],
             pending_scratch: vec![false; queues as usize],
         }
-    }
-
-    /// Which queue a job belongs to.
-    pub fn queue_of(&self, job: JobId) -> u32 {
-        job.0 % self.queues
     }
 
     /// Number of configured queues.
@@ -104,7 +99,7 @@ impl Scheduler for CapacityScheduler {
 mod tests {
     use super::*;
     use crate::locality::Locality;
-    use crate::queue::{PendingTask, TaskId};
+    use crate::queue::{JobId, PendingTask, TaskId};
     use crate::TableLookup;
     use dare_dfs::BlockId;
 

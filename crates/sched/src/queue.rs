@@ -508,7 +508,7 @@ impl JobQueue {
     }
 
     /// Rebuild every job's index from scratch against `lookup`. For rare
-    /// bulk location changes (node failure re-replication, balancer pass)
+    /// bulk location changes (node failure re-replication)
     /// where per-replica notifications would be tedious and error-prone.
     pub fn rebuild_index(&mut self, lookup: &dyn LocationLookup, topo: &Topology) {
         self.block_watchers.clear();

@@ -342,11 +342,6 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
-    /// Total number of events ever scheduled (diagnostic counter).
-    pub fn total_scheduled(&self) -> u64 {
-        self.next_seq
-    }
-
     /// Visit every pending entry as `(time, seq, &event)` without
     /// disturbing the queue. Visit **order is unspecified** and differs
     /// between kernels; callers needing a canonical view (e.g. state
@@ -426,7 +421,6 @@ mod tests {
         q.push(SimTime::from_secs(1), 'a');
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
-        assert_eq!(q.total_scheduled(), 2);
     }
 
     #[test]

@@ -32,9 +32,6 @@
 //!   mean, and the coefficient of variation used by Fig. 11.
 //! * [`quantile`] — the P² streaming quantile estimator (O(1) memory
 //!   percentiles for long runs).
-//! * [`fit`] — parameter estimation (lognormal/exponential MLE, Zipf
-//!   log-log regression, Hill tail estimator) for calibrating the models
-//!   against real traces.
 //! * [`parallel`] — a crossbeam-free scoped-threads `parallel_map` used to
 //!   fan parameter sweeps across cores while each simulation run stays
 //!   single-threaded and deterministic.
@@ -48,7 +45,6 @@
 pub mod check;
 pub mod dist;
 pub mod events;
-pub mod fit;
 pub mod fx;
 pub mod parallel;
 pub mod quantile;

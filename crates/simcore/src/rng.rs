@@ -138,13 +138,6 @@ impl DetRng {
         self.inner.next()
     }
 
-    /// Next raw 32-bit draw (upper half of a 64-bit draw — the stronger
-    /// bits of xoshiro's output).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.inner.next() >> 32) as u32
-    }
-
     /// Uniform draw in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn uniform(&mut self) -> f64 {
@@ -216,14 +209,6 @@ impl DetRng {
         }
         idx.truncate(k);
         idx
-    }
-
-    /// Fill a byte buffer with raw generator output.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.inner.next().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
     }
 }
 
@@ -325,13 +310,5 @@ mod tests {
             let x = r.uniform_range(2.0, 3.0);
             assert!((2.0..3.0).contains(&x));
         }
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut r = DetRng::new(2);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0), "13 zero bytes is ~impossible");
     }
 }

@@ -114,12 +114,6 @@ impl<T> Slab<T> {
         self.peak
     }
 
-    /// Number of slots ever allocated (live + free).
-    #[inline]
-    pub fn capacity_slots(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Insert a value, reusing the most recently freed slot if any.
     pub fn insert(&mut self, value: T) -> SlabKey {
         self.len += 1;
@@ -293,7 +287,6 @@ mod tests {
     fn free_list_reuses_lifo_and_len_tracks() {
         let mut s = Slab::with_capacity(8);
         let keys: Vec<_> = (0..5).map(|i| s.insert(i)).collect();
-        assert_eq!(s.capacity_slots(), 5);
         s.remove(keys[1]);
         s.remove(keys[3]);
         let x = s.insert(100);

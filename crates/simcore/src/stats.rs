@@ -336,25 +336,6 @@ impl Histogram {
         self.total
     }
 
-    /// `(bin_center, fraction_of_total)` pairs — the normalized series the
-    /// figures plot.
-    pub fn proportions(&self) -> Vec<(f64, f64)> {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                let center = self.lo + (i as f64 + 0.5) * w;
-                let frac = if self.total == 0 {
-                    0.0
-                } else {
-                    c as f64 / self.total as f64
-                };
-                (center, frac)
-            })
-            .collect()
-    }
-
     /// Raw bucket counts.
     pub fn counts(&self) -> &[u64] {
         &self.counts
@@ -694,10 +675,6 @@ mod tests {
         assert_eq!(h.counts()[1], 2);
         assert_eq!(h.counts()[9], 1);
         assert_eq!(h.out_of_range(), (1, 2));
-        let props = h.proportions();
-        assert_eq!(props.len(), 10);
-        assert!((props[1].1 - 2.0 / 7.0).abs() < 1e-12);
-        assert!((props[0].0 - 0.5).abs() < 1e-12, "bin centers");
     }
 
     #[test]

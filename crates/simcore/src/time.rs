@@ -74,12 +74,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked subtraction of another instant, yielding a duration.
-    #[inline]
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -232,10 +226,6 @@ mod tests {
         assert_eq!(
             SimTime::from_secs(1).saturating_since(SimTime::from_secs(2)),
             SimDuration::ZERO
-        );
-        assert_eq!(
-            SimTime::from_secs(1).checked_since(SimTime::from_secs(2)),
-            None
         );
     }
 

@@ -15,6 +15,7 @@
 //!   Trace Event JSON (Perfetto-openable) serializers plus a JSONL
 //!   schema validator.
 //! - [`query`]: span reconstruction and assertion helpers for tests.
+//! - [`gantt`]: an ASCII per-node Gantt chart of the map-attempt spans.
 //! - [`diff`]: the normalizing golden-file differ with actionable output.
 //! - [`counterexample`]: the shared `#`-header counterexample artifact
 //!   format `dare-mc` and `dare-chaos` both emit and replay.
@@ -29,6 +30,7 @@ pub mod counterexample;
 pub mod diff;
 pub mod event;
 pub mod export;
+pub mod gantt;
 pub mod query;
 pub mod recorder;
 pub mod stats;

@@ -74,13 +74,6 @@ pub fn span_overlaps(
     a_before_b_ends && b_before_a_ends
 }
 
-impl TaskSpan {
-    /// Overlap against a flow span (half-open semantics, open ends win).
-    pub fn overlaps_flow(&self, f: &FlowSpan) -> bool {
-        span_overlaps(self.start, self.end, f.start, f.end)
-    }
-}
-
 impl FlowSpan {
     /// Overlap against another flow span.
     pub fn overlaps(&self, other: &FlowSpan) -> bool {
@@ -516,7 +509,6 @@ mod tests {
         assert_eq!(flows[0].start, t(8));
         assert_eq!(flows[0].end, Some(t(40)));
         assert!(flows[0].finished);
-        assert!(tasks[0].overlaps_flow(&flows[0]));
     }
 
     #[test]

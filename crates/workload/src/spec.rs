@@ -47,14 +47,6 @@ impl Workload {
         self.jobs.len()
     }
 
-    /// Total input bytes summed over jobs (each job reads its whole file).
-    pub fn total_input_bytes(&self) -> u64 {
-        self.jobs
-            .iter()
-            .map(|j| self.files[j.file].size_bytes)
-            .sum()
-    }
-
     /// Total dataset size (single copy).
     pub fn dataset_bytes(&self) -> u64 {
         self.files.iter().map(|f| f.size_bytes).sum()
@@ -133,7 +125,6 @@ mod tests {
     fn totals_and_maps() {
         let w = tiny();
         assert_eq!(w.num_jobs(), 2);
-        assert_eq!(w.total_input_bytes(), 400);
         assert_eq!(w.dataset_bytes(), 400);
         assert_eq!(w.maps_of(&w.jobs[0], 128), 3);
         assert_eq!(w.maps_of(&w.jobs[1], 128), 1);

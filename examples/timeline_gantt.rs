@@ -1,13 +1,15 @@
-//! Visualize a schedule: run a small trace with timeline recording and
-//! render per-node ASCII Gantt charts — vanilla vs DARE side by side, with
-//! a node failure in the middle to show re-execution.
+//! Visualize a schedule: run a small trace with event tracing on and
+//! render its map-attempt spans as per-node ASCII Gantt charts — vanilla
+//! vs DARE side by side, with a node failure in the middle to show
+//! re-execution.
 //!
 //! ```text
 //! cargo run --release --example timeline_gantt
 //! ```
 
 use dare_repro::core::PolicyKind;
-use dare_repro::mapred::{self, gantt, SchedulerKind, SimConfig};
+use dare_repro::mapred::{self, SchedulerKind, SimConfig};
+use dare_repro::trace::{gantt, task_spans};
 use dare_repro::workload::swim::{synthesize, SwimParams};
 
 fn main() {
@@ -28,9 +30,9 @@ fn main() {
     ] {
         let mut cfg = SimConfig::cct(policy, SchedulerKind::Fifo, seed)
             .with_failures(vec![(45, 7)]);
-        cfg.record_timeline = true;
+        cfg.record_trace = true;
         let r = mapred::run(cfg, &wl);
-        let tl = r.timeline.as_ref().expect("timeline recorded");
+        let spans = task_spans(r.trace.as_ref().expect("tracing was on"));
         println!("=== {label} ===");
         println!(
             "locality {:.1}%  gmtt {:.1}s  re-executed {}",
@@ -38,7 +40,7 @@ fn main() {
             r.run.gmtt_secs,
             r.reexecuted_tasks
         );
-        print!("{}", gantt::render(tl, 100));
+        print!("{}", gantt::render(&spans, 100));
         println!();
     }
     println!(

@@ -6,7 +6,6 @@
 //! cargo run --release --example trace_analysis
 //! ```
 
-use dare_repro::simcore::fit::{fit_lognormal, fit_zipf};
 use dare_repro::workload::analysis::{
     age_at_access_cdf, burst_window_distribution, rank_frequency, AnalysisOpts,
 };
@@ -80,36 +79,6 @@ fn main() {
         text.lines().count(),
         parsed.files.len(),
         parsed.events.len()
-    );
-
-    // Fit model parameters back from the data (simcore::fit) — what you
-    // would do to calibrate the synthesizer against a real trace.
-    let counts: Vec<u64> = {
-        let mut c = vec![0u64; parsed.files.len()];
-        for e in parsed.data_events() {
-            c[e.file as usize] += 1;
-        }
-        c.into_iter()
-            .zip(&parsed.files)
-            .filter(|(_, f)| !f.is_system)
-            .map(|(n, _)| n)
-            .collect()
-    };
-    let zipf_s = fit_zipf(&counts).expect("popularity fits a Zipf law");
-    let ages_h: Vec<f64> = parsed
-        .data_events()
-        .map(|e| {
-            e.time
-                .saturating_since(parsed.files[e.file as usize].created)
-                .as_hours_f64()
-                .max(1e-3)
-        })
-        .collect();
-    let age_fit = fit_lognormal(&ages_h).expect("ages fit a lognormal");
-    println!(
-        "fitted from the log: zipf s = {zipf_s:.2} (generator used 1.1), \
-         age median = {:.1}h (generator used 9.75h)",
-        age_fit.mu.exp()
     );
 
     println!(
