@@ -18,7 +18,7 @@
 use dare_bench::microbench::{black_box, Runner};
 use dare_core::PolicyKind;
 use dare_dfs::BlockId;
-use dare_mapred::{SchedulerKind, SimConfig};
+use dare_mapred::{Engine, SchedulerKind, SimConfig};
 use dare_net::{ClusterProfile, NodeId, Topology};
 use dare_sched::locality::classify;
 use dare_sched::oracle::{NaiveFairScheduler, NaiveFifoScheduler};
@@ -207,13 +207,17 @@ fn engine_wallclock(r: &mut Runner) -> PairResult {
         let label = if naive { "naive" } else { "indexed" };
         let wl = &wl;
         r.bench(&format!("engine_ec2/fair/{label}"), move || {
-            let mut cfg = SimConfig::ec2(
+            let cfg = SimConfig::ec2(
                 PolicyKind::elephant_default(),
                 SchedulerKind::fair_default(),
                 7,
             );
-            cfg.naive_scan = naive;
-            black_box(dare_mapred::run(cfg, wl))
+            let engine = if naive {
+                Engine::with_scheduler(cfg, wl, Box::new(NaiveFairScheduler::new()))
+            } else {
+                Engine::new(cfg, wl)
+            };
+            black_box(engine.run())
         })
         .median_ns
     };

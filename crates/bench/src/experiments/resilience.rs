@@ -17,7 +17,7 @@
 //! machine-readable `results/BENCH_resilience.json`. Set `BENCH_QUICK=1`
 //! for the CI smoke configuration (fewer jobs, same fault shapes).
 
-use crate::harness::{csv_path, metric, replicate_experiment, MetricCol, RowOrder, SeedTable};
+use crate::harness::{metric, replicate_experiment, MetricCol, RowOrder};
 use dare_core::PolicyKind;
 use dare_mapred::{FaultPlan, FaultSpec, SchedulerKind, SimConfig};
 use dare_simcore::parallel::parallel_map;
@@ -161,36 +161,5 @@ pub fn run(seed: u64, seeds: u32) {
         |s| collect(s, jobs),
     );
     st.emit("resilience");
-    write_json(seed, jobs, quick, &st);
-}
-
-/// Machine-readable companion of the CSV, mirroring `BENCH_sched.json`:
-/// per-row mean and 95 % CI half-width of every metric across seeds.
-fn write_json(seed: u64, jobs: u32, quick: bool, st: &SeedTable) {
-    let mut json = String::from("{\n");
-    json.push_str(&format!(
-        "  \"config\": {{\"profile\": \"ec2\", \"scheduler\": \"fair\", \"speculation\": true, \"jobs\": {jobs}, \"seed\": {seed}, \"seeds\": {}, \"quick\": {quick}}},\n",
-        st.seeds
-    ));
-    json.push_str("  \"rows\": [\n");
-    for (i, (labels, sums)) in st.rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"level\": \"{}\", \"policy\": \"{}\"",
-            labels[0], labels[1]
-        ));
-        for (m, s) in METRICS.iter().zip(sums.iter()) {
-            json.push_str(&format!(", \"{}\": {:.6}, \"{}_ci95\": {:.6}", m.name, s.mean, m.name, s.ci95));
-        }
-        json.push_str(&format!(
-            "}}{}\n",
-            if i + 1 < st.rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    let mut path = csv_path("BENCH_resilience");
-    path.set_extension("json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => println!("[json] wrote {}", path.display()),
-        Err(e) => eprintln!("[json] could not write {}: {e}", path.display()),
-    }
+    st.write_json("BENCH_resilience", "speculation", seed, jobs, quick);
 }

@@ -2,15 +2,12 @@
 //!
 //! Drives the full engine — not a synthetic queue microbench — on the
 //! scale-out cluster profile and measures logical simulation events per
-//! wall-clock second under three configurations of the same scenario:
+//! wall-clock second under two configurations of the same scenario:
 //!
-//! * `heap-staggered` — the original binary-heap kernel with per-node
-//!   heartbeat chains: the pre-calendar-queue engine, kept as the
-//!   baseline every speedup is quoted against;
-//! * `calendar-staggered` — the calendar-queue kernel alone (this leg is
-//!   bit-identical to the baseline run; only wall time changes);
-//! * `calendar-batched` — calendar queue plus batched heartbeats: the
-//!   configuration the 10k-node headline runs use.
+//! * `calendar-staggered` — per-node heartbeat chains, the baseline the
+//!   speedup is quoted against;
+//! * `calendar-batched` — batched heartbeats: the configuration the
+//!   10k-node headline runs use.
 //!
 //! "Logical events" is [`dare_mapred::SimResult::logical_events`]: one
 //! per dispatched event, with a batched heartbeat tick counted once per
@@ -19,10 +16,11 @@
 //! metric redefinition.
 //!
 //! Output is `results/BENCH_throughput.json`. The run fails (non-zero
-//! through the dispatcher) when the optimized configuration is less than
-//! 5× the heap baseline on the 1k-node profile, or when its speedup
-//! ratio regresses more than 20% below the committed report's — ratios,
-//! not absolute rates, so the gate holds across machines.
+//! through the dispatcher) when the batched configuration is less than
+//! 3.70× the staggered baseline on the 1k-node profile, or when
+//! its speedup ratio regresses more than 20% below the one computed from
+//! the committed report's two legs — ratios, not absolute rates, so the
+//! gate holds across machines.
 //!
 //! `BENCH_QUICK=1` (or `--quick`) skips only the 10,000-node ×
 //! 1,000,000-map-task headline run; the 1k-node legs are identical in
@@ -40,8 +38,11 @@ use dare_workload::{FileSpec, JobSpec, Workload};
 const MB: u64 = 1024 * 1024;
 const BLOCK: u64 = 128 * MB;
 
-/// Minimum optimized-vs-heap speedup on the 1k-node profile.
-const MIN_SPEEDUP: f64 = 5.0;
+/// Minimum batched-vs-staggered speedup on the 1k-node profile:
+/// 5 × 6,394,093 / 8,639,145 — the 5× floor over the binary-heap event
+/// kernel, carried over through the last measured heap vs
+/// calendar-staggered rates (see EXPERIMENTS.md).
+const MIN_SPEEDUP: f64 = 3.70;
 /// Largest tolerated relative drop below the committed report's speedup.
 const REGRESSION_TOLERANCE: f64 = 0.20;
 
@@ -179,7 +180,7 @@ pub fn run(_seed: u64) -> usize {
         || std::env::args().any(|a| a == "--quick");
     let mut failed = 0usize;
 
-    // --- 1k-node profile: heap baseline vs calendar vs calendar+batched.
+    // --- 1k-node profile: staggered vs batched heartbeats.
     // A cluster-scale-dominated scenario: long maps on a big cluster, so
     // the event stream is mostly heartbeat machinery — the regime the
     // 10k-node runs live in, and the one the kernel work targets.
@@ -197,7 +198,6 @@ pub fn run(_seed: u64) -> usize {
         if quick { " (quick)" } else { "" }
     );
 
-    let heap = run_leg("heap-staggered", scale_cfg(nodes).with_heap_queue(), &wl);
     let cal = run_leg("calendar-staggered", scale_cfg(nodes), &wl);
     let opt = run_leg(
         "calendar-batched",
@@ -205,20 +205,8 @@ pub fn run(_seed: u64) -> usize {
         &wl,
     );
 
-    // The calendar-staggered leg simulates the identical event stream as
-    // the heap leg, so its logical count must match exactly — a drifted
-    // count means the kernels disagree, which the golden harness should
-    // have caught first.
-    if heap.logical_events != cal.logical_events {
-        eprintln!(
-            "[throughput] kernel divergence: heap processed {} logical events, calendar {}",
-            heap.logical_events, cal.logical_events
-        );
-        failed += 1;
-    }
-
-    let speedup = opt.events_per_sec / heap.events_per_sec;
-    println!("[throughput] optimized speedup vs heap baseline: {speedup:.2}x");
+    let speedup = opt.events_per_sec / cal.events_per_sec;
+    println!("[throughput] batched speedup vs staggered baseline: {speedup:.2}x");
     if speedup < MIN_SPEEDUP {
         eprintln!("[throughput] FAIL: speedup {speedup:.2}x < required {MIN_SPEEDUP:.1}x");
         failed += 1;
@@ -229,7 +217,14 @@ pub fn run(_seed: u64) -> usize {
     let results = results.parent().expect("csv dir").to_path_buf();
     let report_path = results.join("BENCH_throughput.json");
     if let Ok(committed) = std::fs::read_to_string(&report_path) {
-        if let Some(prev) = json_number(&committed, "speedup_vs_heap") {
+        let leg_rate = |name: &str| {
+            let at = committed.find(&format!("\"name\": \"{name}\""))?;
+            json_number(&committed[at..], "events_per_sec")
+        };
+        if let (Some(base), Some(batched)) =
+            (leg_rate("calendar-staggered"), leg_rate("calendar-batched"))
+        {
+            let prev = batched / base;
             let floor = prev * (1.0 - REGRESSION_TOLERANCE);
             if speedup < floor {
                 eprintln!(
@@ -273,13 +268,11 @@ pub fn run(_seed: u64) -> usize {
         "  \"profile_1k\": {{\n    \"nodes\": {nodes},\n    \"map_tasks\": {tasks},\n"
     ));
     json.push_str("  \"legs\": [\n");
-    json.push_str(&leg_json(&heap));
-    json.push_str(",\n");
     json.push_str(&leg_json(&cal));
     json.push_str(",\n");
     json.push_str(&leg_json(&opt));
     json.push_str("\n  ],\n");
-    json.push_str(&format!("  \"speedup_vs_heap\": {speedup:.3}\n  }}"));
+    json.push_str(&format!("  \"speedup_vs_staggered\": {speedup:.3}\n  }}"));
     if let Some(h) = &headline {
         json.push_str(",\n  \"headline\": {\n    \"nodes\": 10000,\n    \"map_tasks\": 1000000,\n");
         json.push_str(&format!(

@@ -240,6 +240,36 @@ impl SeedTable {
         self.table.print();
         write_csv(name, &self.table);
     }
+
+    /// Write the machine-readable companion of the CSV to
+    /// `results/<name>.json`: the EC2/Fair run configuration with
+    /// `"<feature>": true`, then per row its labels and the mean and 95 %
+    /// CI half-width of every metric across seeds.
+    pub fn write_json(&self, name: &str, feature: &str, seed: u64, jobs: u32, quick: bool) {
+        let mut json = String::from("{\n");
+        json.push_str(&format!(
+            "  \"config\": {{\"profile\": \"ec2\", \"scheduler\": \"fair\", \"{feature}\": true, \"jobs\": {jobs}, \"seed\": {seed}, \"seeds\": {}, \"quick\": {quick}}},\n",
+            self.seeds
+        ));
+        json.push_str("  \"rows\": [\n");
+        for (i, (labels, sums)) in self.rows.iter().enumerate() {
+            // Header: label columns, then one mean column per metric.
+            let (label_names, metric_names) = self.table.header.split_at(labels.len());
+            let label_cells =
+                (label_names.iter().zip(labels)).map(|(k, v)| format!("\"{k}\": \"{v}\""));
+            let metric_cells = (metric_names.iter().zip(sums))
+                .map(|(m, s)| format!("\"{m}\": {:.6}, \"{m}_ci95\": {:.6}", s.mean, s.ci95));
+            let cells: Vec<String> = label_cells.chain(metric_cells).collect();
+            let sep = if i + 1 < self.rows.len() { "," } else { "" };
+            json.push_str(&format!("    {{{}}}{sep}\n", cells.join(", ")));
+        }
+        json.push_str("  ]\n}\n");
+        let path = csv_path(name).with_extension("json");
+        match std::fs::write(&path, &json) {
+            Ok(()) => println!("[json] wrote {}", path.display()),
+            Err(e) => eprintln!("[json] could not write {}: {e}", path.display()),
+        }
+    }
 }
 
 /// One cell of the Figs. 7/10 matrix.

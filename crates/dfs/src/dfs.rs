@@ -6,6 +6,7 @@ use crate::ids::{BlockId, FileId};
 use crate::namenode::NameNode;
 use crate::placement::PlacementPolicy;
 use dare_net::{NodeId, Topology};
+use dare_simcore::fnv::{fnv1a_u64, FNV_OFFSET};
 use dare_simcore::{DetRng, SimDuration, SimTime};
 
 /// File-system configuration (the knobs Hadoop exposes in hdfs-site.xml).
@@ -386,22 +387,12 @@ impl Dfs {
     /// fingerprint; the tracing differential test uses this to prove the
     /// recorder never perturbs replication state.
     pub fn replica_fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn mix(h: u64, v: u64) -> u64 {
-            let mut h = h;
-            for byte in v.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-            h
-        }
         let mut h = FNV_OFFSET;
         for dn in &self.dns {
-            h = mix(h, dn.id().0 as u64);
+            fnv1a_u64(&mut h, dn.id().0 as u64);
             for b in dn.all_blocks() {
-                h = mix(h, b.0);
-                h = mix(h, dn.holds_dynamic(b) as u64);
+                fnv1a_u64(&mut h, b.0);
+                fnv1a_u64(&mut h, dn.holds_dynamic(b) as u64);
             }
         }
         h
@@ -415,34 +406,28 @@ impl Dfs {
     /// reached at different absolute times but with identical remaining
     /// behavior hash the same.
     pub fn extended_fingerprint(&self, now: SimTime) -> u64 {
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn mix(h: u64, v: u64) -> u64 {
-            let mut h = h;
-            for byte in v.to_le_bytes() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-            h
-        }
         let mut h = self.replica_fingerprint();
         for dn in &self.dns {
             for b in dn.corrupt_blocks() {
-                h = mix(h, dn.id().0 as u64);
-                h = mix(h, b.0);
+                fnv1a_u64(&mut h, dn.id().0 as u64);
+                fnv1a_u64(&mut h, b.0);
             }
         }
-        h = mix(h, 0x5eed);
+        fnv1a_u64(&mut h, 0x5eed);
         for i in 0..self.nn.num_blocks() {
             let b = BlockId(i as u64);
             for &n in self.nn.locations(b) {
-                h = mix(h, n.0 as u64);
+                fnv1a_u64(&mut h, n.0 as u64);
             }
-            h = mix(h, u64::MAX); // per-block terminator
+            fnv1a_u64(&mut h, u64::MAX); // per-block terminator
         }
         for (visible_at, b, n) in self.nn.pending_report_entries() {
-            h = mix(h, visible_at.as_micros().saturating_sub(now.as_micros()));
-            h = mix(h, b.0);
-            h = mix(h, n.0 as u64);
+            fnv1a_u64(
+                &mut h,
+                visible_at.as_micros().saturating_sub(now.as_micros()),
+            );
+            fnv1a_u64(&mut h, b.0);
+            fnv1a_u64(&mut h, n.0 as u64);
         }
         h
     }

@@ -33,28 +33,6 @@ pub trait PlacementPolicy {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DefaultPlacement;
 
-/// Uniformly random distinct nodes — the strawman policy some tests and
-/// ablations use.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RandomPlacement;
-
-impl PlacementPolicy for RandomPlacement {
-    fn place(
-        &self,
-        topo: &Topology,
-        _writer: Option<NodeId>,
-        replicas: u32,
-        rng: &mut DetRng,
-    ) -> Vec<NodeId> {
-        let n = topo.nodes() as usize;
-        let k = (replicas as usize).min(n);
-        rng.sample_indices(n, k)
-            .into_iter()
-            .map(|i| NodeId(i as u32))
-            .collect()
-    }
-}
-
 impl PlacementPolicy for DefaultPlacement {
     fn place(
         &self,
@@ -175,25 +153,6 @@ mod tests {
             firsts.insert(p[0]);
         }
         assert!(firsts.len() > 10, "ingest writes should spread out");
-    }
-
-    #[test]
-    fn random_placement_distinct_and_uniformish() {
-        let topo = Topology::single_rack(10);
-        let mut rng = DetRng::new(5);
-        let mut counts = [0u32; 10];
-        for _ in 0..3000 {
-            let p = RandomPlacement.place(&topo, Some(NodeId(0)), 3, &mut rng);
-            assert_eq!(p.len(), 3);
-            assert!(distinct(&p));
-            for n in p {
-                counts[n.idx()] += 1;
-            }
-        }
-        // each node expected 900; allow wide tolerance
-        for (i, &c) in counts.iter().enumerate() {
-            assert!((600..1200).contains(&c), "node {i} count {c}");
-        }
     }
 
     #[test]

@@ -6,7 +6,7 @@ use dare_core::PolicyKind;
 use dare_dfs::DfsConfig;
 use dare_net::ClusterProfile;
 use dare_sched::fair::FairConfig;
-use dare_simcore::{QueueKind, SimDuration};
+use dare_simcore::SimDuration;
 
 /// Which scheduler drives the run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -74,11 +74,6 @@ pub struct SimConfig {
     /// exists, slot conservation, every task terminates). Expensive; for
     /// tests and the resilience experiment.
     pub check_invariants: bool,
-    /// Drive the run with the retained naive-scan reference schedulers
-    /// (`dare_sched::oracle`) instead of the indexed ones. Bit-identical
-    /// results by construction; exists for differential testing and
-    /// benchmarking the index speedup.
-    pub naive_scan: bool,
     /// Periodic cluster-state sampling into
     /// [`crate::SimResult::telemetry`]. Observation-only: a sampled run
     /// is bit-identical to an unsampled one, and `None` (the default)
@@ -88,12 +83,6 @@ pub struct SimConfig {
     /// [`crate::SimResult::profile`]. Wall time never feeds the
     /// simulation, so a profiled run stays bit-identical. Off by default.
     pub self_profile: bool,
-    /// Which event-queue kernel drives the run: the calendar queue /
-    /// timing wheel (default) or the original binary heap, kept as the
-    /// differential oracle. Both kernels produce byte-identical runs —
-    /// the golden-trace harness proves it — so this flag only matters
-    /// for performance work and differential testing.
-    pub event_queue: QueueKind,
     /// Batch periodic heartbeats into one timer event per interval that
     /// drains a per-node ring, instead of one queue event per node. Cuts
     /// event volume by O(nodes) per interval — the difference between
@@ -198,33 +187,18 @@ impl SimConfig {
             speculation: None,
             record_trace: false,
             check_invariants: false,
-            naive_scan: false,
             telemetry: None,
             self_profile: false,
-            event_queue: QueueKind::Calendar,
             batched_heartbeats: false,
             scanner: None,
             seeded_bug_skip_heal_recheck: false,
         }
     }
 
-    /// Drive the run with the binary-heap event kernel (the differential
-    /// oracle for the calendar queue).
-    pub fn with_heap_queue(mut self) -> Self {
-        self.event_queue = QueueKind::Heap;
-        self
-    }
-
     /// Batch periodic heartbeats into one timer event per interval (see
     /// `batched_heartbeats`; changes timing, off by default).
     pub fn with_batched_heartbeats(mut self) -> Self {
         self.batched_heartbeats = true;
-        self
-    }
-
-    /// Switch to the naive-scan reference schedulers (differential runs).
-    pub fn with_naive_scan(mut self) -> Self {
-        self.naive_scan = true;
         self
     }
 
@@ -255,10 +229,9 @@ impl SimConfig {
     /// Schedule node degradations at `(time_secs, node, slowdown_factor)`.
     ///
     /// Convenience wrapper appending [`FaultEvent::Slowdown`] events to
-    /// the fault plan. Panics on a factor below 1 or an out-of-range
-    /// node, like the plan validator would.
+    /// the fault plan; [`SimConfig::validate`] rejects a factor below 1
+    /// or an out-of-range node.
     pub fn with_degradations(mut self, degradations: Vec<(u64, u32, f64)>) -> Self {
-        assert!(degradations.iter().all(|&(_, _, f)| f >= 1.0));
         self.faults
             .events
             .extend(degradations.into_iter().map(|(at_secs, node, factor)| {
@@ -269,9 +242,6 @@ impl SimConfig {
                     duration_secs: None,
                 }
             }));
-        if let Err(e) = self.faults.validate(self.profile.nodes) {
-            panic!("invalid degradation schedule: {e}");
-        }
         self
     }
 
@@ -284,8 +254,8 @@ impl SimConfig {
     /// Schedule permanent node kills at `(time_secs, node_index)` points.
     ///
     /// Convenience wrapper appending [`FaultEvent::Kill`] events to the
-    /// fault plan. Panics at build time on an out-of-range node index or
-    /// a duplicate kill of the same node.
+    /// fault plan; [`SimConfig::validate`] rejects an out-of-range node
+    /// index or a duplicate kill of the same node.
     pub fn with_failures(mut self, failures: Vec<(u64, u32)>) -> Self {
         self.faults
             .events
@@ -293,9 +263,6 @@ impl SimConfig {
                 at_secs,
                 node,
             }));
-        if let Err(e) = self.faults.validate(self.profile.nodes) {
-            panic!("invalid failure schedule: {e}");
-        }
         self
     }
 
@@ -336,6 +303,15 @@ impl SimConfig {
         }
         if self.profile.nodes == 0 {
             return Err("empty cluster".into());
+        }
+        if matches!(self.scheduler, SchedulerKind::Capacity(0)) {
+            return Err("the capacity scheduler needs at least one queue".into());
+        }
+        if self
+            .scarlett
+            .is_some_and(|sc| sc.epoch == SimDuration::ZERO)
+        {
+            return Err("zero Scarlett epoch".into());
         }
         if let Some(t) = &self.telemetry {
             if t.interval == SimDuration::ZERO {
@@ -381,18 +357,13 @@ mod tests {
         let ok = c.clone().with_failures(vec![(40, 2), (90, 7)]);
         assert_eq!(ok.faults.events.len(), 2);
         assert!(ok.validate().is_ok());
-
-        let out_of_range = std::panic::catch_unwind(|| {
-            SimConfig::cct(PolicyKind::Vanilla, SchedulerKind::Fifo, 1)
-                .with_failures(vec![(40, 99)])
-        });
-        assert!(out_of_range.is_err(), "node 99 on a 19-node cluster");
-
-        let duplicate = std::panic::catch_unwind(|| {
-            SimConfig::cct(PolicyKind::Vanilla, SchedulerKind::Fifo, 1)
-                .with_failures(vec![(40, 2), (90, 2)])
-        });
-        assert!(duplicate.is_err(), "duplicate kill of node 2");
+        let out_of_range = c.clone().with_failures(vec![(40, 99)]);
+        assert!(
+            out_of_range.validate().is_err(),
+            "node 99 on a 19-node cluster"
+        );
+        let duplicate = c.with_failures(vec![(40, 2), (90, 2)]);
+        assert!(duplicate.validate().is_err(), "duplicate kill of node 2");
     }
 
     #[test]
@@ -403,6 +374,16 @@ mod tests {
         c.budget_frac = 0.5;
         c.heartbeat = SimDuration::ZERO;
         assert!(c.validate().is_err());
+        c.heartbeat = SimDuration::from_secs(3);
+        c.scheduler = SchedulerKind::Capacity(0);
+        assert!(c.validate().is_err(), "capacity scheduler without queues");
+        c.scheduler = SchedulerKind::Capacity(1);
+        assert!(c.validate().is_ok());
+        c = c.with_scarlett(ScarlettConfig {
+            epoch: SimDuration::ZERO,
+            ..ScarlettConfig::default()
+        });
+        assert!(c.validate().is_err(), "zero Scarlett epoch");
     }
 
     #[test]

@@ -11,6 +11,7 @@ use dare_sched::{
     locality::classify, FairScheduler, FifoScheduler, JobId, JobQueue, Locality, LocationLookup,
     PendingTask, Scheduler, SkipDecision, TaskId,
 };
+use dare_simcore::fnv::fnv1a_u64;
 use dare_simcore::{DetRng, EventQueue, FxHashMap, FxHashSet, SimDuration, SimTime};
 use dare_telemetry::{JobPhase, JobSample, MetricId, MetricRegistry, NodeSample, Profiler, Subsystem, Telemetry};
 use dare_trace::{FlowCtx, FlowKind, Loc, TraceEvent, Tracer};
@@ -535,6 +536,23 @@ impl Engine {
     /// bandwidth draws, the DFS (with the dataset ingested at t = 0), the
     /// per-node DARE policies, and the job-arrival events.
     pub fn new(cfg: SimConfig, workload: &Workload) -> Self {
+        let scheduler: Box<dyn Scheduler> = match cfg.scheduler {
+            SchedulerKind::Fifo => Box::new(FifoScheduler::new()),
+            SchedulerKind::Fair(fc) => Box::new(FairScheduler::with_config(fc)),
+            SchedulerKind::Capacity(q) => Box::new(dare_sched::CapacityScheduler::new(q)),
+        };
+        Self::with_scheduler(cfg, workload, scheduler)
+    }
+
+    /// [`Engine::new`] driven by `scheduler` instead of the indexed
+    /// scheduler `cfg.scheduler` names. The differential tests and the
+    /// scheduler benchmark pass the `dare_sched::oracle` reference
+    /// schedulers through here.
+    pub fn with_scheduler(
+        cfg: SimConfig,
+        workload: &Workload,
+        mut scheduler: Box<dyn Scheduler>,
+    ) -> Self {
         cfg.validate().expect("invalid simulation config");
         workload.validate().expect("invalid workload");
         let root = DetRng::new(cfg.seed);
@@ -590,25 +608,6 @@ impl Engine {
             .map(|i| root.substream_idx("policy-node", i as u64))
             .collect();
 
-        let mut scheduler: Box<dyn Scheduler> = if cfg.naive_scan {
-            // Retained O(tasks × replicas) reference implementations; used
-            // by the engine-level differential test and the benchmarks.
-            match cfg.scheduler {
-                SchedulerKind::Fifo => Box::new(dare_sched::oracle::NaiveFifoScheduler::new()),
-                SchedulerKind::Fair(fc) => {
-                    Box::new(dare_sched::oracle::NaiveFairScheduler::with_config(fc))
-                }
-                SchedulerKind::Capacity(q) => {
-                    Box::new(dare_sched::oracle::NaiveCapacityScheduler::new(q))
-                }
-            }
-        } else {
-            match cfg.scheduler {
-                SchedulerKind::Fifo => Box::new(FifoScheduler::new()),
-                SchedulerKind::Fair(fc) => Box::new(FairScheduler::with_config(fc)),
-                SchedulerKind::Capacity(q) => Box::new(dare_sched::CapacityScheduler::new(q)),
-            }
-        };
         if cfg.record_trace {
             scheduler.set_tracing(true);
         }
@@ -662,7 +661,7 @@ impl Engine {
             })
             .collect();
 
-        let mut events = EventQueue::with_kind(cfg.event_queue);
+        let mut events = EventQueue::new();
         for (i, j) in jobs.iter().enumerate() {
             events.push(j.arrival, Ev::JobArrival(i as u32));
         }
@@ -936,43 +935,8 @@ impl Engine {
     /// queue, an orphaned flow, a violated invariant) as a structured
     /// [`crate::SimError`] rather than panicking.
     pub fn try_run(mut self) -> Result<SimResult, crate::SimError> {
-        let total_jobs = self.jobs.len();
-        while self.finished < total_jobs {
-            // The pop is charged to the queue arm so the profile separates
-            // event-kernel cost from scheduler-decision cost. Observation
-            // only: `Instant` never feeds the simulation.
-            let popped = if self.profiler.is_some() {
-                let depth = self.events.len() as u64;
-                let start = std::time::Instant::now();
-                let popped = self.events.pop();
-                let elapsed = start.elapsed();
-                if let Some(p) = self.profiler.as_mut() {
-                    p.record(Subsystem::Queue, elapsed);
-                    p.note_queue_peak(depth);
-                }
-                popped
-            } else {
-                self.events.pop()
-            };
-            let Some((t, ev)) = popped else {
-                return Err(crate::SimError::Stalled {
-                    now: self.now,
-                    finished: self.finished,
-                    total: total_jobs,
-                    pending: self.queue.total_pending(),
-                });
-            };
-            debug_assert!(t >= self.now, "time went backwards");
-            // Emit the samples of every telemetry tick the popped event
-            // has passed: all events at times <= the tick have drained.
-            if self.telem.is_some() {
-                self.pump_telemetry(t);
-            }
-            self.now = t;
-            self.dispatch(ev)?;
-            if self.cfg.check_invariants {
-                self.check_invariants()?;
-            }
+        while self.finished < self.jobs.len() {
+            self.dispatch_next()?;
         }
         if self.telem.is_some() {
             self.final_telemetry();
@@ -981,6 +945,45 @@ impl Engine {
             self.check_terminal_invariants()?;
         }
         Ok(self.finish())
+    }
+
+    /// One iteration of the run loop, shared by [`Engine::try_run`] and
+    /// [`Engine::step`]: pop the next event, pump telemetry up to it,
+    /// dispatch it and check the invariants. A drained queue is a stall.
+    fn dispatch_next(&mut self) -> Result<(), crate::SimError> {
+        // The pop is charged to the queue arm so the profile separates
+        // event-kernel cost from scheduler-decision cost. Observation
+        // only: `Instant` never feeds the simulation.
+        let popped = if let Some(p) = self.profiler.as_mut() {
+            let depth = self.events.len() as u64;
+            let start = std::time::Instant::now();
+            let popped = self.events.pop();
+            p.record(Subsystem::Queue, start.elapsed());
+            p.note_queue_peak(depth);
+            popped
+        } else {
+            self.events.pop()
+        };
+        let Some((t, ev)) = popped else {
+            return Err(crate::SimError::Stalled {
+                now: self.now,
+                finished: self.finished,
+                total: self.jobs.len(),
+                pending: self.queue.total_pending(),
+            });
+        };
+        debug_assert!(t >= self.now, "time went backwards");
+        // Emit the samples of every telemetry tick the popped event
+        // has passed: all events at times <= the tick have drained.
+        if self.telem.is_some() {
+            self.pump_telemetry(t);
+        }
+        self.now = t;
+        self.dispatch(ev)?;
+        if self.cfg.check_invariants {
+            self.check_invariants()?;
+        }
+        Ok(())
     }
 
     // ----- model-checker step control -------------------------------
@@ -1004,23 +1007,7 @@ impl Engine {
             }
             return Ok(StepOutcome::Quiescent);
         }
-        let Some((t, ev)) = self.events.pop() else {
-            return Err(crate::SimError::Stalled {
-                now: self.now,
-                finished: self.finished,
-                total: self.jobs.len(),
-                pending: self.queue.total_pending(),
-            });
-        };
-        debug_assert!(t >= self.now, "time went backwards");
-        if self.telem.is_some() {
-            self.pump_telemetry(t);
-        }
-        self.now = t;
-        self.dispatch(ev)?;
-        if self.cfg.check_invariants {
-            self.check_invariants()?;
-        }
+        self.dispatch_next()?;
         Ok(StepOutcome::Progressed)
     }
 
@@ -1163,73 +1150,66 @@ impl Engine {
     /// by start time and current rate; see DESIGN.md for the residual
     /// approximation.
     pub fn state_fingerprint(&self) -> u64 {
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        fn mix(h: &mut u64, v: u64) {
-            for byte in v.to_le_bytes() {
-                *h ^= byte as u64;
-                *h = h.wrapping_mul(FNV_PRIME);
-            }
-        }
         let now_us = self.now.as_micros();
         let ago = |t: SimTime| now_us.saturating_sub(t.as_micros());
         let mut h = self.dfs.extended_fingerprint(self.now);
         for i in 0..self.crashed.len() {
-            mix(
+            fnv1a_u64(
                 &mut h,
                 self.crashed[i] as u64
                     | (self.declared[i] as u64) << 1
                     | (self.scrubbing[i] as u64) << 2,
             );
-            mix(&mut h, self.node_epoch[i] as u64);
-            mix(&mut h, self.free_map_slots[i] as u64);
-            mix(&mut h, self.free_reduce_slots[i] as u64);
-            mix(&mut h, self.running_reduces[i] as u64);
-            mix(&mut h, self.active_local_reads[i] as u64);
-            mix(&mut h, self.slow_factor[i].to_bits());
-            mix(&mut h, self.gray_disk[i].to_bits());
-            mix(&mut h, self.gray_nic[i].to_bits());
+            fnv1a_u64(&mut h, self.node_epoch[i] as u64);
+            fnv1a_u64(&mut h, self.free_map_slots[i] as u64);
+            fnv1a_u64(&mut h, self.free_reduce_slots[i] as u64);
+            fnv1a_u64(&mut h, self.running_reduces[i] as u64);
+            fnv1a_u64(&mut h, self.active_local_reads[i] as u64);
+            fnv1a_u64(&mut h, self.slow_factor[i].to_bits());
+            fnv1a_u64(&mut h, self.gray_disk[i].to_bits());
+            fnv1a_u64(&mut h, self.gray_nic[i].to_bits());
             for &(j, t) in &self.running_on[i] {
-                mix(&mut h, ((j as u64) << 32) | t as u64);
+                fnv1a_u64(&mut h, ((j as u64) << 32) | t as u64);
             }
-            mix(&mut h, u64::MAX); // per-node terminator
+            fnv1a_u64(&mut h, u64::MAX); // per-node terminator
         }
         for js in &self.jobs {
-            mix(&mut h, js.maps_done as u64);
-            mix(&mut h, js.reduces_done as u64);
-            mix(&mut h, js.failed as u64);
-            mix(&mut h, js.node_local as u64);
-            mix(&mut h, js.rack_local as u64);
-            mix(&mut h, js.remote as u64);
+            fnv1a_u64(&mut h, js.maps_done as u64);
+            fnv1a_u64(&mut h, js.reduces_done as u64);
+            fnv1a_u64(&mut h, js.failed as u64);
+            fnv1a_u64(&mut h, js.node_local as u64);
+            fnv1a_u64(&mut h, js.rack_local as u64);
+            fnv1a_u64(&mut h, js.remote as u64);
             for ti in 0..js.attempts.len() {
-                mix(&mut h, js.attempts[ti] as u64);
-                mix(
+                fnv1a_u64(&mut h, js.attempts[ti] as u64);
+                fnv1a_u64(
                     &mut h,
                     js.done[ti] as u64 | (js.live_attempts[ti] as u64) << 1,
                 );
             }
         }
-        mix(&mut h, self.finished as u64);
+        fnv1a_u64(&mut h, self.finished as u64);
         for je in self.queue.jobs() {
-            mix(&mut h, je.id.0 as u64);
-            mix(&mut h, ago(je.arrival));
-            mix(&mut h, je.running_maps() as u64);
-            mix(&mut h, je.skip_count as u64);
+            fnv1a_u64(&mut h, je.id.0 as u64);
+            fnv1a_u64(&mut h, ago(je.arrival));
+            fnv1a_u64(&mut h, je.running_maps() as u64);
+            fnv1a_u64(&mut h, je.skip_count as u64);
             for pt in je.pending() {
-                mix(&mut h, ((pt.task.0 as u64) << 32) | pt.block.0);
+                fnv1a_u64(&mut h, ((pt.task.0 as u64) << 32) | pt.block.0);
             }
-            mix(&mut h, u64::MAX); // per-job terminator
+            fnv1a_u64(&mut h, u64::MAX); // per-job terminator
         }
         for &(j, d) in &self.pending_reduces {
-            mix(&mut h, j as u64);
-            mix(&mut h, d.as_micros());
+            fnv1a_u64(&mut h, j as u64);
+            fnv1a_u64(&mut h, d.as_micros());
         }
         // Recovery queue: rank replaces the absolute enqueue seq (two
         // paths reaching the same backlog in the same relative order
         // must collide even if their raw counters differ).
         for (rank, &(vis, _seq, b)) in self.recovery_q.iter().enumerate() {
-            mix(&mut h, vis as u64);
-            mix(&mut h, rank as u64);
-            mix(&mut h, b);
+            fnv1a_u64(&mut h, vis as u64);
+            fnv1a_u64(&mut h, rank as u64);
+            fnv1a_u64(&mut h, b);
         }
         let mut rec: Vec<(u64, u32, u32, u32, u64)> = self
             .recovery_flows
@@ -1238,15 +1218,15 @@ impl Engine {
             .collect();
         rec.sort_unstable();
         for (b, s, d, v, fid) in rec {
-            mix(&mut h, b);
-            mix(&mut h, ((s as u64) << 32) | d as u64);
-            mix(&mut h, v as u64);
+            fnv1a_u64(&mut h, b);
+            fnv1a_u64(&mut h, ((s as u64) << 32) | d as u64);
+            fnv1a_u64(&mut h, v as u64);
             self.mix_flow(&mut h, FlowId(fid), ago);
         }
         let mut lost: Vec<u64> = self.lost_blocks.iter().copied().collect();
         lost.sort_unstable();
         for b in lost {
-            mix(&mut h, b);
+            fnv1a_u64(&mut h, b);
         }
         let mut repairs: Vec<(u64, u64)> = self
             .repair_started
@@ -1255,8 +1235,8 @@ impl Engine {
             .collect();
         repairs.sort_unstable();
         for (b, t) in repairs {
-            mix(&mut h, b);
-            mix(&mut h, t);
+            fnv1a_u64(&mut h, b);
+            fnv1a_u64(&mut h, t);
         }
         // (flow id, node, src, job, task, attempt, replicate flag, latency us)
         type FetchFp = (u64, u32, u32, u32, u32, u32, u64, u64);
@@ -1278,10 +1258,10 @@ impl Engine {
             .collect();
         fetches.sort_unstable();
         for (fid, node, src, job, task, attempt, repl, lat) in fetches {
-            mix(&mut h, ((node as u64) << 32) | src as u64);
-            mix(&mut h, ((job as u64) << 32) | task as u64);
-            mix(&mut h, (attempt as u64) | repl << 32);
-            mix(&mut h, lat);
+            fnv1a_u64(&mut h, ((node as u64) << 32) | src as u64);
+            fnv1a_u64(&mut h, ((job as u64) << 32) | task as u64);
+            fnv1a_u64(&mut h, (attempt as u64) | repl << 32);
+            fnv1a_u64(&mut h, lat);
             self.mix_flow(&mut h, FlowId(fid), ago);
         }
         let mut pro: Vec<(u64, u64, u32, u32)> = self
@@ -1291,8 +1271,8 @@ impl Engine {
             .collect();
         pro.sort_unstable();
         for (fid, b, s, d) in pro {
-            mix(&mut h, b);
-            mix(&mut h, ((s as u64) << 32) | d as u64);
+            fnv1a_u64(&mut h, b);
+            fnv1a_u64(&mut h, ((s as u64) << 32) | d as u64);
             self.mix_flow(&mut h, FlowId(fid), ago);
         }
         // Pending event queue, canonical order, times relative to now;
@@ -1302,9 +1282,9 @@ impl Engine {
             .for_each_scheduled(|t, seq, ev| evs.push((t.as_micros(), seq, ev_digest(ev))));
         evs.sort_unstable();
         for (rank, (t, _seq, d)) in evs.iter().enumerate() {
-            mix(&mut h, t.saturating_sub(now_us));
-            mix(&mut h, rank as u64);
-            mix(&mut h, *d);
+            fnv1a_u64(&mut h, t.saturating_sub(now_us));
+            fnv1a_u64(&mut h, rank as u64);
+            fnv1a_u64(&mut h, *d);
         }
         h
     }
@@ -1312,16 +1292,9 @@ impl Engine {
     /// Mix one in-flight flow's identity, relative start time, and
     /// current rate into the fingerprint.
     fn mix_flow(&self, h: &mut u64, fid: FlowId, ago: impl Fn(SimTime) -> u64) {
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut m = |v: u64| {
-            for byte in v.to_le_bytes() {
-                *h ^= byte as u64;
-                *h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        m(fid.0);
-        m(self.flows.started_at(fid).map_or(u64::MAX, &ago));
-        m(self.flows.rate_of(fid).map_or(u64::MAX, f64::to_bits));
+        fnv1a_u64(h, fid.0);
+        fnv1a_u64(h, self.flows.started_at(fid).map_or(u64::MAX, &ago));
+        fnv1a_u64(h, self.flows.rate_of(fid).map_or(u64::MAX, f64::to_bits));
     }
 
     /// Emit samples for every pending tick strictly before `next_event`.
@@ -3983,11 +3956,9 @@ mod tests {
 
     #[test]
     fn degradation_rejects_bad_factor() {
-        let result = std::panic::catch_unwind(|| {
-            SimConfig::cct(PolicyKind::Vanilla, SchedulerKind::Fifo, 1)
-                .with_degradations(vec![(10, 0, 0.5)])
-        });
-        assert!(result.is_err(), "factor < 1 must be rejected");
+        let cfg = SimConfig::cct(PolicyKind::Vanilla, SchedulerKind::Fifo, 1)
+            .with_degradations(vec![(10, 0, 0.5)]);
+        assert!(cfg.validate().is_err(), "factor < 1 must be rejected");
     }
 
     #[test]
@@ -4641,31 +4612,6 @@ mod tests {
         assert_eq!(base.outcomes, sampled.outcomes);
         assert_eq!(base.dfs_fingerprint, sampled.dfs_fingerprint);
         assert!(base.telemetry.is_none() && base.profile.is_none());
-    }
-
-    /// The heap kernel is the differential oracle for the calendar queue:
-    /// a full simulation must be bit-identical under either, including
-    /// with faults in play (crash/rejoin exercises the push-behind-now
-    /// and epoch-stale paths).
-    #[test]
-    fn heap_and_calendar_kernels_agree_end_to_end() {
-        let wl = tiny_workload(8, 3, 40);
-        let run = |heap: bool| {
-            let mut cfg = SimConfig::cct(PolicyKind::GreedyLru, SchedulerKind::fair_default(), 17)
-                .with_failures(vec![(40, 2), (90, 7)])
-                .with_invariant_checks();
-            cfg.budget_frac = 1.0;
-            if heap {
-                cfg = cfg.with_heap_queue();
-            }
-            crate::run(cfg, &wl)
-        };
-        let cal = run(false);
-        let heap = run(true);
-        assert_eq!(cal.run, heap.run);
-        assert_eq!(cal.outcomes, heap.outcomes);
-        assert_eq!(cal.faults, heap.faults);
-        assert_eq!(cal.dfs_fingerprint, heap.dfs_fingerprint);
     }
 
     /// Batched heartbeats change event timing (documented), but the run

@@ -1,38 +1,24 @@
 //! Generic discrete-event queue.
 //!
-//! Two interchangeable kernels sit behind [`EventQueue`]:
+//! [`EventQueue`] is a calendar queue / single-level timing wheel: events
+//! within an 8.4 s horizon land in one of 8192 fixed-width (1024 µs)
+//! buckets, beyond-horizon events wait in an overflow heap, and the
+//! bucket currently being drained lives in a small binary heap so
+//! same-bucket events still pop in exact `(time, sequence)` order.
+//! Pushes are O(1) amortized; pops touch only the handful of events
+//! sharing the active millisecond instead of a heap over the entire
+//! pending set.
 //!
-//! * **Calendar** (the default) — a calendar queue / single-level timing
-//!   wheel: events within an 8.4 s horizon land in one of 8192 fixed-width
-//!   (1024 µs) buckets, beyond-horizon events wait in an overflow heap,
-//!   and the bucket currently being drained lives in a small binary heap
-//!   so same-bucket events still pop in exact `(time, sequence)` order.
-//!   Pushes are O(1) amortized; pops touch only the handful of events
-//!   sharing the active millisecond instead of a heap over the entire
-//!   pending set.
-//! * **Heap** — the original [`std::collections::BinaryHeap`] keyed by
-//!   `(SimTime, u64 sequence)`. Kept as the differential oracle: the
-//!   property tests and the golden-trace harness prove both kernels pop
-//!   byte-identical sequences.
-//!
-//! Both kernels break ties between simultaneous events by insertion order
-//! (a monotonically increasing sequence number), which keeps event
-//! interleavings — and therefore whole simulation runs — deterministic
-//! and *identical across kernels*.
+//! Ties between simultaneous events break by insertion order (a
+//! monotonically increasing sequence number), which keeps event
+//! interleavings — and therefore whole simulation runs — deterministic.
+//! The test module drives a plain [`std::collections::BinaryHeap`] keyed
+//! by `(SimTime, sequence)` side by side with the calendar as its
+//! differential oracle.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-/// Which event-queue kernel an [`EventQueue`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// Calendar queue / timing wheel (the default, scale-ready kernel).
-    #[default]
-    Calendar,
-    /// Binary heap over the full pending set (the differential oracle).
-    Heap,
-}
 
 /// One scheduled entry: payload `E` to be delivered at `time`.
 struct Scheduled<E> {
@@ -75,14 +61,28 @@ fn bucket_of(time: SimTime) -> u64 {
     time.as_micros() >> WIDTH_LOG2
 }
 
-/// The calendar kernel.
+/// A deterministic priority queue of simulation events.
+///
+/// ```
+/// use dare_simcore::{EventQueue, SimTime};
+///
+/// let mut q = EventQueue::new();
+/// q.push(SimTime::from_secs(5), "later");
+/// q.push(SimTime::from_secs(1), "sooner");
+/// q.push(SimTime::from_secs(1), "sooner-but-second");
+///
+/// assert_eq!(q.pop(), Some((SimTime::from_secs(1), "sooner")));
+/// assert_eq!(q.pop(), Some((SimTime::from_secs(1), "sooner-but-second")));
+/// assert_eq!(q.pop(), Some((SimTime::from_secs(5), "later")));
+/// assert_eq!(q.pop(), None);
+/// ```
 ///
 /// Invariant: whenever `len > 0`, `cur` is non-empty and holds the global
 /// minimum `(time, seq)` entry. Events in wheel slot for absolute bucket
 /// `b > cur_bucket` all have `time >= (cur_bucket + 1) << WIDTH_LOG2`,
 /// which is strictly later than every entry routed into `cur` (those have
 /// bucket `<= cur_bucket`), so draining `cur` first is exact.
-struct Calendar<E> {
+pub struct EventQueue<E> {
     /// Min-heap of the active bucket (plus any late/past-time pushes).
     cur: BinaryHeap<Scheduled<E>>,
     /// Absolute index of the bucket `cur` is draining.
@@ -97,17 +97,73 @@ struct Calendar<E> {
     /// Beyond-horizon events, min-first.
     overflow: BinaryHeap<Scheduled<E>>,
     len: usize,
+    next_seq: u64,
 }
 
-impl<E> Calendar<E> {
-    fn new() -> Self {
-        Calendar {
+impl<E> Default for EventQueue<E> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<E> EventQueue<E> {
+    /// Create an empty queue.
+    pub fn new() -> Self {
+        EventQueue {
             cur: BinaryHeap::new(),
             cur_bucket: 0,
             wheel: (0..WHEEL).map(|_| Vec::new()).collect(),
             occ: vec![0u64; WHEEL / 64],
             overflow: BinaryHeap::new(),
             len: 0,
+            next_seq: 0,
+        }
+    }
+
+    /// Schedule `event` for delivery at `time`.
+    pub fn push(&mut self, time: SimTime, event: E) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.route(Scheduled { time, seq, event });
+        self.len += 1;
+        if self.cur.is_empty() {
+            self.advance();
+        }
+    }
+
+    /// Remove and return the earliest event, if any.
+    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        let s = self.cur.pop()?;
+        self.len -= 1;
+        if self.cur.is_empty() && self.len > 0 {
+            self.advance();
+        }
+        Some((s.time, s.event))
+    }
+
+    /// Time of the earliest pending event without removing it.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.cur.peek().map(|s| s.time)
+    }
+
+    /// Number of pending events.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when no events are pending.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Visit every pending entry as `(time, seq, &event)` without
+    /// disturbing the queue. Visit **order is unspecified**; callers
+    /// needing a canonical view (e.g. state fingerprints for the model
+    /// checker) must collect and sort by `(time, seq)`.
+    pub fn for_each_scheduled(&self, mut f: impl FnMut(SimTime, u64, &E)) {
+        let wheel = self.wheel.iter().flatten();
+        for s in self.cur.iter().chain(wheel).chain(self.overflow.iter()) {
+            f(s.time, s.seq, &s.event);
         }
     }
 
@@ -133,28 +189,6 @@ impl<E> Calendar<E> {
         } else {
             self.overflow.push(s);
         }
-    }
-
-    fn push(&mut self, s: Scheduled<E>) {
-        self.route(s);
-        self.len += 1;
-        if self.cur.is_empty() {
-            self.advance();
-        }
-    }
-
-    fn pop(&mut self) -> Option<(SimTime, E)> {
-        let s = self.cur.pop()?;
-        self.len -= 1;
-        if self.cur.is_empty() && self.len > 0 {
-            self.advance();
-        }
-        Some((s.time, s.event))
-    }
-
-    #[inline]
-    fn peek_time(&self) -> Option<SimTime> {
-        self.cur.peek().map(|s| s.time)
     }
 
     /// Find the earliest non-empty bucket after `cur_bucket`, jump to it,
@@ -238,183 +272,70 @@ impl<E> Calendar<E> {
     }
 }
 
-enum Inner<E> {
-    Heap(BinaryHeap<Scheduled<E>>),
-    Calendar(Box<Calendar<E>>),
-}
-
-/// A deterministic priority queue of simulation events.
-///
-/// ```
-/// use dare_simcore::{EventQueue, SimTime};
-///
-/// let mut q = EventQueue::new();
-/// q.push(SimTime::from_secs(5), "later");
-/// q.push(SimTime::from_secs(1), "sooner");
-/// q.push(SimTime::from_secs(1), "sooner-but-second");
-///
-/// assert_eq!(q.pop(), Some((SimTime::from_secs(1), "sooner")));
-/// assert_eq!(q.pop(), Some((SimTime::from_secs(1), "sooner-but-second")));
-/// assert_eq!(q.pop(), Some((SimTime::from_secs(5), "later")));
-/// assert_eq!(q.pop(), None);
-/// ```
-pub struct EventQueue<E> {
-    inner: Inner<E>,
-    next_seq: u64,
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Create an empty queue with the default (calendar) kernel.
-    pub fn new() -> Self {
-        Self::with_kind(QueueKind::Calendar)
-    }
-
-    /// Create an empty queue with an explicit kernel.
-    pub fn with_kind(kind: QueueKind) -> Self {
-        let inner = match kind {
-            QueueKind::Calendar => Inner::Calendar(Box::new(Calendar::new())),
-            QueueKind::Heap => Inner::Heap(BinaryHeap::new()),
-        };
-        EventQueue { inner, next_seq: 0 }
-    }
-
-    /// Create an empty queue with pre-allocated capacity (default kernel).
-    pub fn with_capacity(cap: usize) -> Self {
-        let mut cal = Calendar::new();
-        cal.cur = BinaryHeap::with_capacity(cap.min(1024));
-        EventQueue {
-            inner: Inner::Calendar(Box::new(cal)),
-            next_seq: 0,
-        }
-    }
-
-    /// Which kernel this queue runs on.
-    pub fn kind(&self) -> QueueKind {
-        match &self.inner {
-            Inner::Heap(_) => QueueKind::Heap,
-            Inner::Calendar(_) => QueueKind::Calendar,
-        }
-    }
-
-    /// Schedule `event` for delivery at `time`.
-    pub fn push(&mut self, time: SimTime, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let s = Scheduled { time, seq, event };
-        match &mut self.inner {
-            Inner::Heap(h) => h.push(s),
-            Inner::Calendar(c) => c.push(s),
-        }
-    }
-
-    /// Remove and return the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match &mut self.inner {
-            Inner::Heap(h) => h.pop().map(|s| (s.time, s.event)),
-            Inner::Calendar(c) => c.pop(),
-        }
-    }
-
-    /// Time of the earliest pending event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.inner {
-            Inner::Heap(h) => h.peek().map(|s| s.time),
-            Inner::Calendar(c) => c.peek_time(),
-        }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        match &self.inner {
-            Inner::Heap(h) => h.len(),
-            Inner::Calendar(c) => c.len,
-        }
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Visit every pending entry as `(time, seq, &event)` without
-    /// disturbing the queue. Visit **order is unspecified** and differs
-    /// between kernels; callers needing a canonical view (e.g. state
-    /// fingerprints for the model checker) must collect and sort by
-    /// `(time, seq)` — that order is identical across kernels because
-    /// both preserve the same `(time, insertion-seq)` schedule.
-    pub fn for_each_scheduled(&self, mut f: impl FnMut(SimTime, u64, &E)) {
-        match &self.inner {
-            Inner::Heap(h) => {
-                for s in h.iter() {
-                    f(s.time, s.seq, &s.event);
-                }
-            }
-            Inner::Calendar(c) => {
-                for s in c.cur.iter() {
-                    f(s.time, s.seq, &s.event);
-                }
-                for slot in &c.wheel {
-                    for s in slot {
-                        f(s.time, s.seq, &s.event);
-                    }
-                }
-                for s in c.overflow.iter() {
-                    f(s.time, s.seq, &s.event);
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::check::{env_cases, run_cases};
     use crate::time::SimDuration;
 
-    fn both_kinds() -> [EventQueue<u64>; 2] {
-        [
-            EventQueue::with_kind(QueueKind::Calendar),
-            EventQueue::with_kind(QueueKind::Heap),
-        ]
+    /// The calendar queue and its differential oracle — a plain binary
+    /// heap keyed by `(time, insertion seq)` — fed the same schedule.
+    #[derive(Default)]
+    struct WithOracle {
+        cal: EventQueue<u64>,
+        heap: BinaryHeap<Scheduled<u64>>,
     }
 
-    #[test]
-    fn pops_in_time_order() {
-        for mut q in both_kinds() {
-            for s in [9u64, 3, 7, 1, 5] {
-                q.push(SimTime::from_secs(s), s);
-            }
-            let mut out = Vec::new();
-            while let Some((_, e)) = q.pop() {
-                out.push(e);
-            }
-            assert_eq!(out, vec![1, 3, 5, 7, 9]);
+    impl WithOracle {
+        fn push(&mut self, time: SimTime, event: u64) {
+            let seq = self.cal.next_seq;
+            self.heap.push(Scheduled { time, seq, event });
+            self.cal.push(time, event);
+        }
+
+        /// Pop both; they must agree on the entry, the length left and
+        /// the next time.
+        fn pop(&mut self) -> Option<(SimTime, u64)> {
+            let got = self.cal.pop();
+            assert_eq!(
+                got,
+                self.heap.pop().map(|s| (s.time, s.event)),
+                "kernels diverged"
+            );
+            assert_eq!(self.cal.len(), self.heap.len());
+            assert_eq!(self.cal.peek_time(), self.heap.peek().map(|s| s.time));
+            got
+        }
+
+        fn drain(&mut self) -> Vec<u64> {
+            std::iter::from_fn(|| self.pop().map(|(_, e)| e)).collect()
         }
     }
 
     #[test]
+    fn pops_in_time_order() {
+        let mut q = WithOracle::default();
+        for s in [9u64, 3, 7, 1, 5] {
+            q.push(SimTime::from_secs(s), s);
+        }
+        assert_eq!(q.drain(), vec![1, 3, 5, 7, 9]);
+    }
+
+    #[test]
     fn simultaneous_events_are_fifo() {
-        for mut q in both_kinds() {
-            let t = SimTime::from_secs(1);
-            for i in 0..100 {
-                q.push(t, i);
-            }
-            for i in 0..100 {
-                assert_eq!(q.pop(), Some((t, i)));
-            }
+        let mut q = WithOracle::default();
+        let t = SimTime::from_secs(1);
+        for i in 0..100 {
+            q.push(t, i);
+        }
+        for i in 0..100 {
+            assert_eq!(q.pop(), Some((t, i)));
         }
     }
 
     #[test]
     fn peek_and_len() {
-        let mut q = EventQueue::with_capacity(4);
+        let mut q = EventQueue::new();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
         q.push(SimTime::from_secs(2), 'b');
@@ -425,40 +346,27 @@ mod tests {
 
     #[test]
     fn interleaved_push_pop_stays_ordered() {
-        for mut q in [EventQueue::new(), EventQueue::with_kind(QueueKind::Heap)] {
-            let mut now = SimTime::ZERO;
-            q.push(SimTime::from_secs(1), 1u32);
-            q.push(SimTime::from_secs(4), 4);
-            let (t, e) = q.pop().unwrap();
-            assert!((t, e) == (SimTime::from_secs(1), 1));
-            now += SimDuration::from_secs(1);
-            // schedule relative to "now"
-            q.push(now + SimDuration::from_secs(1), 2);
-            q.push(now + SimDuration::from_secs(2), 3);
-            let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-            assert_eq!(order, vec![2, 3, 4]);
-        }
-    }
-
-    #[test]
-    fn default_kernel_is_calendar() {
-        assert_eq!(EventQueue::<u8>::new().kind(), QueueKind::Calendar);
-        assert_eq!(
-            EventQueue::<u8>::with_kind(QueueKind::Heap).kind(),
-            QueueKind::Heap
-        );
+        let mut q = WithOracle::default();
+        let mut now = SimTime::ZERO;
+        q.push(SimTime::from_secs(1), 1);
+        q.push(SimTime::from_secs(4), 4);
+        assert_eq!(q.pop(), Some((SimTime::from_secs(1), 1)));
+        now += SimDuration::from_secs(1);
+        // schedule relative to "now"
+        q.push(now + SimDuration::from_secs(1), 2);
+        q.push(now + SimDuration::from_secs(2), 3);
+        assert_eq!(q.drain(), vec![2, 3, 4]);
     }
 
     #[test]
     fn overflow_horizon_round_trip() {
         // Events far beyond the 8.4 s wheel horizon must still pop in
         // exact order once the wheel advances to them.
-        let mut q = EventQueue::new();
+        let mut q = WithOracle::default();
         for s in [3600u64, 7200, 60, 1, 86_400] {
             q.push(SimTime::from_secs(s), s);
         }
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![1, 60, 3600, 7200, 86_400]);
+        assert_eq!(q.drain(), vec![1, 60, 3600, 7200, 86_400]);
     }
 
     #[test]
@@ -466,8 +374,8 @@ mod tests {
         // A push earlier than the bucket currently being drained (legal,
         // if unusual, for the simulation) routes into the active heap and
         // pops before everything later.
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(10), 10u64);
+        let mut q = WithOracle::default();
+        q.push(SimTime::from_secs(10), 10);
         let _ = q.pop();
         q.push(SimTime::from_secs(20), 20);
         q.push(SimTime::from_secs(5), 5);
@@ -477,36 +385,35 @@ mod tests {
 
     #[test]
     fn for_each_scheduled_sees_all_entries_in_both_kernels() {
-        // Push the same schedule (including an overflow-horizon event and
-        // a same-time tie) into both kernels; after sorting by
-        // (time, seq) the visited views must be identical.
-        let mut views: Vec<Vec<(SimTime, u64, u64)>> = Vec::new();
-        for mut q in both_kinds() {
-            for s in [9u64, 1, 1, 86_400, 5] {
-                q.push(SimTime::from_secs(s), s);
-            }
-            let _ = q.pop(); // drop the first 1 s event, forcing a partially drained state
-            let mut seen = Vec::new();
-            q.for_each_scheduled(|t, seq, &e| seen.push((t, seq, e)));
-            assert_eq!(seen.len(), q.len());
-            seen.sort_unstable();
-            views.push(seen);
+        // Push a schedule with an overflow-horizon event and a same-time
+        // tie; after sorting by (time, seq) the calendar's visited view
+        // must equal the oracle heap's contents.
+        let mut q = WithOracle::default();
+        for s in [9u64, 1, 1, 86_400, 5] {
+            q.push(SimTime::from_secs(s), s);
         }
-        assert_eq!(views[0], views[1], "kernels expose different schedules");
-        assert_eq!(views[0].len(), 4);
-        assert_eq!(views[0][0].0, SimTime::from_secs(1));
-        assert_eq!(views[0][3].2, 86_400);
+        let _ = q.pop(); // drop the first 1 s event, forcing a partially drained state
+        let mut seen = Vec::new();
+        q.cal
+            .for_each_scheduled(|t, seq, &e| seen.push((t, seq, e)));
+        assert_eq!(seen.len(), q.cal.len());
+        seen.sort_unstable();
+        let mut oracle: Vec<_> = q.heap.iter().map(|s| (s.time, s.seq, s.event)).collect();
+        oracle.sort_unstable();
+        assert_eq!(seen, oracle, "calendar exposes a different schedule");
+        assert_eq!(seen.len(), 4);
+        assert_eq!(seen[0].0, SimTime::from_secs(1));
+        assert_eq!(seen[3].2, 86_400);
     }
 
-    /// The satellite property test: under randomized interleaved
-    /// push/pop workloads — same-time bursts, in-horizon spreads, and
-    /// far-overflow times — the calendar kernel pops the exact
-    /// `(time, insertion-order)` sequence the heap oracle does.
+    /// Under randomized interleaved push/pop workloads — same-time
+    /// bursts, in-horizon spreads, and far-overflow times — the calendar
+    /// pops the exact `(time, insertion-order)` sequence the heap oracle
+    /// does.
     #[test]
     fn calendar_matches_heap_oracle() {
         run_cases(env_cases(64), 0xCA1E_17DA, |g| {
-            let mut cal = EventQueue::with_kind(QueueKind::Calendar);
-            let mut heap = EventQueue::with_kind(QueueKind::Heap);
+            let mut q = WithOracle::default();
             let mut now = 0u64;
             let mut next_tag = 0u64;
             let ops = g.usize_in(1..400);
@@ -522,31 +429,15 @@ mod tests {
                     };
                     let burst = g.usize_in(1..6);
                     for _ in 0..burst {
-                        let tag = next_tag;
+                        q.push(SimTime::from_micros(t), next_tag);
                         next_tag += 1;
-                        cal.push(SimTime::from_micros(t), tag);
-                        heap.push(SimTime::from_micros(t), tag);
                     }
-                } else {
-                    let a = cal.pop();
-                    let b = heap.pop();
-                    assert_eq!(a, b, "kernels diverged mid-stream");
-                    if let Some((t, _)) = a {
-                        now = now.max(t.as_micros());
-                    }
+                } else if let Some((t, _)) = q.pop() {
+                    now = now.max(t.as_micros());
                 }
-                assert_eq!(cal.len(), heap.len());
-                assert_eq!(cal.peek_time(), heap.peek_time());
             }
             // Drain: the full remaining sequences must be identical.
-            loop {
-                let a = cal.pop();
-                let b = heap.pop();
-                assert_eq!(a, b, "kernels diverged during drain");
-                if a.is_none() {
-                    break;
-                }
-            }
+            q.drain();
         });
     }
 }

@@ -7,13 +7,12 @@
 //!   with microsecond resolution, so event ordering is exact and runs are
 //!   bit-reproducible (no floating-point clock drift).
 //! * [`events`] — a generic [`events::EventQueue`] keyed by
-//!   `(time, sequence)` with stable FIFO ordering for simultaneous events;
-//!   a calendar-queue / timing-wheel kernel by default, with the original
-//!   binary heap kept as a differential oracle behind
-//!   [`events::QueueKind`].
+//!   `(time, sequence)` with stable FIFO ordering for simultaneous events,
+//!   implemented as a calendar queue / timing wheel.
 //! * [`slab`] — generational-index arenas ([`slab::Slab`]) for hot
 //!   simulation state (flows, attempts, heartbeat records), replacing
 //!   `HashMap` keys with dense, reusable slots.
+//! * [`fnv`] — the FNV-1a mixer behind every stable fingerprint.
 //! * [`fx`] — a SipHash-free [`std::hash::BuildHasher`] (FxHash-style
 //!   multiply-xor) and `HashMap`/`HashSet` aliases for hot point-lookup
 //!   tables whose iteration order is never observed.
@@ -45,6 +44,7 @@
 pub mod check;
 pub mod dist;
 pub mod events;
+pub mod fnv;
 pub mod fx;
 pub mod parallel;
 pub mod quantile;
@@ -53,7 +53,7 @@ pub mod slab;
 pub mod stats;
 pub mod time;
 
-pub use events::{EventQueue, QueueKind};
+pub use events::EventQueue;
 pub use fx::{FxHashMap, FxHashSet};
 pub use rng::DetRng;
 pub use slab::{Slab, SlabKey};

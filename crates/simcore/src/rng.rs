@@ -30,11 +30,8 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// speed here, derivation happens once per component).
 #[inline]
 fn hash_label(label: &str) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in label.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100_0000_01B3);
-    }
+    let mut h = crate::fnv::FNV_OFFSET;
+    crate::fnv::fnv1a(&mut h, label.as_bytes());
     h
 }
 

@@ -40,8 +40,8 @@ pub use diff::diff_golden;
 pub use event::{FlowCtx, FlowKind, Loc, Subsystem, TraceEvent, TraceRecord};
 pub use export::{from_jsonl, record_to_json, to_chrome, to_jsonl, validate_jsonl};
 pub use query::{
-    assert_event_order, find_first, flow_spans, per_job_timeline, span_overlaps, task_spans,
-    FlowSpan, SpanCheck, TaskSpan,
+    assert_event_order, find_first, flow_spans, span_overlaps, task_spans, FlowSpan, SpanCheck,
+    TaskSpan,
 };
 pub use recorder::{Trace, TraceCounters, Tracer};
 pub use stats::{LatencyStat, TraceHists};

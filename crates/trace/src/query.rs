@@ -345,35 +345,6 @@ impl Trace {
     }
 }
 
-/// All records touching job `job` (submission, its tasks, its fetch
-/// flows, completion), in trace order — a per-job timeline.
-pub fn per_job_timeline(trace: &Trace, job: u32) -> Vec<&TraceRecord> {
-    trace
-        .records()
-        .iter()
-        .filter(|r| match r.event {
-            TraceEvent::JobSubmitted { job: j, .. }
-            | TraceEvent::JobCompleted { job: j, .. }
-            | TraceEvent::JobFailed { job: j }
-            | TraceEvent::TaskLaunched { job: j, .. }
-            | TraceEvent::TaskReadDone { job: j, .. }
-            | TraceEvent::TaskCommitted { job: j, .. }
-            | TraceEvent::TaskAborted { job: j, .. }
-            | TraceEvent::TaskRequeued { job: j, .. }
-            | TraceEvent::DelaySkip { job: j, .. } => j == job,
-            TraceEvent::FlowStarted {
-                ctx: FlowCtx::Fetch { job: j, .. },
-                ..
-            }
-            | TraceEvent::FlowFinished {
-                ctx: FlowCtx::Fetch { job: j, .. },
-                ..
-            } => j == job,
-            _ => false,
-        })
-        .collect()
-}
-
 /// First record matching `pred`, if any.
 pub fn find_first(
     trace: &Trace,
@@ -601,14 +572,6 @@ mod tests {
         assert!(span_overlaps(t(0), None, t(1_000_000), Some(t(1_000_001))));
         // Open end on the other side.
         assert!(span_overlaps(t(5), Some(t(6)), t(0), None));
-    }
-
-    #[test]
-    fn timeline_filters_by_job() {
-        let trace = demo();
-        let tl = per_job_timeline(&trace, 0);
-        assert_eq!(tl.len(), trace.records().len(), "all records are job 0");
-        assert!(per_job_timeline(&trace, 7).is_empty());
     }
 
     #[test]

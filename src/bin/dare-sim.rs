@@ -187,6 +187,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--fault-plan replaces the whole fault schedule; drop --fail/--degrade".into(),
         );
     }
+    if a.jobs == Some(0) {
+        return Err("--jobs must be positive".into());
+    }
     if !(0.0..=1.0).contains(&a.p) {
         return Err(format!("--p {} out of [0,1]", a.p));
     }
@@ -280,6 +283,7 @@ fn build_config(a: &Args) -> Result<SimConfig, String> {
             ..ScarlettConfig::default()
         });
     }
+    cfg.validate()?;
     Ok(cfg)
 }
 
@@ -1150,6 +1154,17 @@ mod tests {
         assert!(build_config(&a).is_err());
         let a = parse_args(&argv("--workload wl9")).expect("parses");
         assert!(build_workload(&a).is_err());
+        assert!(parse_args(&argv("--jobs 0")).is_err());
+        for bad in [
+            "--fail 60:99",
+            "--fail 60:3 --fail 90:3",
+            "--degrade 30:2:0.5",
+            "--scheduler capacity --capacity-queues 0",
+            "--policy vanilla --scarlett-epoch 0",
+        ] {
+            let a = parse_args(&argv(bad)).expect("parses");
+            assert!(build_config(&a).is_err(), "{bad}");
+        }
     }
 
     #[test]

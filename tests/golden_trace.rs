@@ -59,29 +59,6 @@ fn golden_traces_match_checked_in_files() {
     }
 }
 
-/// The event-kernel leg of the harness: every golden scenario re-run on
-/// the binary-heap oracle kernel must reproduce the committed golden
-/// files byte for byte. The committed files are generated under the
-/// default calendar queue, so this pins the two kernels to the same
-/// event order — a tie-break or bucket-routing bug in the calendar queue
-/// shows up here as a line-level trace diff, not just a property-test
-/// failure on synthetic timestamps.
-#[test]
-fn heap_kernel_reproduces_golden_traces() {
-    let dir = golden_dir();
-    let wl = golden_workload();
-    for (name, cfg) in golden_scenarios() {
-        let r = dare_mapred::run(cfg.with_heap_queue(), &wl);
-        let jsonl = to_jsonl(&r.trace.expect("golden scenarios record traces"));
-        let path = dir.join(format!("{name}.jsonl"));
-        let golden = fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("{name}: cannot read golden file {path:?}: {e}"));
-        if let Some(d) = diff_golden(&golden, &jsonl) {
-            panic!("{name}: heap-kernel trace drifted from the calendar-queue golden:\n{d}");
-        }
-    }
-}
-
 /// Same scenario, two fresh engine instances: the exported traces must be
 /// byte-identical. This is the replay-determinism contract the golden
 /// files rest on — without it the harness would flake.
