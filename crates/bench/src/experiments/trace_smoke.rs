@@ -10,7 +10,7 @@
 //! rendered trace even when the gate fails.
 
 use dare_mapred::golden::{golden_scenarios, run_golden};
-use dare_trace::{diff_golden, to_chrome, to_jsonl, validate_jsonl};
+use dare_trace::{diff_golden, from_jsonl, to_chrome, to_jsonl};
 use std::path::PathBuf;
 
 /// Where the checked-in golden JSONL files live (workspace-root
@@ -36,7 +36,7 @@ pub fn run(_seed: u64) -> usize {
         let trace = r.trace.expect("golden scenarios record traces");
         print!("[trace-smoke] {name}: {} ... ", trace.summary());
         let jsonl = to_jsonl(&trace);
-        if let Err(e) = validate_jsonl(&jsonl) {
+        if let Err(e) = from_jsonl(&jsonl) {
             println!("SCHEMA FAIL");
             eprintln!("[trace-smoke] {name}: invalid JSONL: {e}");
             failed += 1;

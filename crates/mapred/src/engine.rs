@@ -14,7 +14,7 @@ use dare_sched::{
 use dare_simcore::fnv::fnv1a_u64;
 use dare_simcore::{DetRng, EventQueue, FxHashMap, FxHashSet, SimDuration, SimTime};
 use dare_telemetry::{JobPhase, JobSample, MetricId, MetricRegistry, NodeSample, Profiler, Subsystem, Telemetry};
-use dare_trace::{FlowCtx, FlowKind, Loc, TraceEvent, Tracer};
+use dare_trace::{FlowCtx, FlowKind, Loc, Trace, TraceEvent};
 use dare_workload::Workload;
 
 /// Borrow-based location lookup over the DFS's merged visible-location
@@ -348,7 +348,7 @@ pub struct Engine {
     pub speculative_wins: u64,
     /// Structured event recorder (only with `SimConfig::record_trace`).
     /// Every emission point is guarded so untraced runs pay nothing.
-    tracer: Option<Tracer>,
+    tracer: Option<Trace>,
     /// Reusable buffer for draining the scheduler's skip decisions.
     skip_scratch: Vec<SkipDecision>,
     /// Periodic cluster-state sampler (only with `SimConfig::telemetry`).
@@ -876,7 +876,7 @@ impl Engine {
             reexecuted_tasks: 0,
             speculative_launches: 0,
             speculative_wins: 0,
-            tracer: cfg.record_trace.then(Tracer::new),
+            tracer: cfg.record_trace.then(Trace::default),
             skip_scratch: Vec::new(),
             telem: {
                 let corruption = cfg.scanner.is_some()
@@ -1129,10 +1129,10 @@ impl Engine {
     }
 
     /// Extract the structured trace recorded so far (only under
-    /// `SimConfig::record_trace`), sealing it. The checker calls this on
-    /// a violating path to export the counterexample as JSONL.
+    /// `SimConfig::record_trace`). The checker calls this on a violating
+    /// path to export the counterexample as JSONL.
     pub fn take_trace(&mut self) -> Option<dare_trace::Trace> {
-        self.tracer.take().map(Tracer::finish)
+        self.tracer.take()
     }
 
     /// FNV-1a fingerprint of the logical simulation state, for state-
@@ -3356,7 +3356,7 @@ impl Engine {
     }
 
     fn finish(mut self) -> SimResult {
-        let trace = self.tracer.take().map(Tracer::finish);
+        let trace = self.tracer.take();
         let telemetry = self.telem.take().map(|t| t.seal());
         let profile = self.profiler.take().map(|mut p| {
             p.note_slab_peak(self.flows.peak_active() as u64);

@@ -517,7 +517,7 @@ pub fn explore(cfg: &McConfig) -> Result<McReport, String> {
 }
 
 /// Strip the `#` header lines of a counterexample, leaving the pure
-/// trace JSONL (what [`dare_trace::validate_jsonl`] accepts). Thin
+/// trace JSONL (what [`dare_trace::from_jsonl`] reads). Thin
 /// re-export of the shared [`dare_trace::counterexample`] helper.
 pub fn strip_headers(counterexample: &str) -> String {
     dare_trace::strip_headers(counterexample)
@@ -693,7 +693,7 @@ mod tests {
             "unexpected invariant: {}",
             v.error
         );
-        dare_trace::validate_jsonl(&strip_headers(&v.jsonl))
+        dare_trace::from_jsonl(&strip_headers(&v.jsonl))
             .expect("counterexample body is valid JSONL");
         let replayed = replay_counterexample(&cfg, &v.jsonl).expect("replay");
         assert!(replayed.reproduced, "counterexample must reproduce");

@@ -352,7 +352,7 @@ impl Histogram {
 /// [`P2Quantile`](crate::quantile::P2Quantile) estimator so a multi-hour
 /// simulation can report percentiles without buffering every sample.
 ///
-/// Shared by the trace recorder's latency histograms and the telemetry
+/// Shared by the trace summary's latency percentiles and the telemetry
 /// registry's windowed histograms. All values are in the caller's unit
 /// (the trace uses seconds).
 #[derive(Debug, Clone)]

@@ -15,7 +15,7 @@
 //! ```
 //!
 //! `#` headers carry everything needed to re-run the witness; the body is
-//! ordinary trace JSONL, so [`crate::validate_jsonl`] accepts a stripped
+//! ordinary trace JSONL, so [`crate::from_jsonl`] reads a stripped
 //! file and [`crate::diff_golden`] (which normalizes comments away)
 //! compares a replay against the saved artifact directly.
 
@@ -52,7 +52,7 @@ pub fn render_counterexample(
 }
 
 /// Strip the `#` header lines of a counterexample, leaving the pure
-/// trace JSONL (what [`crate::validate_jsonl`] accepts). The golden
+/// trace JSONL (what [`crate::from_jsonl`] reads). The golden
 /// differ does this internally; other consumers use this helper.
 pub fn strip_headers(counterexample: &str) -> String {
     let mut out = String::new();

@@ -8,6 +8,8 @@
 //! about their newtypes.
 
 use dare_simcore::time::SimTime;
+use std::fmt::Display;
+use std::str::FromStr;
 
 /// Which subsystem an event belongs to, used for per-subsystem counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -352,95 +354,229 @@ pub enum TraceEvent {
 impl TraceEvent {
     /// Stable snake-case event name used in the JSONL `ev` field.
     pub fn name(&self) -> &'static str {
-        match self {
-            TraceEvent::JobSubmitted { .. } => "job_submitted",
-            TraceEvent::JobCompleted { .. } => "job_completed",
-            TraceEvent::JobFailed { .. } => "job_failed",
-            TraceEvent::TaskLaunched { .. } => "task_launched",
-            TraceEvent::TaskReadDone { .. } => "task_read_done",
-            TraceEvent::TaskCommitted { .. } => "task_committed",
-            TraceEvent::TaskAborted { .. } => "task_aborted",
-            TraceEvent::TaskRequeued { .. } => "task_requeued",
-            TraceEvent::DelaySkip { .. } => "delay_skip",
-            TraceEvent::FlowStarted { .. } => "flow_started",
-            TraceEvent::FlowFinished { .. } => "flow_finished",
-            TraceEvent::FlowCancelled { .. } => "flow_cancelled",
-            TraceEvent::ReplicaDecision { .. } => "replica_decision",
-            TraceEvent::ReplicaCommitted { .. } => "replica_committed",
-            TraceEvent::ReplicaEvicted { .. } => "replica_evicted",
-            TraceEvent::NodeCrashed { .. } => "node_crashed",
-            TraceEvent::NodeRejoined { .. } => "node_rejoined",
-            TraceEvent::NodeDeclaredDead { .. } => "node_declared_dead",
-            TraceEvent::BlockLost { .. } => "block_lost",
-            TraceEvent::RecoveryQueued { .. } => "recovery_queued",
-            TraceEvent::ReplicaCorrupted { .. } => "replica_corrupted",
-            TraceEvent::ChecksumFailed { .. } => "checksum_failed",
-            TraceEvent::ReplicaQuarantined { .. } => "replica_quarantined",
-            TraceEvent::ScrubComplete { .. } => "scrub_complete",
-            TraceEvent::RepairCommit { .. } => "repair_commit",
-        }
+        self.kind().0
     }
 
     /// The subsystem this event is attributed to.
     pub fn subsystem(&self) -> Subsystem {
+        self.kind().1
+    }
+
+    fn kind(&self) -> (&'static str, Subsystem) {
+        use Subsystem::*;
         match self {
-            TraceEvent::JobSubmitted { .. }
-            | TraceEvent::JobCompleted { .. }
-            | TraceEvent::JobFailed { .. }
-            | TraceEvent::TaskLaunched { .. }
-            | TraceEvent::TaskReadDone { .. }
-            | TraceEvent::TaskCommitted { .. }
-            | TraceEvent::DelaySkip { .. } => Subsystem::Sched,
-            TraceEvent::FlowStarted { .. }
-            | TraceEvent::FlowFinished { .. }
-            | TraceEvent::FlowCancelled { .. } => Subsystem::Net,
-            TraceEvent::ReplicaDecision { .. }
-            | TraceEvent::ReplicaCommitted { .. }
-            | TraceEvent::ReplicaEvicted { .. } => Subsystem::Dfs,
-            TraceEvent::TaskAborted { .. }
-            | TraceEvent::TaskRequeued { .. }
-            | TraceEvent::NodeCrashed { .. }
-            | TraceEvent::NodeRejoined { .. }
-            | TraceEvent::NodeDeclaredDead { .. }
-            | TraceEvent::BlockLost { .. }
-            | TraceEvent::RecoveryQueued { .. }
-            | TraceEvent::ReplicaCorrupted { .. } => Subsystem::Fault,
-            TraceEvent::ChecksumFailed { .. }
-            | TraceEvent::ReplicaQuarantined { .. }
-            | TraceEvent::ScrubComplete { .. }
-            | TraceEvent::RepairCommit { .. } => Subsystem::Dfs,
+            TraceEvent::JobSubmitted { .. } => ("job_submitted", Sched),
+            TraceEvent::JobCompleted { .. } => ("job_completed", Sched),
+            TraceEvent::JobFailed { .. } => ("job_failed", Sched),
+            TraceEvent::TaskLaunched { .. } => ("task_launched", Sched),
+            TraceEvent::TaskReadDone { .. } => ("task_read_done", Sched),
+            TraceEvent::TaskCommitted { .. } => ("task_committed", Sched),
+            TraceEvent::TaskAborted { .. } => ("task_aborted", Fault),
+            TraceEvent::TaskRequeued { .. } => ("task_requeued", Fault),
+            TraceEvent::DelaySkip { .. } => ("delay_skip", Sched),
+            TraceEvent::FlowStarted { .. } => ("flow_started", Net),
+            TraceEvent::FlowFinished { .. } => ("flow_finished", Net),
+            TraceEvent::FlowCancelled { .. } => ("flow_cancelled", Net),
+            TraceEvent::ReplicaDecision { .. } => ("replica_decision", Dfs),
+            TraceEvent::ReplicaCommitted { .. } => ("replica_committed", Dfs),
+            TraceEvent::ReplicaEvicted { .. } => ("replica_evicted", Dfs),
+            TraceEvent::NodeCrashed { .. } => ("node_crashed", Fault),
+            TraceEvent::NodeRejoined { .. } => ("node_rejoined", Fault),
+            TraceEvent::NodeDeclaredDead { .. } => ("node_declared_dead", Fault),
+            TraceEvent::BlockLost { .. } => ("block_lost", Fault),
+            TraceEvent::RecoveryQueued { .. } => ("recovery_queued", Fault),
+            TraceEvent::ReplicaCorrupted { .. } => ("replica_corrupted", Fault),
+            TraceEvent::ChecksumFailed { .. } => ("checksum_failed", Dfs),
+            TraceEvent::ReplicaQuarantined { .. } => ("replica_quarantined", Dfs),
+            TraceEvent::ScrubComplete { .. } => ("scrub_complete", Dfs),
+            TraceEvent::RepairCommit { .. } => ("repair_commit", Dfs),
         }
     }
 
-    /// Every event name the schema knows, in declaration order.  Used by
-    /// the JSONL validator and the docs.
-    pub const ALL_NAMES: [&'static str; 25] = [
-        "job_submitted",
-        "job_completed",
-        "job_failed",
-        "task_launched",
-        "task_read_done",
-        "task_committed",
-        "task_aborted",
-        "task_requeued",
-        "delay_skip",
-        "flow_started",
-        "flow_finished",
-        "flow_cancelled",
-        "replica_decision",
-        "replica_committed",
-        "replica_evicted",
-        "node_crashed",
-        "node_rejoined",
-        "node_declared_dead",
-        "block_lost",
-        "recovery_queued",
-        "replica_corrupted",
-        "checksum_failed",
-        "replica_quarantined",
-        "scrub_complete",
-        "repair_commit",
-    ];
+    /// The event's JSONL schema: its fields after `sub`, in key order.
+    /// [`crate::to_jsonl`] writes from this list and [`crate::from_jsonl`]
+    /// reads a line back with it.
+    pub(crate) fn fields(&mut self, v: &mut impl FieldVisitor) -> Result<(), String> {
+        match self {
+            TraceEvent::JobSubmitted { job, maps } => {
+                v.field(JOB, job)?;
+                v.field("maps", maps)
+            }
+            TraceEvent::JobCompleted { job, dur_us } => {
+                v.field(JOB, job)?;
+                v.field(DUR_US, dur_us)
+            }
+            TraceEvent::JobFailed { job } => v.field(JOB, job),
+            TraceEvent::TaskLaunched {
+                job,
+                task,
+                attempt,
+                node,
+                loc,
+                speculative,
+                local_read,
+            } => {
+                attempt_fields(v, job, task, attempt)?;
+                v.field(NODE, node)?;
+                v.label("loc", loc)?;
+                v.field("spec", speculative)?;
+                v.field("local_read", local_read)
+            }
+            TraceEvent::TaskReadDone {
+                job,
+                task,
+                attempt,
+                node,
+            }
+            | TraceEvent::TaskAborted {
+                job,
+                task,
+                attempt,
+                node,
+            } => {
+                attempt_fields(v, job, task, attempt)?;
+                v.field(NODE, node)
+            }
+            TraceEvent::TaskCommitted {
+                job,
+                task,
+                attempt,
+                node,
+                dur_us,
+            } => {
+                attempt_fields(v, job, task, attempt)?;
+                v.field(NODE, node)?;
+                v.field(DUR_US, dur_us)
+            }
+            TraceEvent::TaskRequeued { job, task, attempt } => {
+                attempt_fields(v, job, task, attempt)
+            }
+            TraceEvent::DelaySkip {
+                job,
+                node,
+                skips,
+                offered,
+            } => {
+                v.field(JOB, job)?;
+                v.field(NODE, node)?;
+                v.field("skips", skips)?;
+                v.label("offered", offered)
+            }
+            TraceEvent::FlowStarted {
+                flow,
+                kind,
+                src,
+                dst,
+                bytes,
+                cross_rack,
+                ctx,
+            } => {
+                v.field(FLOW, flow)?;
+                v.label(KIND, kind)?;
+                v.field(SRC, src)?;
+                v.field(DST, dst)?;
+                v.field(BYTES, bytes)?;
+                v.field("cross_rack", cross_rack)?;
+                ctx.fields(v)
+            }
+            TraceEvent::FlowFinished {
+                flow,
+                kind,
+                src,
+                dst,
+                bytes,
+                dur_us,
+                ctx,
+            } => {
+                v.field(FLOW, flow)?;
+                v.label(KIND, kind)?;
+                v.field(SRC, src)?;
+                v.field(DST, dst)?;
+                v.field(BYTES, bytes)?;
+                v.field(DUR_US, dur_us)?;
+                ctx.fields(v)
+            }
+            TraceEvent::FlowCancelled { flow, kind } => {
+                v.field(FLOW, flow)?;
+                v.label(KIND, kind)
+            }
+            TraceEvent::ReplicaDecision {
+                node,
+                block,
+                replicate,
+                evictions,
+            } => {
+                v.field(NODE, node)?;
+                v.field(BLOCK, block)?;
+                v.field("replicate", replicate)?;
+                v.field("evictions", evictions)
+            }
+            TraceEvent::ReplicaCommitted { node, block }
+            | TraceEvent::ReplicaEvicted { node, block } => {
+                v.field(NODE, node)?;
+                v.field(BLOCK, block)
+            }
+            TraceEvent::NodeCrashed { node, permanent } => {
+                v.field(NODE, node)?;
+                v.field("permanent", permanent)
+            }
+            TraceEvent::NodeRejoined { node, restored } => {
+                v.field(NODE, node)?;
+                v.field("restored", restored)
+            }
+            TraceEvent::NodeDeclaredDead {
+                node,
+                under_replicated,
+            } => {
+                v.field(NODE, node)?;
+                v.field("under", under_replicated)
+            }
+            TraceEvent::BlockLost { block } => v.field(BLOCK, block),
+            TraceEvent::RecoveryQueued { block, visible } => {
+                v.field(BLOCK, block)?;
+                v.field("visible", visible)
+            }
+            TraceEvent::ReplicaCorrupted {
+                node,
+                block,
+                dynamic,
+            }
+            | TraceEvent::ReplicaQuarantined {
+                node,
+                block,
+                dynamic,
+            } => {
+                v.field(NODE, node)?;
+                v.field(BLOCK, block)?;
+                v.field("dynamic", dynamic)
+            }
+            TraceEvent::ChecksumFailed {
+                node,
+                block,
+                job,
+                task,
+                attempt,
+            } => {
+                v.field(NODE, node)?;
+                v.field(BLOCK, block)?;
+                attempt_fields(v, job, task, attempt)
+            }
+            TraceEvent::ScrubComplete { node, bytes, found } => {
+                v.field(NODE, node)?;
+                v.field(BYTES, bytes)?;
+                v.field("found", found)
+            }
+            TraceEvent::RepairCommit {
+                block,
+                node,
+                wait_us,
+            } => {
+                v.field(BLOCK, block)?;
+                v.field(NODE, node)?;
+                v.field("wait_us", wait_us)
+            }
+        }
+    }
 }
 
 /// One timestamped, sequence-numbered event as stored in a [`crate::Trace`].
@@ -454,4 +590,240 @@ pub struct TraceRecord {
     pub seq: u64,
     /// The event payload.
     pub event: TraceEvent,
+}
+
+impl TraceRecord {
+    /// The record's JSONL schema: `t`, `seq`, `ev`, `sub`, then the
+    /// event's [`TraceEvent::fields`]. Reading `ev` picks the variant, and
+    /// `sub` must be its subsystem.
+    pub(crate) fn fields(&mut self, v: &mut impl FieldVisitor) -> Result<(), String> {
+        let mut t = self.time.as_micros();
+        v.field("t", &mut t)?;
+        self.time = SimTime::from_micros(t);
+        v.field("seq", &mut self.seq)?;
+        v.label("ev", &mut self.event)?;
+        let mut sub = self.event.subsystem();
+        v.label("sub", &mut sub)?;
+        if sub != self.event.subsystem() {
+            return Err(format!("wrong \"sub\" for {:?}", self.event.name()));
+        }
+        self.event.fields(v)
+    }
+}
+
+impl FlowCtx {
+    /// A `block` key marks a block copy; otherwise the fetching attempt's
+    /// job/task/attempt follow.
+    fn fields(&mut self, v: &mut impl FieldVisitor) -> Result<(), String> {
+        let is_block = matches!(self, FlowCtx::Block { .. });
+        if v.next_is(BLOCK, is_block) != is_block {
+            *self = match self {
+                FlowCtx::Block { .. } => FlowCtx::Fetch {
+                    job: 0,
+                    task: 0,
+                    attempt: 0,
+                },
+                FlowCtx::Fetch { .. } => FlowCtx::Block { block: 0 },
+            };
+        }
+        match self {
+            FlowCtx::Block { block } => v.field(BLOCK, block),
+            FlowCtx::Fetch { job, task, attempt } => attempt_fields(v, job, task, attempt),
+        }
+    }
+}
+
+// Keys several events share; every other key is spelled once, inline.
+const JOB: &str = "job";
+const NODE: &str = "node";
+const BLOCK: &str = "block";
+const BYTES: &str = "bytes";
+const DUR_US: &str = "dur_us";
+const FLOW: &str = "flow";
+const KIND: &str = "kind";
+const SRC: &str = "src";
+const DST: &str = "dst";
+
+fn attempt_fields(
+    v: &mut impl FieldVisitor,
+    job: &mut u32,
+    task: &mut u32,
+    attempt: &mut u32,
+) -> Result<(), String> {
+    v.field(JOB, job)?;
+    v.field("task", task)?;
+    v.field("attempt", attempt)
+}
+
+/// One direction of the JSONL schema, driven by [`TraceRecord::fields`]:
+/// a writer appends each field; a reader takes the next field off a
+/// line, failing unless it has the expected key and a value spelled the
+/// way the writer spells it.
+pub(crate) trait FieldVisitor {
+    /// An integer or bool field, written as its `Display` text.
+    fn field<T: FromStr + Display>(&mut self, key: &'static str, v: &mut T) -> Result<(), String>;
+    /// A field naming one value of a closed set, written as a JSON string.
+    fn label<L: Label>(&mut self, key: &'static str, v: &mut L) -> Result<(), String>;
+    /// Whether the next field is `key`: a writer answers `current`, a
+    /// reader looks at the line.
+    fn next_is(&mut self, key: &'static str, current: bool) -> bool;
+}
+
+/// A closed set of values with stable names.
+pub(crate) trait Label: Copy + 'static {
+    /// Every value. For [`TraceEvent`], one blank per variant, whose
+    /// fields the reader then fills in.
+    const ALL: &'static [Self];
+    /// The name written for this value.
+    fn label(self) -> &'static str;
+}
+
+impl Label for Subsystem {
+    const ALL: &'static [Self] = &[
+        Subsystem::Sched,
+        Subsystem::Net,
+        Subsystem::Dfs,
+        Subsystem::Fault,
+    ];
+    fn label(self) -> &'static str {
+        self.name()
+    }
+}
+
+impl Label for Loc {
+    const ALL: &'static [Self] = &[Loc::Node, Loc::Rack, Loc::Remote];
+    fn label(self) -> &'static str {
+        self.name()
+    }
+}
+
+impl Label for FlowKind {
+    const ALL: &'static [Self] = &[FlowKind::Fetch, FlowKind::Recovery, FlowKind::Proactive];
+    fn label(self) -> &'static str {
+        self.name()
+    }
+}
+
+impl Label for TraceEvent {
+    const ALL: &'static [Self] = &[
+        TraceEvent::JobSubmitted { job: 0, maps: 0 },
+        TraceEvent::JobCompleted { job: 0, dur_us: 0 },
+        TraceEvent::JobFailed { job: 0 },
+        TraceEvent::TaskLaunched {
+            job: 0,
+            task: 0,
+            attempt: 0,
+            node: 0,
+            loc: Loc::Node,
+            speculative: false,
+            local_read: false,
+        },
+        TraceEvent::TaskReadDone {
+            job: 0,
+            task: 0,
+            attempt: 0,
+            node: 0,
+        },
+        TraceEvent::TaskCommitted {
+            job: 0,
+            task: 0,
+            attempt: 0,
+            node: 0,
+            dur_us: 0,
+        },
+        TraceEvent::TaskAborted {
+            job: 0,
+            task: 0,
+            attempt: 0,
+            node: 0,
+        },
+        TraceEvent::TaskRequeued {
+            job: 0,
+            task: 0,
+            attempt: 0,
+        },
+        TraceEvent::DelaySkip {
+            job: 0,
+            node: 0,
+            skips: 0,
+            offered: Loc::Node,
+        },
+        TraceEvent::FlowStarted {
+            flow: 0,
+            kind: FlowKind::Fetch,
+            src: 0,
+            dst: 0,
+            bytes: 0,
+            cross_rack: false,
+            ctx: FlowCtx::Block { block: 0 },
+        },
+        TraceEvent::FlowFinished {
+            flow: 0,
+            kind: FlowKind::Fetch,
+            src: 0,
+            dst: 0,
+            bytes: 0,
+            dur_us: 0,
+            ctx: FlowCtx::Block { block: 0 },
+        },
+        TraceEvent::FlowCancelled {
+            flow: 0,
+            kind: FlowKind::Fetch,
+        },
+        TraceEvent::ReplicaDecision {
+            node: 0,
+            block: 0,
+            replicate: false,
+            evictions: 0,
+        },
+        TraceEvent::ReplicaCommitted { node: 0, block: 0 },
+        TraceEvent::ReplicaEvicted { node: 0, block: 0 },
+        TraceEvent::NodeCrashed {
+            node: 0,
+            permanent: false,
+        },
+        TraceEvent::NodeRejoined {
+            node: 0,
+            restored: 0,
+        },
+        TraceEvent::NodeDeclaredDead {
+            node: 0,
+            under_replicated: 0,
+        },
+        TraceEvent::BlockLost { block: 0 },
+        TraceEvent::RecoveryQueued {
+            block: 0,
+            visible: 0,
+        },
+        TraceEvent::ReplicaCorrupted {
+            node: 0,
+            block: 0,
+            dynamic: false,
+        },
+        TraceEvent::ChecksumFailed {
+            node: 0,
+            block: 0,
+            job: 0,
+            task: 0,
+            attempt: 0,
+        },
+        TraceEvent::ReplicaQuarantined {
+            node: 0,
+            block: 0,
+            dynamic: false,
+        },
+        TraceEvent::ScrubComplete {
+            node: 0,
+            bytes: 0,
+            found: 0,
+        },
+        TraceEvent::RepairCommit {
+            block: 0,
+            node: 0,
+            wait_us: 0,
+        },
+    ];
+    fn label(self) -> &'static str {
+        self.name()
+    }
 }

@@ -1,505 +1,147 @@
-//! Trace exporters: byte-stable JSONL and Chrome Trace Event JSON.
+//! Trace exporters: byte-stable JSONL (and its strict reader) and Chrome
+//! Trace Event JSON.
 //!
 //! The JSONL format is the golden-file format: one object per line, keys
 //! in a fixed order, every value an integer, bool or known string — no
 //! floating point, so identical runs serialize to identical bytes on
-//! every platform.
+//! every platform. Its schema is the one field list
+//! `TraceRecord::fields`; the writer and the reader are its two
+//! visitors.
 //!
 //! The Chrome format follows the Trace Event spec (`"X"` complete spans
 //! with `ts`/`dur` in microseconds, `"i"` instants, `"M"` metadata) and
 //! loads directly in Perfetto (<https://ui.perfetto.dev>) or
 //! `chrome://tracing`.
 
-use crate::event::{FlowCtx, TraceEvent, TraceRecord};
+use crate::event::{FieldVisitor, Label, TraceEvent, TraceRecord};
 use crate::recorder::Trace;
-use std::fmt::Write as _;
+use dare_simcore::time::SimTime;
+use std::fmt::{Display, Write as _};
+use std::str::FromStr;
 
-fn push_ctx(line: &mut String, ctx: FlowCtx) {
-    match ctx {
-        FlowCtx::Fetch { job, task, attempt } => {
-            let _ = write!(line, ",\"job\":{job},\"task\":{task},\"attempt\":{attempt}");
-        }
-        FlowCtx::Block { block } => {
-            let _ = write!(line, ",\"block\":{block}");
-        }
+/// The writer: appends each field as `"key":value,`.
+impl FieldVisitor for String {
+    fn field<T: FromStr + Display>(&mut self, key: &'static str, v: &mut T) -> Result<(), String> {
+        self.extend(["\"", key, "\":"]);
+        let _ = write!(self, "{v},");
+        Ok(())
     }
-}
 
-/// Serialize one record as a single JSONL line (no trailing newline).
-///
-/// Key order is fixed: `t`, `seq`, `ev`, `sub`, then event fields in
-/// declaration order.
-pub fn record_to_json(r: &TraceRecord) -> String {
-    let mut s = String::with_capacity(96);
-    let _ = write!(
-        s,
-        "{{\"t\":{},\"seq\":{},\"ev\":\"{}\",\"sub\":\"{}\"",
-        r.time.as_micros(),
-        r.seq,
-        r.event.name(),
-        r.event.subsystem().name()
-    );
-    match r.event {
-        TraceEvent::JobSubmitted { job, maps } => {
-            let _ = write!(s, ",\"job\":{job},\"maps\":{maps}");
-        }
-        TraceEvent::JobCompleted { job, dur_us } => {
-            let _ = write!(s, ",\"job\":{job},\"dur_us\":{dur_us}");
-        }
-        TraceEvent::JobFailed { job } => {
-            let _ = write!(s, ",\"job\":{job}");
-        }
-        TraceEvent::TaskLaunched {
-            job,
-            task,
-            attempt,
-            node,
-            loc,
-            speculative,
-            local_read,
-        } => {
-            let _ = write!(
-                s,
-                ",\"job\":{job},\"task\":{task},\"attempt\":{attempt},\"node\":{node},\"loc\":\"{}\",\"spec\":{speculative},\"local_read\":{local_read}",
-                loc.name()
-            );
-        }
-        TraceEvent::TaskReadDone {
-            job,
-            task,
-            attempt,
-            node,
-        } => {
-            let _ = write!(
-                s,
-                ",\"job\":{job},\"task\":{task},\"attempt\":{attempt},\"node\":{node}"
-            );
-        }
-        TraceEvent::TaskCommitted {
-            job,
-            task,
-            attempt,
-            node,
-            dur_us,
-        } => {
-            let _ = write!(
-                s,
-                ",\"job\":{job},\"task\":{task},\"attempt\":{attempt},\"node\":{node},\"dur_us\":{dur_us}"
-            );
-        }
-        TraceEvent::TaskAborted {
-            job,
-            task,
-            attempt,
-            node,
-        } => {
-            let _ = write!(
-                s,
-                ",\"job\":{job},\"task\":{task},\"attempt\":{attempt},\"node\":{node}"
-            );
-        }
-        TraceEvent::TaskRequeued { job, task, attempt } => {
-            let _ = write!(s, ",\"job\":{job},\"task\":{task},\"attempt\":{attempt}");
-        }
-        TraceEvent::DelaySkip {
-            job,
-            node,
-            skips,
-            offered,
-        } => {
-            let _ = write!(
-                s,
-                ",\"job\":{job},\"node\":{node},\"skips\":{skips},\"offered\":\"{}\"",
-                offered.name()
-            );
-        }
-        TraceEvent::FlowStarted {
-            flow,
-            kind,
-            src,
-            dst,
-            bytes,
-            cross_rack,
-            ctx,
-        } => {
-            let _ = write!(
-                s,
-                ",\"flow\":{flow},\"kind\":\"{}\",\"src\":{src},\"dst\":{dst},\"bytes\":{bytes},\"cross_rack\":{cross_rack}",
-                kind.name()
-            );
-            push_ctx(&mut s, ctx);
-        }
-        TraceEvent::FlowFinished {
-            flow,
-            kind,
-            src,
-            dst,
-            bytes,
-            dur_us,
-            ctx,
-        } => {
-            let _ = write!(
-                s,
-                ",\"flow\":{flow},\"kind\":\"{}\",\"src\":{src},\"dst\":{dst},\"bytes\":{bytes},\"dur_us\":{dur_us}",
-                kind.name()
-            );
-            push_ctx(&mut s, ctx);
-        }
-        TraceEvent::FlowCancelled { flow, kind } => {
-            let _ = write!(s, ",\"flow\":{flow},\"kind\":\"{}\"", kind.name());
-        }
-        TraceEvent::ReplicaDecision {
-            node,
-            block,
-            replicate,
-            evictions,
-        } => {
-            let _ = write!(
-                s,
-                ",\"node\":{node},\"block\":{block},\"replicate\":{replicate},\"evictions\":{evictions}"
-            );
-        }
-        TraceEvent::ReplicaCommitted { node, block } => {
-            let _ = write!(s, ",\"node\":{node},\"block\":{block}");
-        }
-        TraceEvent::ReplicaEvicted { node, block } => {
-            let _ = write!(s, ",\"node\":{node},\"block\":{block}");
-        }
-        TraceEvent::NodeCrashed { node, permanent } => {
-            let _ = write!(s, ",\"node\":{node},\"permanent\":{permanent}");
-        }
-        TraceEvent::NodeRejoined { node, restored } => {
-            let _ = write!(s, ",\"node\":{node},\"restored\":{restored}");
-        }
-        TraceEvent::NodeDeclaredDead {
-            node,
-            under_replicated,
-        } => {
-            let _ = write!(s, ",\"node\":{node},\"under\":{under_replicated}");
-        }
-        TraceEvent::BlockLost { block } => {
-            let _ = write!(s, ",\"block\":{block}");
-        }
-        TraceEvent::RecoveryQueued { block, visible } => {
-            let _ = write!(s, ",\"block\":{block},\"visible\":{visible}");
-        }
-        TraceEvent::ReplicaCorrupted { node, block, dynamic } => {
-            let _ = write!(s, ",\"node\":{node},\"block\":{block},\"dynamic\":{dynamic}");
-        }
-        TraceEvent::ChecksumFailed {
-            node,
-            block,
-            job,
-            task,
-            attempt,
-        } => {
-            let _ = write!(
-                s,
-                ",\"node\":{node},\"block\":{block},\"job\":{job},\"task\":{task},\"attempt\":{attempt}"
-            );
-        }
-        TraceEvent::ReplicaQuarantined { node, block, dynamic } => {
-            let _ = write!(s, ",\"node\":{node},\"block\":{block},\"dynamic\":{dynamic}");
-        }
-        TraceEvent::ScrubComplete { node, bytes, found } => {
-            let _ = write!(s, ",\"node\":{node},\"bytes\":{bytes},\"found\":{found}");
-        }
-        TraceEvent::RepairCommit { block, node, wait_us } => {
-            let _ = write!(s, ",\"block\":{block},\"node\":{node},\"wait_us\":{wait_us}");
-        }
+    fn label<L: Label>(&mut self, key: &'static str, v: &mut L) -> Result<(), String> {
+        self.extend(["\"", key, "\":\"", v.label(), "\","]);
+        Ok(())
     }
-    s.push('}');
-    s
+
+    fn next_is(&mut self, _key: &'static str, current: bool) -> bool {
+        current
+    }
 }
 
 /// Serialize a whole trace as JSONL (one event per line, trailing newline).
+///
+/// Key order is fixed: `t`, `seq`, `ev`, `sub`, then the event fields in
+/// declaration order.
 pub fn to_jsonl(trace: &Trace) -> String {
     let mut out = String::with_capacity(trace.records().len() * 96);
     for r in trace.records() {
-        out.push_str(&record_to_json(r));
-        out.push('\n');
+        out.push('{');
+        let mut r = *r;
+        r.fields(&mut out).expect("writing cannot fail");
+        out.pop(); // the last field's comma
+        out.push_str("}\n");
     }
     out
 }
 
-/// Check a JSONL export against the schema without a JSON parser: every
-/// line must carry `t`/`seq`/`ev` in order, `seq` must count up from 0,
-/// `t` must be non-decreasing, and `ev` must be a known event name.
-///
-/// Returns `Err` with a line number and reason on the first violation.
-pub fn validate_jsonl(jsonl: &str) -> Result<(), String> {
-    let mut last_t: u64 = 0;
-    for (i, line) in jsonl.lines().enumerate() {
-        let lineno = i + 1;
-        let expect_seq = i as u64;
-        if line.is_empty() {
-            return Err(format!("line {lineno}: empty line"));
-        }
-        if !line.starts_with('{') || !line.ends_with('}') {
-            return Err(format!("line {lineno}: not a JSON object"));
-        }
-        let t = field_u64(line, "\"t\":")
-            .ok_or_else(|| format!("line {lineno}: missing integer field \"t\""))?;
-        let seq = field_u64(line, "\"seq\":")
-            .ok_or_else(|| format!("line {lineno}: missing integer field \"seq\""))?;
-        let ev = field_str(line, "\"ev\":\"")
-            .ok_or_else(|| format!("line {lineno}: missing string field \"ev\""))?;
-        if seq != expect_seq {
-            return Err(format!(
-                "line {lineno}: seq {seq}, expected {expect_seq} (gap or reorder)"
-            ));
-        }
-        if t < last_t {
-            return Err(format!(
-                "line {lineno}: time {t}us goes backwards (previous {last_t}us)"
-            ));
-        }
-        if !TraceEvent::ALL_NAMES.contains(&ev) {
-            return Err(format!("line {lineno}: unknown event name {ev:?}"));
-        }
-        last_t = t;
+/// Takes one line's fields off the front, left to right.
+struct Reader<'a> {
+    rest: &'a str,
+    sep: char,
+}
+
+impl<'a> Reader<'a> {
+    /// The text after the separator and `"key":`, if the line goes on so.
+    fn after_key(&self, key: &str) -> Option<&'a str> {
+        let quoted = self.rest.strip_prefix(self.sep)?.strip_prefix('"')?;
+        quoted.strip_prefix(key)?.strip_prefix("\":")
     }
-    Ok(())
-}
 
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let start = line.find(key)? + key.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    if end == 0 {
-        return None;
-    }
-    rest[..end].parse().ok()
-}
-
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let start = line.find(key)? + key.len();
-    let rest = &line[start..];
-    let end = rest.find('"')?;
-    Some(&rest[..end])
-}
-
-fn field_bool(line: &str, key: &str) -> Option<bool> {
-    let start = line.find(key)? + key.len();
-    let rest = &line[start..];
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
+    /// The value text of the next field, which must be `key`.
+    fn value(&mut self, key: &str) -> Result<&'a str, String> {
+        let rest = self
+            .after_key(key)
+            .ok_or_else(|| format!("expected key {key:?} at {:?}", self.rest))?;
+        let (text, rest) = rest.split_at(rest.find([',', '}']).unwrap_or(rest.len()));
+        (self.rest, self.sep) = (rest, ',');
+        Ok(text)
     }
 }
 
-/// Parse one JSONL line back into its event payload (inverse of
-/// [`record_to_json`], minus `t`/`seq` which the caller reads itself).
-///
-/// Hand-rolled like every other JSON reader in this offline workspace:
-/// the exporter writes a fixed key order with unambiguous key names, so
-/// substring extraction is exact on well-formed lines and merely
-/// error-reporting on malformed ones.
-fn parse_event(line: &str) -> Result<TraceEvent, String> {
-    use crate::event::{FlowKind, Loc};
-    let ev = field_str(line, "\"ev\":\"").ok_or("missing \"ev\"")?;
-    let u = |key: &str| -> Result<u64, String> {
-        let pat = format!("\"{key}\":");
-        field_u64(line, &pat).ok_or_else(|| format!("missing integer field \"{key}\""))
-    };
-    let u32f = |key: &str| -> Result<u32, String> {
-        u(key).and_then(|v| {
-            u32::try_from(v).map_err(|_| format!("field \"{key}\" out of u32 range"))
-        })
-    };
-    let b = |key: &str| -> Result<bool, String> {
-        let pat = format!("\"{key}\":");
-        field_bool(line, &pat).ok_or_else(|| format!("missing bool field \"{key}\""))
-    };
-    let loc = |key: &str| -> Result<Loc, String> {
-        let pat = format!("\"{key}\":\"");
-        match field_str(line, &pat) {
-            Some("node") => Ok(Loc::Node),
-            Some("rack") => Ok(Loc::Rack),
-            Some("remote") => Ok(Loc::Remote),
-            Some(other) => Err(format!("unknown locality {other:?}")),
-            None => Err(format!("missing string field \"{key}\"")),
-        }
-    };
-    let kind = || -> Result<FlowKind, String> {
-        match field_str(line, "\"kind\":\"") {
-            Some("fetch") => Ok(FlowKind::Fetch),
-            Some("recovery") => Ok(FlowKind::Recovery),
-            Some("proactive") => Ok(FlowKind::Proactive),
-            Some(other) => Err(format!("unknown flow kind {other:?}")),
-            None => Err("missing string field \"kind\"".into()),
-        }
-    };
-    // Flow context: the exporter writes either a `block` key (block copy)
-    // or the job/task/attempt triple (input fetch).
-    let ctx = || -> Result<FlowCtx, String> {
-        if line.contains("\"block\":") {
-            Ok(FlowCtx::Block { block: u("block")? })
-        } else {
-            Ok(FlowCtx::Fetch {
-                job: u32f("job")?,
-                task: u32f("task")?,
-                attempt: u32f("attempt")?,
-            })
-        }
-    };
-    Ok(match ev {
-        "job_submitted" => TraceEvent::JobSubmitted {
-            job: u32f("job")?,
-            maps: u32f("maps")?,
-        },
-        "job_completed" => TraceEvent::JobCompleted {
-            job: u32f("job")?,
-            dur_us: u("dur_us")?,
-        },
-        "job_failed" => TraceEvent::JobFailed { job: u32f("job")? },
-        "task_launched" => TraceEvent::TaskLaunched {
-            job: u32f("job")?,
-            task: u32f("task")?,
-            attempt: u32f("attempt")?,
-            node: u32f("node")?,
-            loc: loc("loc")?,
-            speculative: b("spec")?,
-            local_read: b("local_read")?,
-        },
-        "task_read_done" => TraceEvent::TaskReadDone {
-            job: u32f("job")?,
-            task: u32f("task")?,
-            attempt: u32f("attempt")?,
-            node: u32f("node")?,
-        },
-        "task_committed" => TraceEvent::TaskCommitted {
-            job: u32f("job")?,
-            task: u32f("task")?,
-            attempt: u32f("attempt")?,
-            node: u32f("node")?,
-            dur_us: u("dur_us")?,
-        },
-        "task_aborted" => TraceEvent::TaskAborted {
-            job: u32f("job")?,
-            task: u32f("task")?,
-            attempt: u32f("attempt")?,
-            node: u32f("node")?,
-        },
-        "task_requeued" => TraceEvent::TaskRequeued {
-            job: u32f("job")?,
-            task: u32f("task")?,
-            attempt: u32f("attempt")?,
-        },
-        "delay_skip" => TraceEvent::DelaySkip {
-            job: u32f("job")?,
-            node: u32f("node")?,
-            skips: u32f("skips")?,
-            offered: loc("offered")?,
-        },
-        "flow_started" => TraceEvent::FlowStarted {
-            flow: u("flow")?,
-            kind: kind()?,
-            src: u32f("src")?,
-            dst: u32f("dst")?,
-            bytes: u("bytes")?,
-            cross_rack: b("cross_rack")?,
-            ctx: ctx()?,
-        },
-        "flow_finished" => TraceEvent::FlowFinished {
-            flow: u("flow")?,
-            kind: kind()?,
-            src: u32f("src")?,
-            dst: u32f("dst")?,
-            bytes: u("bytes")?,
-            dur_us: u("dur_us")?,
-            ctx: ctx()?,
-        },
-        "flow_cancelled" => TraceEvent::FlowCancelled {
-            flow: u("flow")?,
-            kind: kind()?,
-        },
-        "replica_decision" => TraceEvent::ReplicaDecision {
-            node: u32f("node")?,
-            block: u("block")?,
-            replicate: b("replicate")?,
-            evictions: u32f("evictions")?,
-        },
-        "replica_committed" => TraceEvent::ReplicaCommitted {
-            node: u32f("node")?,
-            block: u("block")?,
-        },
-        "replica_evicted" => TraceEvent::ReplicaEvicted {
-            node: u32f("node")?,
-            block: u("block")?,
-        },
-        "node_crashed" => TraceEvent::NodeCrashed {
-            node: u32f("node")?,
-            permanent: b("permanent")?,
-        },
-        "node_rejoined" => TraceEvent::NodeRejoined {
-            node: u32f("node")?,
-            restored: u32f("restored")?,
-        },
-        "node_declared_dead" => TraceEvent::NodeDeclaredDead {
-            node: u32f("node")?,
-            under_replicated: u32f("under")?,
-        },
-        "block_lost" => TraceEvent::BlockLost { block: u("block")? },
-        "recovery_queued" => TraceEvent::RecoveryQueued {
-            block: u("block")?,
-            visible: u32f("visible")?,
-        },
-        "replica_corrupted" => TraceEvent::ReplicaCorrupted {
-            node: u32f("node")?,
-            block: u("block")?,
-            dynamic: b("dynamic")?,
-        },
-        "checksum_failed" => TraceEvent::ChecksumFailed {
-            node: u32f("node")?,
-            block: u("block")?,
-            job: u32f("job")?,
-            task: u32f("task")?,
-            attempt: u32f("attempt")?,
-        },
-        "replica_quarantined" => TraceEvent::ReplicaQuarantined {
-            node: u32f("node")?,
-            block: u("block")?,
-            dynamic: b("dynamic")?,
-        },
-        "scrub_complete" => TraceEvent::ScrubComplete {
-            node: u32f("node")?,
-            bytes: u("bytes")?,
-            found: u32f("found")?,
-        },
-        "repair_commit" => TraceEvent::RepairCommit {
-            block: u("block")?,
-            node: u32f("node")?,
-            wait_us: u("wait_us")?,
-        },
-        other => return Err(format!("unknown event name {other:?}")),
-    })
+impl FieldVisitor for Reader<'_> {
+    fn field<T: FromStr + Display>(&mut self, key: &'static str, v: &mut T) -> Result<(), String> {
+        let text = self.value(key)?;
+        // `parse` alone would also take "+1" and "01".
+        let canonical = !text.starts_with('+') && (text.len() == 1 || !text.starts_with('0'));
+        *v = text
+            .parse()
+            .ok()
+            .filter(|_| canonical)
+            .ok_or_else(|| format!("bad {key:?} value {text:?}"))?;
+        Ok(())
+    }
+
+    fn label<L: Label>(&mut self, key: &'static str, v: &mut L) -> Result<(), String> {
+        let text = self.value(key)?;
+        let name = text.strip_prefix('"').and_then(|t| t.strip_suffix('"'));
+        *v = *L::ALL
+            .iter()
+            .find(|l| Some(l.label()) == name)
+            .ok_or_else(|| format!("unknown {key:?} value {text}"))?;
+        Ok(())
+    }
+
+    fn next_is(&mut self, key: &'static str, _current: bool) -> bool {
+        self.after_key(key).is_some()
+    }
 }
 
 /// Parse a JSONL export back into a [`Trace`].
 ///
-/// The text is schema-validated first ([`validate_jsonl`]: dense `seq`,
-/// non-decreasing `t`, known event names), then every line is decoded and
-/// re-recorded through a [`crate::Tracer`], so the rebuilt trace carries the same
-/// counters and latency histograms the original run accumulated.
-/// Round-trip is exact: `from_jsonl(&to_jsonl(t))` re-serializes to the
-/// same bytes.
+/// Each line is read in one left-to-right pass over the same field list
+/// [`to_jsonl`] writes from, so only what `to_jsonl` writes is accepted:
+/// every key in schema order exactly once, `sub` matching `ev`, nothing
+/// after the closing brace. Across lines `seq` must count up from 0 and
+/// `t` must not decrease. Errors name the first bad line. Round-trip is
+/// exact: `from_jsonl(&to_jsonl(t))` re-serializes to the same bytes.
 pub fn from_jsonl(jsonl: &str) -> Result<Trace, String> {
-    validate_jsonl(jsonl)?;
-    let mut tracer = crate::recorder::Tracer::new();
+    let mut trace = Trace::default();
     for (i, line) in jsonl.lines().enumerate() {
-        let lineno = i + 1;
-        let t = field_u64(line, "\"t\":")
-            .ok_or_else(|| format!("line {lineno}: missing integer field \"t\""))?;
-        let event = parse_event(line).map_err(|e| format!("line {lineno}: {e}"))?;
-        tracer.record(dare_simcore::time::SimTime::from_micros(t), event);
+        let mut r = TraceRecord {
+            time: SimTime::ZERO,
+            seq: 0,
+            event: TraceEvent::JobFailed { job: 0 },
+        };
+        let mut reader = Reader {
+            rest: line,
+            sep: '{',
+        };
+        let last = trace.records().last().map_or(0, |l| l.time.as_micros());
+        let checked = r.fields(&mut reader).and_then(|()| {
+            let (seq, t) = (r.seq, r.time.as_micros());
+            if reader.rest != "}" {
+                Err(format!("{:?} where the object should end", reader.rest))
+            } else if seq != i as u64 {
+                Err(format!("seq {seq}, expected {i} (gap or reorder)"))
+            } else if t < last {
+                Err(format!("time {t}us goes backwards (previous {last}us)"))
+            } else {
+                Ok(())
+            }
+        });
+        checked.map_err(|e| format!("line {}: {e}", i + 1))?;
+        trace.record(r.time, r.event);
     }
-    Ok(tracer.finish())
+    Ok(trace)
 }
 
 /// Serialize a trace in Chrome Trace Event format, openable in Perfetto.
@@ -532,6 +174,11 @@ pub fn to_chrome(trace: &Trace) -> String {
         fn span(&mut self, pid: u32, tid: u32, name: &str, ts: u64, dur: u64) {
             self.emit(format!(
                 "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{name}\",\"ts\":{ts},\"dur\":{dur}}}"
+            ));
+        }
+        fn instant(&mut self, tid: u32, name: &str, ts: u64, scope: char) {
+            self.emit(format!(
+                "{{\"ph\":\"i\",\"pid\":4,\"tid\":{tid},\"name\":\"{name}\",\"ts\":{ts},\"s\":\"{scope}\"}}"
             ));
         }
     }
@@ -648,9 +295,7 @@ pub fn to_chrome(trace: &Trace) -> String {
                 }
             }
             TraceEvent::DelaySkip { job, node, .. } => {
-                out.emit(format!(
-                        "{{\"ph\":\"i\",\"pid\":4,\"tid\":{node},\"name\":\"delay skip j{job}\",\"ts\":{ts},\"s\":\"t\"}}"
-                    ));
+                out.instant(node, &format!("delay skip j{job}"), ts, 't');
             }
             TraceEvent::ReplicaDecision {
                 node,
@@ -659,49 +304,31 @@ pub fn to_chrome(trace: &Trace) -> String {
                 ..
             } => {
                 let verdict = if replicate { "replicate" } else { "skip" };
-                out.emit(format!(
-                        "{{\"ph\":\"i\",\"pid\":4,\"tid\":{node},\"name\":\"{verdict} b{block}\",\"ts\":{ts},\"s\":\"t\"}}"
-                    ));
+                out.instant(node, &format!("{verdict} b{block}"), ts, 't');
             }
             TraceEvent::ReplicaCommitted { node, block } => {
-                out.emit(format!(
-                        "{{\"ph\":\"i\",\"pid\":4,\"tid\":{node},\"name\":\"replica b{block}\",\"ts\":{ts},\"s\":\"t\"}}"
-                    ));
+                out.instant(node, &format!("replica b{block}"), ts, 't');
             }
             TraceEvent::ReplicaEvicted { node, block } => {
-                out.emit(format!(
-                        "{{\"ph\":\"i\",\"pid\":4,\"tid\":{node},\"name\":\"evict b{block}\",\"ts\":{ts},\"s\":\"t\"}}"
-                    ));
+                out.instant(node, &format!("evict b{block}"), ts, 't');
             }
             TraceEvent::NodeCrashed { node, .. } => {
-                out.emit(format!(
-                        "{{\"ph\":\"i\",\"pid\":4,\"tid\":{node},\"name\":\"CRASH n{node}\",\"ts\":{ts},\"s\":\"g\"}}"
-                    ));
+                out.instant(node, &format!("CRASH n{node}"), ts, 'g');
             }
             TraceEvent::NodeDeclaredDead { node, .. } => {
-                out.emit(format!(
-                        "{{\"ph\":\"i\",\"pid\":4,\"tid\":{node},\"name\":\"DEAD n{node}\",\"ts\":{ts},\"s\":\"g\"}}"
-                    ));
+                out.instant(node, &format!("DEAD n{node}"), ts, 'g');
             }
             TraceEvent::NodeRejoined { node, .. } => {
-                out.emit(format!(
-                        "{{\"ph\":\"i\",\"pid\":4,\"tid\":{node},\"name\":\"REJOIN n{node}\",\"ts\":{ts},\"s\":\"g\"}}"
-                    ));
+                out.instant(node, &format!("REJOIN n{node}"), ts, 'g');
             }
             TraceEvent::ChecksumFailed { node, block, .. } => {
-                out.emit(format!(
-                        "{{\"ph\":\"i\",\"pid\":4,\"tid\":{node},\"name\":\"CKSUM b{block}\",\"ts\":{ts},\"s\":\"g\"}}"
-                    ));
+                out.instant(node, &format!("CKSUM b{block}"), ts, 'g');
             }
             TraceEvent::ReplicaQuarantined { node, block, .. } => {
-                out.emit(format!(
-                        "{{\"ph\":\"i\",\"pid\":4,\"tid\":{node},\"name\":\"quarantine b{block}\",\"ts\":{ts},\"s\":\"t\"}}"
-                    ));
+                out.instant(node, &format!("quarantine b{block}"), ts, 't');
             }
             TraceEvent::ScrubComplete { node, found, .. } => {
-                out.emit(format!(
-                        "{{\"ph\":\"i\",\"pid\":4,\"tid\":{node},\"name\":\"scrub n{node} ({found} bad)\",\"ts\":{ts},\"s\":\"t\"}}"
-                    ));
+                out.instant(node, &format!("scrub n{node} ({found} bad)"), ts, 't');
             }
             _ => {}
         }
@@ -750,12 +377,10 @@ pub fn to_chrome(trace: &Trace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Loc, TraceEvent};
-    use crate::recorder::Tracer;
-    use dare_simcore::time::SimTime;
+    use crate::event::{FlowCtx, FlowKind, Loc};
 
     fn sample_trace() -> Trace {
-        let mut tr = Tracer::new();
+        let mut tr = Trace::default();
         tr.record(
             SimTime::from_micros(0),
             TraceEvent::JobSubmitted { job: 0, maps: 1 },
@@ -789,7 +414,7 @@ mod tests {
                 dur_us: 4020,
             },
         );
-        tr.finish()
+        tr
     }
 
     #[test]
@@ -797,9 +422,11 @@ mod tests {
         let j = to_jsonl(&sample_trace());
         assert_eq!(j.lines().count(), 4);
         assert!(j.starts_with(
-            "{\"t\":0,\"seq\":0,\"ev\":\"job_submitted\",\"sub\":\"sched\",\"job\":0,\"maps\":1}"
+            "{\"t\":0,\"seq\":0,\"ev\":\"job_submitted\",\"sub\":\"sched\",\"job\":0,\"maps\":1}\n\
+             {\"t\":10,\"seq\":1,\"ev\":\"task_launched\",\"sub\":\"sched\",\"job\":0,\"task\":0,\
+             \"attempt\":0,\"node\":2,\"loc\":\"rack\",\"spec\":false,\"local_read\":false}\n"
         ));
-        validate_jsonl(&j).expect("schema-valid");
+        from_jsonl(&j).expect("schema-valid");
     }
 
     #[test]
@@ -812,13 +439,19 @@ mod tests {
             .filter(|(i, _)| *i != 1)
             .map(|(_, l)| format!("{l}\n"))
             .collect();
-        assert!(validate_jsonl(&dropped).unwrap_err().contains("seq"));
+        assert!(from_jsonl(&dropped).unwrap_err().contains("seq"));
         // Unknown event name.
         let bad = j.replace("job_submitted", "job_teleported");
-        assert!(validate_jsonl(&bad).unwrap_err().contains("unknown event"));
+        assert!(from_jsonl(&bad)
+            .unwrap_err()
+            .contains("unknown \"ev\" value \"job_teleported\""));
         // Time going backwards.
         let back = j.replace("{\"t\":4020,", "{\"t\":1,");
-        assert!(validate_jsonl(&back).unwrap_err().contains("backwards"));
+        assert!(from_jsonl(&back).unwrap_err().contains("backwards"));
+        // Blank line.
+        assert!(from_jsonl(&j.replacen('\n', "\n\n", 1))
+            .unwrap_err()
+            .starts_with("line 2:"));
     }
 
     #[test]
@@ -828,6 +461,7 @@ mod tests {
         let rebuilt = from_jsonl(&j).expect("parses");
         assert_eq!(rebuilt.records(), trace.records());
         assert_eq!(rebuilt.counters(), trace.counters());
+        assert_eq!(rebuilt.summary(), trace.summary());
         assert_eq!(to_jsonl(&rebuilt), j, "re-serialization is byte-identical");
         // Malformed input is rejected with a line number.
         let bad = j.replace("\"maps\":1", "\"maps\":x");
@@ -835,10 +469,58 @@ mod tests {
         assert!(from_jsonl("{\"t\":0,\"seq\":0,\"ev\":\"job_teleported\"}\n").is_err());
     }
 
+    /// Lines `to_jsonl` never writes must not decode: each would
+    /// re-serialize to different bytes.
     #[test]
-    fn from_jsonl_round_trips_every_event_kind() {
-        use crate::event::{FlowCtx, FlowKind};
-        let mut tr = Tracer::new();
+    fn from_jsonl_rejects_what_to_jsonl_never_writes() {
+        let head = "{\"t\":0,\"seq\":0,";
+        let flow = "\"ev\":\"flow_started\",\"sub\":\"net\",\"flow\":1,\"kind\":\"fetch\",\
+                    \"src\":1,\"dst\":2,\"bytes\":9,\"cross_rack\":false";
+        let cases = [
+            (
+                "wrong sub",
+                "\"ev\":\"job_failed\",\"sub\":\"net\",\"job\":1}".to_string(),
+            ),
+            (
+                "keys out of order",
+                "\"ev\":\"job_submitted\",\"sub\":\"sched\",\"maps\":2,\"job\":1}".to_string(),
+            ),
+            (
+                "duplicated key",
+                "\"ev\":\"job_failed\",\"sub\":\"sched\",\"job\":1,\"job\":2}".to_string(),
+            ),
+            (
+                "unknown extra key",
+                "\"ev\":\"job_failed\",\"sub\":\"sched\",\"job\":1,\"why\":0}".to_string(),
+            ),
+            (
+                "bytes after the object",
+                "\"ev\":\"job_failed\",\"sub\":\"sched\",\"job\":1}}".to_string(),
+            ),
+            (
+                "fetch flow with a block",
+                format!("{flow},\"job\":1,\"task\":2,\"attempt\":0,\"block\":5}}"),
+            ),
+        ];
+        for (what, body) in cases {
+            let line = format!("{head}{body}\n");
+            match from_jsonl(&line) {
+                Ok(t) => panic!("{what}: accepted, re-serializes as {}", to_jsonl(&t)),
+                Err(e) => assert!(e.contains("line 1"), "{what}: {e}"),
+            }
+        }
+        // Integers spelled other than the way `Display` writes them.
+        for n in ["01", "+1"] {
+            let line = format!("{head}\"ev\":\"job_failed\",\"sub\":\"sched\",\"job\":{n}}}\n");
+            assert!(from_jsonl(&line).unwrap_err().contains("line 1"), "{n}");
+        }
+        // The same flow without the stray key is what `to_jsonl` writes.
+        let ok = format!("{head}{flow},\"job\":1,\"task\":2,\"attempt\":0}}\n");
+        assert_eq!(to_jsonl(&from_jsonl(&ok).expect("valid")), ok);
+    }
+
+    /// One record of every event kind, with both flow contexts.
+    fn every_event_kind() -> Trace {
         let evs = [
             TraceEvent::JobSubmitted { job: 1, maps: 2 },
             TraceEvent::TaskLaunched {
@@ -849,6 +531,32 @@ mod tests {
                 loc: Loc::Remote,
                 speculative: true,
                 local_read: false,
+            },
+            TraceEvent::FlowStarted {
+                flow: 8,
+                kind: FlowKind::Fetch,
+                src: 4,
+                dst: 3,
+                bytes: 1024,
+                cross_rack: false,
+                ctx: FlowCtx::Fetch {
+                    job: 1,
+                    task: 0,
+                    attempt: 0,
+                },
+            },
+            TraceEvent::TaskReadDone {
+                job: 1,
+                task: 0,
+                attempt: 0,
+                node: 3,
+            },
+            TraceEvent::TaskCommitted {
+                job: 1,
+                task: 0,
+                attempt: 0,
+                node: 3,
+                dur_us: 40,
             },
             TraceEvent::FlowStarted {
                 flow: 9,
@@ -895,6 +603,8 @@ mod tests {
                 replicate: false,
                 evictions: 0,
             },
+            TraceEvent::ReplicaCommitted { node: 2, block: 6 },
+            TraceEvent::ReplicaEvicted { node: 2, block: 6 },
             TraceEvent::NodeCrashed {
                 node: 7,
                 permanent: false,
@@ -903,9 +613,19 @@ mod tests {
                 node: 7,
                 under_replicated: 3,
             },
+            TraceEvent::NodeRejoined {
+                node: 7,
+                restored: 4,
+            },
+            TraceEvent::BlockLost { block: 11 },
             TraceEvent::RecoveryQueued {
                 block: 5,
                 visible: 1,
+            },
+            TraceEvent::ReplicaCorrupted {
+                node: 2,
+                block: 5,
+                dynamic: true,
             },
             TraceEvent::ChecksumFailed {
                 node: 2,
@@ -913,6 +633,11 @@ mod tests {
                 job: 1,
                 task: 0,
                 attempt: 1,
+            },
+            TraceEvent::ReplicaQuarantined {
+                node: 2,
+                block: 5,
+                dynamic: false,
             },
             TraceEvent::ScrubComplete {
                 node: 2,
@@ -924,15 +649,82 @@ mod tests {
                 node: 3,
                 wait_us: 777,
             },
+            TraceEvent::JobCompleted { job: 2, dur_us: 90 },
             TraceEvent::JobFailed { job: 1 },
         ];
+        // A new variant stops compiling here until it gets a case above.
+        for ev in &evs {
+            match ev {
+                TraceEvent::JobSubmitted { .. }
+                | TraceEvent::JobCompleted { .. }
+                | TraceEvent::JobFailed { .. }
+                | TraceEvent::TaskLaunched { .. }
+                | TraceEvent::TaskReadDone { .. }
+                | TraceEvent::TaskCommitted { .. }
+                | TraceEvent::TaskAborted { .. }
+                | TraceEvent::TaskRequeued { .. }
+                | TraceEvent::DelaySkip { .. }
+                | TraceEvent::FlowStarted { .. }
+                | TraceEvent::FlowFinished { .. }
+                | TraceEvent::FlowCancelled { .. }
+                | TraceEvent::ReplicaDecision { .. }
+                | TraceEvent::ReplicaCommitted { .. }
+                | TraceEvent::ReplicaEvicted { .. }
+                | TraceEvent::NodeCrashed { .. }
+                | TraceEvent::NodeRejoined { .. }
+                | TraceEvent::NodeDeclaredDead { .. }
+                | TraceEvent::BlockLost { .. }
+                | TraceEvent::RecoveryQueued { .. }
+                | TraceEvent::ReplicaCorrupted { .. }
+                | TraceEvent::ChecksumFailed { .. }
+                | TraceEvent::ReplicaQuarantined { .. }
+                | TraceEvent::ScrubComplete { .. }
+                | TraceEvent::RepairCommit { .. } => {}
+            }
+        }
+        for kind in <TraceEvent as Label>::ALL {
+            assert!(
+                evs.iter().any(|e| e.name() == kind.name()),
+                "no round-trip case for {}",
+                kind.name()
+            );
+        }
+        let mut tr = Trace::default();
         for (i, ev) in evs.into_iter().enumerate() {
             tr.record(SimTime::from_micros(i as u64 * 10), ev);
         }
-        let trace = tr.finish();
-        let j = to_jsonl(&trace);
+        tr
+    }
+
+    #[test]
+    fn from_jsonl_round_trips_every_event_kind() {
+        let tr = every_event_kind();
+        let j = to_jsonl(&tr);
         let rebuilt = from_jsonl(&j).expect("parses");
-        assert_eq!(rebuilt.records(), trace.records());
+        assert_eq!(rebuilt.records(), tr.records());
+        assert_eq!(to_jsonl(&rebuilt), j);
+    }
+
+    /// Every one-byte edit of any event's line either fails to parse or
+    /// parses to a record that `to_jsonl` writes as exactly the edited
+    /// line.
+    #[test]
+    fn one_byte_edits_parse_only_as_what_to_jsonl_writes() {
+        for r in every_event_kind().records() {
+            let mut one = Trace::default();
+            one.record(r.time, r.event);
+            let line = to_jsonl(&one);
+            // The newline is left alone: `lines()` forgives a missing one.
+            for i in 0..line.len() - 1 {
+                let doubled = line[i..=i].repeat(2);
+                for edit in ["", &doubled, "0", "9", ",", "\"", "}", ":", "a"] {
+                    let edited = format!("{}{edit}{}", &line[..i], &line[i + 1..]);
+                    if let Ok(t) = from_jsonl(&edited) {
+                        assert_eq!(to_jsonl(&t), edited, "accepted an edit of {line}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

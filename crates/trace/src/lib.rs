@@ -9,11 +9,12 @@
 //!
 //! Layers:
 //! - [`event`]: the typed event vocabulary ([`TraceEvent`]) and records.
-//! - [`recorder`]: the in-flight [`Tracer`] and the sealed [`Trace`] with
-//!   per-subsystem counters and P²-backed latency histograms.
-//! - [`export`]: byte-stable JSONL (golden-file format) and Chrome
-//!   Trace Event JSON (Perfetto-openable) serializers plus a JSONL
-//!   schema validator.
+//!   Each event's field list there is the JSONL schema.
+//! - [`recorder`]: the [`Trace`], an ordered record log; its counters
+//!   and P² latency percentiles are folds over the records.
+//! - [`export`]: byte-stable JSONL (golden-file format) with its strict
+//!   single-pass reader [`from_jsonl`], and Chrome Trace Event JSON
+//!   (Perfetto-openable).
 //! - [`query`]: span reconstruction and assertion helpers for tests.
 //! - [`gantt`]: an ASCII per-node Gantt chart of the map-attempt spans.
 //! - [`diff`]: the normalizing golden-file differ with actionable output.
@@ -33,15 +34,13 @@ pub mod export;
 pub mod gantt;
 pub mod query;
 pub mod recorder;
-pub mod stats;
 
 pub use counterexample::{header_values, render_counterexample, strip_headers};
 pub use diff::diff_golden;
 pub use event::{FlowCtx, FlowKind, Loc, Subsystem, TraceEvent, TraceRecord};
-pub use export::{from_jsonl, record_to_json, to_chrome, to_jsonl, validate_jsonl};
+pub use export::{from_jsonl, to_chrome, to_jsonl};
 pub use query::{
     assert_event_order, find_first, flow_spans, span_overlaps, task_spans, FlowSpan, SpanCheck,
     TaskSpan,
 };
-pub use recorder::{Trace, TraceCounters, Tracer};
-pub use stats::{LatencyStat, TraceHists};
+pub use recorder::{Trace, TraceCounters};

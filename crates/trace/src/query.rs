@@ -391,14 +391,13 @@ pub fn assert_event_order<'a>(trace: &'a Trace, steps: &[OrderStep<'_>]) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::Tracer;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
     }
 
     fn demo() -> Trace {
-        let mut tr = Tracer::new();
+        let mut tr = Trace::default();
         tr.record(t(0), TraceEvent::JobSubmitted { job: 0, maps: 2 });
         tr.record(
             t(5),
@@ -463,7 +462,7 @@ mod tests {
                 },
             },
         );
-        tr.finish()
+        tr
     }
 
     #[test]
@@ -498,7 +497,7 @@ mod tests {
     #[test]
     fn validate_spans_reports_the_first_orphan_by_event_index() {
         // A launch that never closes: the error names its opening index.
-        let mut tr = Tracer::new();
+        let mut tr = Trace::default();
         tr.record(t(0), TraceEvent::JobSubmitted { job: 0, maps: 1 });
         tr.record(
             t(5),
@@ -512,7 +511,7 @@ mod tests {
                 local_read: true,
             },
         );
-        let err = tr.finish().validate_spans().unwrap_err();
+        let err = tr.validate_spans().unwrap_err();
         assert!(err.contains("event #1"), "orphan points at the open: {err}");
         assert!(err.contains("never closed"), "{err}");
     }
@@ -520,7 +519,7 @@ mod tests {
     #[test]
     fn validate_spans_rejects_closes_without_opens() {
         // Commit with no matching launch.
-        let mut tr = Tracer::new();
+        let mut tr = Trace::default();
         tr.record(
             t(1),
             TraceEvent::TaskCommitted {
@@ -531,11 +530,11 @@ mod tests {
                 dur_us: 1,
             },
         );
-        let err = tr.finish().validate_spans().unwrap_err();
+        let err = tr.validate_spans().unwrap_err();
         assert!(err.contains("closes no open task span"), "{err}");
 
         // Flow finished twice: the second close is the violation.
-        let mut tr = Tracer::new();
+        let mut tr = Trace::default();
         let flow = |f| TraceEvent::FlowStarted {
             flow: f,
             kind: FlowKind::Fetch,
@@ -557,7 +556,7 @@ mod tests {
         tr.record(t(0), flow(7));
         tr.record(t(1), fin(7));
         tr.record(t(2), fin(7));
-        let err = tr.finish().validate_spans().unwrap_err();
+        let err = tr.validate_spans().unwrap_err();
         assert!(err.contains("event #2"), "{err}");
         assert!(err.contains("closes no open flow"), "{err}");
     }

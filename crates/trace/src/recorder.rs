@@ -1,10 +1,11 @@
-//! The event recorder and the finished trace it produces.
+//! The trace: the recorded event log and the counters and latency
+//! statistics folded from it.
 
 use crate::event::{FlowKind, Subsystem, TraceEvent, TraceRecord};
-use crate::stats::TraceHists;
+use dare_simcore::stats::LatencyStat;
 use dare_simcore::time::SimTime;
 
-/// Per-subsystem and headline event counters, updated on every record.
+/// Per-subsystem and headline event counters of a [`Trace`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceCounters {
     /// All events recorded.
@@ -37,28 +38,21 @@ pub struct TraceCounters {
     pub tasks_aborted: u64,
 }
 
-/// An in-flight recorder.  Created once per run when tracing is enabled;
-/// the engine calls [`Tracer::record`] at each emission point and
-/// [`Tracer::finish`] when the simulation drains.
+/// A run's trace: the totally-ordered event log. The engine calls
+/// [`Trace::record`] at each emission point; counters and latency
+/// statistics are folds over [`Trace::records`], so a trace read back
+/// from JSONL reports exactly what the live one did.
 #[derive(Debug, Clone, Default)]
-pub struct Tracer {
+pub struct Trace {
     records: Vec<TraceRecord>,
-    counters: TraceCounters,
-    hists: TraceHists,
 }
 
-impl Tracer {
-    /// Fresh recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
+impl Trace {
     /// Record one event at simulation time `now`.  Sequence numbers are
     /// assigned in call order, so recording order defines the total order
     /// of the trace.
     pub fn record(&mut self, now: SimTime, event: TraceEvent) {
         let seq = self.records.len() as u64;
-        self.bump(&event);
         self.records.push(TraceRecord {
             time: now,
             seq,
@@ -66,97 +60,64 @@ impl Tracer {
         });
     }
 
-    /// Events recorded so far.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True before the first event.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Seal the recorder into an immutable [`Trace`].
-    pub fn finish(self) -> Trace {
-        Trace {
-            records: self.records,
-            counters: self.counters,
-            hists: self.hists,
-        }
-    }
-
-    fn bump(&mut self, ev: &TraceEvent) {
-        self.counters.total += 1;
-        match ev.subsystem() {
-            Subsystem::Sched => self.counters.sched += 1,
-            Subsystem::Net => self.counters.net += 1,
-            Subsystem::Dfs => self.counters.dfs += 1,
-            Subsystem::Fault => self.counters.fault += 1,
-        }
-        match *ev {
-            TraceEvent::TaskLaunched { .. } => self.counters.tasks_launched += 1,
-            TraceEvent::TaskCommitted { dur_us, .. } => {
-                self.counters.tasks_committed += 1;
-                self.hists.task_secs.push(dur_us as f64 / 1e6);
-            }
-            TraceEvent::TaskAborted { .. } => self.counters.tasks_aborted += 1,
-            TraceEvent::DelaySkip { .. } => self.counters.delay_skips += 1,
-            TraceEvent::FlowStarted { .. } => self.counters.flows_started += 1,
-            TraceEvent::FlowFinished {
-                kind,
-                bytes,
-                dur_us,
-                ..
-            } => {
-                self.counters.flows_finished += 1;
-                self.counters.bytes_delivered += bytes;
-                let secs = dur_us as f64 / 1e6;
-                match kind {
-                    FlowKind::Fetch => self.hists.fetch_secs.push(secs),
-                    FlowKind::Recovery => self.hists.recovery_secs.push(secs),
-                    FlowKind::Proactive => {}
-                }
-            }
-            TraceEvent::ReplicaCommitted { .. } => self.counters.replicas_committed += 1,
-            TraceEvent::ReplicaEvicted { .. } => self.counters.replicas_evicted += 1,
-            TraceEvent::JobCompleted { dur_us, .. } => {
-                self.hists.job_turnaround_secs.push(dur_us as f64 / 1e6);
-            }
-            _ => {}
-        }
-    }
-}
-
-/// A sealed trace: the totally-ordered event log plus the counters and
-/// histograms accumulated while recording.
-#[derive(Debug, Clone)]
-pub struct Trace {
-    records: Vec<TraceRecord>,
-    counters: TraceCounters,
-    hists: TraceHists,
-}
-
-impl Trace {
     /// The event log in recording order.
     pub fn records(&self) -> &[TraceRecord] {
         &self.records
     }
 
-    /// Event counters.
-    pub fn counters(&self) -> &TraceCounters {
-        &self.counters
-    }
-
-    /// Latency histograms.
-    pub fn hists(&self) -> &TraceHists {
-        &self.hists
+    /// Event counters, folded over the records.
+    pub fn counters(&self) -> TraceCounters {
+        let mut c = TraceCounters::default();
+        for r in &self.records {
+            c.total += 1;
+            match r.event.subsystem() {
+                Subsystem::Sched => c.sched += 1,
+                Subsystem::Net => c.net += 1,
+                Subsystem::Dfs => c.dfs += 1,
+                Subsystem::Fault => c.fault += 1,
+            }
+            match r.event {
+                TraceEvent::TaskLaunched { .. } => c.tasks_launched += 1,
+                TraceEvent::TaskCommitted { .. } => c.tasks_committed += 1,
+                TraceEvent::TaskAborted { .. } => c.tasks_aborted += 1,
+                TraceEvent::DelaySkip { .. } => c.delay_skips += 1,
+                TraceEvent::FlowStarted { .. } => c.flows_started += 1,
+                TraceEvent::FlowFinished { bytes, .. } => {
+                    c.flows_finished += 1;
+                    c.bytes_delivered += bytes;
+                }
+                TraceEvent::ReplicaCommitted { .. } => c.replicas_committed += 1,
+                TraceEvent::ReplicaEvicted { .. } => c.replicas_evicted += 1,
+                _ => {}
+            }
+        }
+        c
     }
 
     /// Multi-line human summary (counters + latency percentiles) printed
-    /// by the CLI after a traced run.
+    /// by the CLI after a traced run. The percentiles are P² estimates
+    /// (see [`LatencyStat`]) fed in record order.
     pub fn summary(&self) -> String {
-        let c = &self.counters;
-        let h = &self.hists;
+        let c = self.counters();
+        let [mut fetch, mut recovery, mut task, mut job]: [LatencyStat; 4] = Default::default();
+        for r in &self.records {
+            let (stat, us) = match r.event {
+                TraceEvent::FlowFinished {
+                    kind: FlowKind::Fetch,
+                    dur_us,
+                    ..
+                } => (&mut fetch, dur_us),
+                TraceEvent::FlowFinished {
+                    kind: FlowKind::Recovery,
+                    dur_us,
+                    ..
+                } => (&mut recovery, dur_us),
+                TraceEvent::TaskCommitted { dur_us, .. } => (&mut task, dur_us),
+                TraceEvent::JobCompleted { dur_us, .. } => (&mut job, dur_us),
+                _ => continue,
+            };
+            stat.push(us as f64 / 1e6);
+        }
         let mut s = String::new();
         s.push_str(&format!(
             "trace: {} events (sched {}, net {}, dfs {}, fault {})\n",
@@ -174,10 +135,10 @@ impl Trace {
             "  replicas: {} committed, {} evicted\n",
             c.replicas_committed, c.replicas_evicted
         ));
-        s.push_str(&format!("  fetch    {}\n", h.fetch_secs.summary()));
-        s.push_str(&format!("  recovery {}\n", h.recovery_secs.summary()));
-        s.push_str(&format!("  task     {}\n", h.task_secs.summary()));
-        s.push_str(&format!("  job      {}\n", h.job_turnaround_secs.summary()));
+        s.push_str(&format!("  fetch    {}\n", fetch.summary()));
+        s.push_str(&format!("  recovery {}\n", recovery.summary()));
+        s.push_str(&format!("  task     {}\n", task.summary()));
+        s.push_str(&format!("  job      {}\n", job.summary()));
         s
     }
 }
@@ -194,9 +155,9 @@ mod tests {
 
     #[test]
     fn counters_follow_events() {
-        let mut tr = Tracer::new();
-        tr.record(t(0), TraceEvent::JobSubmitted { job: 0, maps: 2 });
-        tr.record(
+        let mut trace = Trace::default();
+        trace.record(t(0), TraceEvent::JobSubmitted { job: 0, maps: 2 });
+        trace.record(
             t(1),
             TraceEvent::TaskLaunched {
                 job: 0,
@@ -208,7 +169,7 @@ mod tests {
                 local_read: true,
             },
         );
-        tr.record(
+        trace.record(
             t(2),
             TraceEvent::FlowStarted {
                 flow: 1,
@@ -224,7 +185,7 @@ mod tests {
                 },
             },
         );
-        tr.record(
+        trace.record(
             t(500_000),
             TraceEvent::FlowFinished {
                 flow: 1,
@@ -240,7 +201,6 @@ mod tests {
                 },
             },
         );
-        let trace = tr.finish();
         let c = trace.counters();
         assert_eq!(c.total, 4);
         assert_eq!(c.sched, 2);
@@ -249,8 +209,7 @@ mod tests {
         assert_eq!(c.flows_started, 1);
         assert_eq!(c.flows_finished, 1);
         assert_eq!(c.bytes_delivered, 100);
-        assert_eq!(trace.hists().fetch_secs.count(), 1);
-        assert!((trace.hists().fetch_secs.max() - 0.499998).abs() < 1e-9);
+        assert!(trace.summary().contains("  fetch    n=1 mean=0.500s"));
         // Sequence numbers are dense and ordered.
         for (i, r) in trace.records().iter().enumerate() {
             assert_eq!(r.seq, i as u64);

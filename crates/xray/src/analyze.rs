@@ -789,7 +789,7 @@ fn critical_edges(crit: &TaskBreakdown, js: &JobState, complete_us: u64) -> Vec<
 mod tests {
     use super::*;
     use dare_simcore::time::SimTime;
-    use dare_trace::{FlowCtx, Loc, Tracer};
+    use dare_trace::{FlowCtx, Loc};
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
@@ -812,7 +812,7 @@ mod tests {
     /// launch. Every bucket lands on a hand-computed value.
     #[test]
     fn decomposes_a_hand_built_trace_exactly() {
-        let mut tr = Tracer::new();
+        let mut tr = Trace::default();
         tr.record(t(0), TraceEvent::JobSubmitted { job: 0, maps: 2 });
         // Task 0: launched at 10, local read done at 15, commits at 40.
         tr.record(t(10), launch(0, 0, 0, 1, true));
@@ -892,7 +892,7 @@ mod tests {
             },
         );
         tr.record(t(60), TraceEvent::JobCompleted { job: 0, dur_us: 60 });
-        let report = analyze(&tr.finish());
+        let report = analyze(&tr);
         report.check().expect("invariants hold");
         assert_eq!(report.jobs.len(), 1);
         let j = &report.jobs[0];
@@ -948,7 +948,7 @@ mod tests {
     /// waste; a failed job is excluded entirely.
     #[test]
     fn handles_retries_speculation_and_failed_jobs() {
-        let mut tr = Tracer::new();
+        let mut tr = Trace::default();
         tr.record(t(0), TraceEvent::JobSubmitted { job: 0, maps: 1 });
         tr.record(t(5), launch(0, 0, 0, 1, true));
         tr.record(
@@ -1005,7 +1005,7 @@ mod tests {
         // A second job that fails outright.
         tr.record(t(70), TraceEvent::JobSubmitted { job: 1, maps: 1 });
         tr.record(t(90), TraceEvent::JobFailed { job: 1 });
-        let report = analyze(&tr.finish());
+        let report = analyze(&tr);
         report.check().expect("invariants hold");
         assert_eq!(report.jobs.len(), 1);
         assert_eq!(report.jobs_failed, 1);
@@ -1025,7 +1025,7 @@ mod tests {
     /// dead-node declaration) never corrupt the decomposition.
     #[test]
     fn ignores_zombie_events_after_commit() {
-        let mut tr = Tracer::new();
+        let mut tr = Trace::default();
         tr.record(t(0), TraceEvent::JobSubmitted { job: 0, maps: 1 });
         tr.record(t(2), launch(0, 0, 0, 1, true));
         tr.record(
@@ -1058,7 +1058,7 @@ mod tests {
             },
         );
         tr.record(t(20), TraceEvent::JobCompleted { job: 0, dur_us: 20 });
-        let report = analyze(&tr.finish());
+        let report = analyze(&tr);
         report.check().expect("invariants hold");
         let tk = &report.jobs[0].tasks[0];
         assert_eq!(tk.retry_us, 0);

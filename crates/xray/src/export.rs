@@ -225,14 +225,14 @@ mod tests {
     use super::*;
     use crate::analyze::analyze;
     use dare_simcore::time::SimTime;
-    use dare_trace::{Loc, TraceEvent, Tracer};
+    use dare_trace::{Loc, Trace, TraceEvent};
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
     }
 
     fn mini_report() -> XrayReport {
-        let mut tr = Tracer::new();
+        let mut tr = Trace::default();
         tr.record(t(0), TraceEvent::JobSubmitted { job: 3, maps: 1 });
         tr.record(
             t(1_000_000),
@@ -272,7 +272,7 @@ mod tests {
                 dur_us: 4_500_000,
             },
         );
-        analyze(&tr.finish())
+        analyze(&tr)
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use dare_core::PolicyKind;
 use dare_mapred::golden::{golden_scenarios, golden_workload, run_golden, GOLDEN_SEED};
 use dare_mapred::{SchedulerKind, SimConfig};
-use dare_trace::{diff_golden, to_chrome, to_jsonl, validate_jsonl};
+use dare_trace::{diff_golden, from_jsonl, to_chrome, to_jsonl};
 use std::fs;
 use std::path::PathBuf;
 
@@ -28,7 +28,9 @@ fn golden_dir() -> PathBuf {
 
 /// The core regression gate: each scenario's JSONL must match its golden
 /// file byte for byte (after the differ's normalization, which is the
-/// identity for well-formed files). With `UPDATE_GOLDEN=1` the files are
+/// identity for well-formed files), and the golden file must read back
+/// into a trace that re-serializes to the same bytes and reports the live
+/// run's counters and summary. With `UPDATE_GOLDEN=1` the files are
 /// rewritten instead of compared.
 #[test]
 fn golden_traces_match_checked_in_files() {
@@ -41,7 +43,8 @@ fn golden_traces_match_checked_in_files() {
         let r = run_golden(name);
         let trace = r.trace.expect("golden scenarios record traces");
         let jsonl = to_jsonl(&trace);
-        validate_jsonl(&jsonl).unwrap_or_else(|e| panic!("{name}: exporter emitted invalid JSONL: {e}"));
+        from_jsonl(&jsonl)
+            .unwrap_or_else(|e| panic!("{name}: exporter emitted invalid JSONL: {e}"));
         let path = dir.join(format!("{name}.jsonl"));
         if update {
             fs::write(&path, &jsonl).unwrap_or_else(|e| panic!("{name}: write {path:?}: {e}"));
@@ -56,6 +59,10 @@ fn golden_traces_match_checked_in_files() {
         if let Some(d) = diff_golden(&golden, &jsonl) {
             panic!("{name}: trace drifted from golden:\n{d}");
         }
+        let reread = from_jsonl(&golden).unwrap_or_else(|e| panic!("{name}: golden file: {e}"));
+        assert_eq!(to_jsonl(&reread), golden, "{name}: golden re-serializes");
+        assert_eq!(reread.counters(), trace.counters(), "{name}: counters");
+        assert_eq!(reread.summary(), trace.summary(), "{name}: summary");
     }
 }
 
