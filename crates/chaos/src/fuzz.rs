@@ -53,6 +53,9 @@ pub struct ChaosReport {
     pub runs: u64,
     /// Engine events dispatched across all runs.
     pub steps: u64,
+    /// Node and block entries the per-event invariant checks visited,
+    /// summed over all runs: a deterministic work counter.
+    pub invariant_cells: u64,
     /// Wall-clock time spent, in seconds.
     pub wall_secs: f64,
     /// Fuzzing throughput: engine events per wall-clock second.
@@ -114,6 +117,7 @@ pub fn fuzz(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
 
     let mut runs = 0u64;
     let mut steps = 0u64;
+    let mut invariant_cells = 0u64;
     let mut stopped_on_budget_secs = false;
     let mut violation = None;
 
@@ -133,6 +137,7 @@ pub fn fuzz(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
         for (run, plan, outcome) in results {
             runs += 1;
             steps += outcome.steps;
+            invariant_cells += outcome.invariant_cells;
             if outcome.verdict.is_failure() {
                 violation = Some(build_violation(cfg, &env, run, plan, &outcome.verdict));
                 break 'campaign;
@@ -145,6 +150,7 @@ pub fn fuzz(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
     Ok(ChaosReport {
         runs,
         steps,
+        invariant_cells,
         wall_secs,
         events_per_sec,
         stopped_on_budget_secs,
@@ -181,6 +187,7 @@ fn build_violation(
         Verdict::Clean => unreachable!("shrinker preserved the failure key"),
         Verdict::Violation { error, .. } => error.clone(),
         Verdict::Panic { message } => format!("panic: {message}"),
+        Verdict::Invalid { error } => error.clone(),
     };
 
     let plan_json = minimal_plan.to_json();
@@ -232,10 +239,12 @@ fn replay_with_env(cfg: &ChaosConfig, env: &ChaosEnv, saved: &str) -> Result<Cha
         _ => return Err("counterexample has multiple `# plan:` headers".into()),
     };
     let plan = FaultPlan::from_json(plan_line)?;
-    env.validate_plan(cfg, &plan)?;
     let expected_key = header_values(saved, "key").into_iter().next();
 
     let (outcome, trace) = run_plan(cfg, env, &plan, true);
+    if let Verdict::Invalid { error } = outcome.verdict {
+        return Err(error);
+    }
     let golden = strip_headers(saved);
     let actual = trace.as_ref().map(to_jsonl).unwrap_or_default();
     let diff = diff_golden(&golden, &actual);
@@ -262,6 +271,7 @@ pub fn bench_json(cfg: &ChaosConfig, report: &ChaosReport) -> String {
     let _ = writeln!(s, "  \"budget_secs\": {},", cfg.budget_secs);
     let _ = writeln!(s, "  \"runs\": {},", report.runs);
     let _ = writeln!(s, "  \"events\": {},", report.steps);
+    let _ = writeln!(s, "  \"invariant_cells\": {},", report.invariant_cells);
     let _ = writeln!(s, "  \"wall_secs\": {:.3},", report.wall_secs);
     let _ = writeln!(s, "  \"events_per_sec\": {:.1},", report.events_per_sec);
     let _ = writeln!(s, "  \"stopped_on_budget_secs\": {},", report.stopped_on_budget_secs);
@@ -324,6 +334,34 @@ mod tests {
         let many = fuzz(&ChaosConfig { threads: 4, ..quick(false) }).unwrap();
         assert_eq!(one.runs, many.runs);
         assert_eq!(one.steps, many.steps);
+        assert_eq!(one.invariant_cells, many.invariant_cells);
         assert_eq!(one.violation.is_some(), many.violation.is_some());
+    }
+
+    /// The invariant-cell counter is a deterministic work count: equal on
+    /// 1 and 2 threads and across repeated runs, and at least 10x below
+    /// what the full scan visits (every node and block at every event).
+    #[test]
+    fn invariant_cells_are_deterministic_and_incremental() {
+        let cfg = ChaosConfig {
+            nodes: 16,
+            budget_runs: BATCH,
+            ..ChaosConfig::default()
+        };
+        let one = fuzz(&ChaosConfig { threads: 1, ..cfg.clone() }).unwrap();
+        let two = fuzz(&ChaosConfig { threads: 2, ..cfg.clone() }).unwrap();
+        let again = fuzz(&ChaosConfig { threads: 2, ..cfg.clone() }).unwrap();
+        assert!(one.invariant_cells > 0);
+        assert_eq!(one.invariant_cells, two.invariant_cells);
+        assert_eq!(two.invariant_cells, again.invariant_cells);
+        let env = crate::run::ChaosEnv::new(&cfg);
+        let full_scan = one.steps * (cfg.nodes as u64 + env.blocks);
+        assert!(
+            one.invariant_cells * 10 <= full_scan,
+            "{} cells against a full scan's {full_scan}",
+            one.invariant_cells
+        );
+        let json = bench_json(&cfg, &one);
+        assert!(json.contains(&format!("\"invariant_cells\": {},", one.invariant_cells)));
     }
 }

@@ -4,7 +4,7 @@
 use crate::ChaosConfig;
 use dare_core::PolicyKind;
 use dare_mapred::{Engine, FaultPlan, SchedulerKind, SimConfig, StepOutcome};
-use dare_net::{ClusterProfile, RackId, Topology};
+use dare_net::{ClusterProfile, RackId};
 use dare_simcore::DetRng;
 use dare_workload::swim::{synthesize, SwimParams};
 use dare_workload::Workload;
@@ -16,14 +16,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 const MAX_RUN_STEPS: u64 = 20_000_000;
 
 /// Everything derived from the campaign knobs that is *shared by every
-/// run*: the topology (rebuilt exactly as the engine will build it), the
-/// workload, rack membership, and the block namespace. The engine seed is
-/// fixed across runs — coverage comes from the fault schedules, and a
-/// fixed environment is what makes a shrunken plan a deterministic
-/// witness.
+/// run*: the workload, and the rack membership and block namespace the
+/// sampler draws targets from (derived exactly as the engine builds
+/// them). The engine seed is fixed across runs — coverage comes from the
+/// fault schedules, and a fixed environment is what makes a shrunken
+/// plan a deterministic witness.
 pub struct ChaosEnv {
-    /// The simulated topology (same named substream the engine uses).
-    pub topology: Topology,
     /// Nodes per rack, indexed by rack id (empty racks stay empty).
     pub racks: Vec<Vec<u32>>,
     /// The fuzzed workload.
@@ -56,22 +54,29 @@ impl ChaosEnv {
             * sim.faults.detect_heartbeats as f64)
             .ceil() as u64;
         ChaosEnv {
-            topology,
             racks,
             workload,
             blocks,
             timeout_secs,
         }
     }
+}
 
-    /// Validate a plan exactly as the engine will at build time, so
-    /// `Engine::new` cannot panic on it: structural checks, rack
-    /// membership expansion, and the block namespace.
-    pub fn validate_plan(&self, cfg: &ChaosConfig, plan: &FaultPlan) -> Result<(), String> {
-        plan.validate(cfg.nodes)?;
-        plan.validate_topology(&self.topology)?;
-        plan.validate_blocks(self.blocks)
-    }
+/// Build the engine for one plan. The engine rejects a node, rack or
+/// block outside the cluster it builds; rack-outage and partition
+/// windows are then checked for overlap against that cluster's real
+/// rack membership.
+pub fn build_engine(
+    cfg: &ChaosConfig,
+    env: &ChaosEnv,
+    plan: &FaultPlan,
+    record_trace: bool,
+) -> Result<Engine, String> {
+    let eng = Engine::try_new(sim_config(cfg, plan, record_trace), &env.workload)
+        .map_err(|e| e.to_string())?;
+    plan.validate_topology(eng.topology())
+        .map_err(|e| format!("invalid fault plan: {e}"))?;
+    Ok(eng)
 }
 
 /// The engine configuration every run uses: vanilla replication and FIFO
@@ -107,6 +112,12 @@ pub enum Verdict {
         /// The panic payload, when it was a string.
         message: String,
     },
+    /// The plan is invalid for the campaign's cluster (see
+    /// [`build_engine`]); nothing ran.
+    Invalid {
+        /// Why the engine rejected the plan.
+        error: String,
+    },
 }
 
 impl Verdict {
@@ -124,6 +135,7 @@ impl Verdict {
             Verdict::Violation { invariant: Some(inv), .. } => Some(inv.clone()),
             Verdict::Violation { invariant: None, .. } => Some("engine-error".into()),
             Verdict::Panic { .. } => Some("panic".into()),
+            Verdict::Invalid { .. } => Some("invalid-plan".into()),
         }
     }
 }
@@ -149,25 +161,26 @@ pub struct RunOutcome {
     pub verdict: Verdict,
     /// Events dispatched (the fuzzer's throughput unit).
     pub steps: u64,
+    /// Node and block entries the per-event invariant checks visited
+    /// ([`Engine::invariant_cells`]).
+    pub invariant_cells: u64,
     /// Simulated time reached, in seconds.
     pub sim_secs: f64,
 }
 
-/// Execute one plan to quiescence. The caller must have validated the
-/// plan (see [`ChaosEnv::validate_plan`]); a panic anywhere inside the
-/// engine — including a validation panic in `Engine::new` — is captured
-/// and returned as [`Verdict::Panic`]. Returns the recorded trace when
-/// `record_trace` was set and the engine got far enough to produce one.
+/// Execute one plan to quiescence. An invalid plan comes back as
+/// [`Verdict::Invalid`] without running; a panic anywhere inside the
+/// engine is captured and returned as [`Verdict::Panic`]. Returns the
+/// recorded trace when `record_trace` was set and the engine got far
+/// enough to produce one.
 pub fn run_plan(
     cfg: &ChaosConfig,
     env: &ChaosEnv,
     plan: &FaultPlan,
     record_trace: bool,
 ) -> (RunOutcome, Option<dare_trace::Trace>) {
-    let sim = sim_config(cfg, plan, record_trace);
-    let workload = &env.workload;
-    let result = catch_unwind(AssertUnwindSafe(move || {
-        let mut eng = Engine::new(sim, workload);
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        let mut eng = build_engine(cfg, env, plan, record_trace)?;
         let mut steps = 0u64;
         let outcome = loop {
             match eng.step() {
@@ -184,10 +197,20 @@ pub fn run_plan(
             }
         };
         let sim_secs = eng.sim_now().as_secs_f64();
-        (outcome, steps, sim_secs, eng.take_trace())
+        let cells = eng.invariant_cells();
+        Ok((outcome, steps, cells, sim_secs, eng.take_trace()))
     }));
     match result {
-        Ok((outcome, steps, sim_secs, trace)) => {
+        Ok(Err(error)) => (
+            RunOutcome {
+                verdict: Verdict::Invalid { error },
+                steps: 0,
+                invariant_cells: 0,
+                sim_secs: 0.0,
+            },
+            None,
+        ),
+        Ok(Ok((outcome, steps, invariant_cells, sim_secs, trace))) => {
             let verdict = match outcome {
                 Ok(()) => Verdict::Clean,
                 Err(error) => {
@@ -199,6 +222,7 @@ pub fn run_plan(
                 RunOutcome {
                     verdict,
                     steps,
+                    invariant_cells,
                     sim_secs,
                 },
                 trace,
@@ -214,6 +238,7 @@ pub fn run_plan(
                 RunOutcome {
                     verdict: Verdict::Panic { message },
                     steps: 0,
+                    invariant_cells: 0,
                     sim_secs: 0.0,
                 },
                 None,
@@ -238,7 +263,6 @@ mod tests {
     fn env_matches_engine_derivation() {
         let cfg = small();
         let env = ChaosEnv::new(&cfg);
-        assert_eq!(env.topology.nodes(), 12);
         assert_eq!(
             env.racks.iter().map(Vec::len).sum::<usize>(),
             12,
@@ -256,6 +280,26 @@ mod tests {
         assert_eq!(outcome.verdict, Verdict::Clean);
         assert!(outcome.steps > 0);
         assert!(trace.is_none(), "tracing was off");
+    }
+
+    #[test]
+    fn invalid_plan_is_a_verdict_not_a_panic() {
+        let cfg = small();
+        let env = ChaosEnv::new(&cfg);
+        let mut plan = FaultPlan::default();
+        plan.events.push(dare_mapred::FaultEvent::CorruptReplica {
+            at_secs: 5,
+            node: 0,
+            block: env.blocks,
+        });
+        let (outcome, trace) = run_plan(&cfg, &env, &plan, true);
+        match outcome.verdict {
+            Verdict::Invalid { error } => assert!(error.contains("block"), "{error}"),
+            other => panic!("expected an invalid-plan verdict, got {other:?}"),
+        }
+        assert_eq!(outcome.steps, 0);
+        assert!(trace.is_none());
+        assert!(build_engine(&cfg, &env, &FaultPlan::default(), false).is_ok());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! deterministic given the same inputs, which makes the shrinker
 //! idempotent: re-shrinking a minimal plan returns it unchanged.
 
-use crate::run::{run_plan, ChaosEnv};
+use crate::run::{run_plan, ChaosEnv, Verdict};
 use crate::ChaosConfig;
 use dare_mapred::{FaultEvent, FaultPlan};
 
@@ -65,7 +65,8 @@ pub fn shrink_plan(
 }
 
 /// Does `candidate` still fail the same way? Invalid candidates (a rack
-/// fault whose rack lost meaning, say) simply don't reproduce.
+/// fault whose rack lost meaning, say) simply don't reproduce, and are
+/// not counted as probes.
 fn reproduces(
     cfg: &ChaosConfig,
     env: &ChaosEnv,
@@ -73,11 +74,11 @@ fn reproduces(
     target_key: &str,
     probes: &mut u64,
 ) -> bool {
-    if env.validate_plan(cfg, candidate).is_err() {
+    let (outcome, _) = run_plan(cfg, env, candidate, false);
+    if matches!(outcome.verdict, Verdict::Invalid { .. }) {
         return false;
     }
     *probes += 1;
-    let (outcome, _) = run_plan(cfg, env, candidate, false);
     outcome.verdict.failure_key().as_deref() == Some(target_key)
 }
 

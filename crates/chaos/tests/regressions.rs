@@ -30,7 +30,6 @@ fn rejoin_does_not_over_replicate_a_block_under_repair() {
 }"#,
     )
     .unwrap();
-    env.validate_plan(&cfg, &plan).unwrap();
     let (outcome, _) = run_plan(&cfg, &env, &plan, false);
     assert_eq!(outcome.verdict, Verdict::Clean);
 }

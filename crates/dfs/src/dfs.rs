@@ -92,6 +92,12 @@ pub struct Dfs {
     nn: NameNode,
     dns: Vec<DataNode>,
     topo: Topology,
+    /// Blocks whose locations or physical copies changed since the last
+    /// [`Dfs::drain_touched`], recorded only while [`Dfs::log_touches`]
+    /// is on. Every mutator logs here, so a caller that re-checks only
+    /// changed blocks cannot miss one.
+    touched: Vec<BlockId>,
+    log_touches: bool,
 }
 
 impl Dfs {
@@ -103,6 +109,37 @@ impl Dfs {
             nn: NameNode::new(),
             dns,
             topo,
+            touched: Vec::new(),
+            log_touches: false,
+        }
+    }
+
+    /// Start or stop logging the blocks each mutator touches (off by
+    /// default, so an unchecked run pays one branch per mutation).
+    pub fn log_touches(&mut self, on: bool) {
+        self.log_touches = on;
+        if !on {
+            self.touched.clear();
+        }
+    }
+
+    /// Hand over the blocks touched since the last call, in mutation
+    /// order and possibly repeated.
+    pub fn drain_touched(&mut self) -> std::vec::Drain<'_, BlockId> {
+        self.touched.drain(..)
+    }
+
+    fn touch(&mut self, b: BlockId) {
+        if self.log_touches {
+            self.touched.push(b);
+        }
+    }
+
+    /// Log every block `node` holds on disk or is a visible location of.
+    fn touch_node(&mut self, node: NodeId) {
+        if self.log_touches {
+            self.touched.extend(self.dns[node.idx()].all_blocks());
+            self.touched.extend(self.nn.blocks_located_at(node));
         }
     }
 
@@ -166,6 +203,7 @@ impl Dfs {
             for n in self.nn.primary_locations(*b).to_vec() {
                 self.dns[n.idx()].add_primary(*b, sz);
             }
+            self.touch(*b);
         }
         fid
     }
@@ -193,6 +231,7 @@ impl Dfs {
         if !self.dns[node.idx()].add_dynamic(b, bytes) {
             return false;
         }
+        self.touch(b);
         self.nn
             .enqueue_dynamic_report(now + self.cfg.report_delay, b, node);
         true
@@ -209,6 +248,7 @@ impl Dfs {
         if !self.dns[node.idx()].remove_dynamic(b, bytes) {
             return None;
         }
+        self.touch(b);
         Some(self.nn.remove_dynamic(b, node))
     }
 
@@ -217,6 +257,7 @@ impl Dfs {
     /// when a read or a scrub checksums the replica. Returns false when no
     /// replica is resident or it is already corrupt.
     pub fn corrupt_replica(&mut self, node: NodeId, b: BlockId) -> bool {
+        self.touch(b);
         self.dns[node.idx()].mark_corrupt(b)
     }
 
@@ -246,6 +287,7 @@ impl Dfs {
             let was_visible = self.evict_dynamic(node, b).expect("replica resident");
             return Some(Quarantined::Dynamic { was_visible });
         }
+        self.touch(b);
         let bytes = self.nn.block_size(b);
         let was_visible = self.nn.primary_locations(b).contains(&node);
         self.dns[node.idx()].remove_primary(b, bytes);
@@ -259,7 +301,11 @@ impl Dfs {
     /// Returns the (block, node) pairs that just became scheduler-visible
     /// (reusable buffer, valid until the next call).
     pub fn process_reports(&mut self, now: SimTime) -> &[(BlockId, NodeId)] {
-        self.nn.process_reports(now)
+        let promoted = self.nn.process_reports(now);
+        if self.log_touches {
+            self.touched.extend(promoted.iter().map(|&(b, _)| b));
+        }
+        promoted
     }
 
     /// Fail a node: drop all its replicas and instantly re-replicate every
@@ -275,6 +321,7 @@ impl Dfs {
     /// and recovery bandwidth itself via [`Dfs::mark_node_dead`],
     /// [`Dfs::wipe_node`], [`Dfs::rejoin_node`] and [`Dfs::add_replica`].
     pub fn fail_node(&mut self, node: NodeId, live: &[NodeId], rng: &mut DetRng) -> FailOutcome {
+        self.touch_node(node);
         let under = self.nn.fail_node(node, self.cfg.replication_factor);
         self.dns[node.idx()] = DataNode::new(node);
         let mut out = FailOutcome::default();
@@ -299,6 +346,7 @@ impl Dfs {
                 continue;
             }
             let target = candidates[rng.index(candidates.len())];
+            self.touch(b);
             self.nn.add_primary_location(b, target);
             self.dns[target.idx()].add_primary(b, bytes);
             out.re_replicated += 1;
@@ -312,6 +360,7 @@ impl Dfs {
     /// configured replication factor. The caller decides whether the disk
     /// contents survive ([`Dfs::rejoin_node`]) or not ([`Dfs::wipe_node`]).
     pub fn mark_node_dead(&mut self, node: NodeId) -> Vec<BlockId> {
+        self.touch_node(node);
         self.nn.fail_node(node, self.cfg.replication_factor)
     }
 
@@ -319,6 +368,7 @@ impl Dfs {
     /// the name node view — pair with [`Dfs::mark_node_dead`] at
     /// declaration time.
     pub fn wipe_node(&mut self, node: NodeId) {
+        self.touch_node(node);
         self.dns[node.idx()] = DataNode::new(node);
     }
 
@@ -327,6 +377,7 @@ impl Dfs {
     /// is re-registered (immediately visible — the bytes are already
     /// there). Returns the restored blocks in ascending id order.
     pub fn rejoin_node(&mut self, node: NodeId) -> Vec<BlockId> {
+        self.touch_node(node);
         let blocks = self.dns[node.idx()].all_blocks();
         let mut restored = Vec::new();
         for b in blocks {
@@ -356,6 +407,7 @@ impl Dfs {
             !self.is_physically_present(node, b),
             "recovery target already holds {b}"
         );
+        self.touch(b);
         let bytes = self.nn.block_size(b);
         self.nn.add_primary_location(b, node);
         self.dns[node.idx()].add_primary(b, bytes);
@@ -481,6 +533,46 @@ mod tests {
         let writes: u64 = dfs.datanodes().iter().map(|d| d.disk_writes).sum();
         assert_eq!(writes, 9);
         assert_eq!(dfs.total_primary_bytes(), 3 * 300 * MB);
+    }
+
+    #[test]
+    fn mutators_log_the_blocks_they_touch_once_enabled() {
+        let (mut dfs, mut rng) = small_dfs();
+        let f = dfs.create_file(
+            SimTime::ZERO,
+            "x".into(),
+            256 * MB,
+            Some(NodeId(0)),
+            &DefaultPlacement,
+            &mut rng,
+            false,
+        );
+        let (b0, b1) = (dfs.namenode().file(f).blocks[0], dfs.namenode().file(f).blocks[1]);
+        assert_eq!(dfs.drain_touched().count(), 0, "logging is off by default");
+
+        dfs.log_touches(true);
+        let outsider = (0..10)
+            .map(NodeId)
+            .find(|&n| !dfs.is_physically_present(n, b1))
+            .unwrap();
+        dfs.insert_dynamic(SimTime::ZERO, outsider, b1);
+        dfs.process_reports(SimTime::from_secs(3));
+        dfs.evict_dynamic(outsider, b1);
+        assert_eq!(dfs.drain_touched().collect::<Vec<_>>(), [b1, b1, b1]);
+
+        // A node-level mutation logs every block the node holds or is a
+        // visible location of: node 0 wrote both blocks.
+        dfs.mark_node_dead(NodeId(0));
+        let mut touched: Vec<BlockId> = dfs.drain_touched().collect();
+        touched.sort_unstable();
+        touched.dedup();
+        assert_eq!(touched, [b0, b1]);
+        dfs.rejoin_node(NodeId(0));
+        assert!(dfs.drain_touched().any(|b| b == b0));
+
+        dfs.log_touches(false);
+        dfs.wipe_node(NodeId(0));
+        assert_eq!(dfs.drain_touched().count(), 0);
     }
 
     #[test]

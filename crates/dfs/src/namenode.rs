@@ -144,6 +144,16 @@ impl NameNode {
         }
     }
 
+    /// Blocks `node` is a scheduler-visible location of, ascending. One
+    /// pass over every block's location list.
+    pub fn blocks_located_at(&self, node: NodeId) -> impl Iterator<Item = BlockId> + '_ {
+        self.merged
+            .iter()
+            .enumerate()
+            .filter(move |(_, locs)| locs.contains(&node))
+            .map(|(i, _)| BlockId(i as u64))
+    }
+
     /// Primary locations only.
     pub fn primary_locations(&self, b: BlockId) -> &[NodeId] {
         &self.primary[b.idx()]

@@ -1,6 +1,7 @@
 //! The discrete-event simulation engine.
 
 use crate::config::{SchedulerKind, SimConfig};
+use crate::nodes::NodeTable;
 use crate::result::{ProactiveStats, SimResult};
 use crate::scarlett::{ProactiveTransfer, ScarlettState};
 use dare_core::{build_policy, PolicyCtx, ReplicationDecision, ReplicationPolicy};
@@ -16,6 +17,8 @@ use dare_simcore::{DetRng, EventQueue, FxHashMap, FxHashSet, SimDuration, SimTim
 use dare_telemetry::{JobPhase, JobSample, MetricId, MetricRegistry, NodeSample, Profiler, Subsystem, Telemetry};
 use dare_trace::{FlowCtx, FlowKind, Loc, Trace, TraceEvent};
 use dare_workload::Workload;
+
+mod check;
 
 /// Borrow-based location lookup over the DFS's merged visible-location
 /// lists. `locations` returns the name node's maintained slice, so the
@@ -255,14 +258,8 @@ pub struct Engine {
     jobs: Vec<JobState>,
     events: EventQueue<Ev>,
     now: SimTime,
-    free_map_slots: Vec<u32>,
-    free_reduce_slots: Vec<u32>,
-    /// Nodes with at least one free reduce slot, kept sorted so
-    /// `fill_reduce_slots` finds the lowest-index candidate in O(log n)
-    /// instead of scanning all nodes (the scan dominated 10k-node runs).
-    /// Membership tracks `free_reduce_slots[i] > 0` only; liveness is
-    /// re-checked at pick time, exactly like the old linear scan did.
-    reduce_free_nodes: std::collections::BTreeSet<u32>,
+    /// Per-node slots, running work and liveness.
+    nodes: NodeTable,
     /// Reduce tasks awaiting a slot: (job, per-reducer duration), FIFO.
     pending_reduces: std::collections::VecDeque<(u32, SimDuration)>,
     active_local_reads: Vec<u32>,
@@ -297,17 +294,9 @@ pub struct Engine {
     inflight_proactive: Vec<u64>,
     scarlett: Option<ScarlettState>,
     proactive_flows: FxHashMap<FlowId, ProactiveTransfer>,
-    /// Node is silently down: it stops heartbeating, its in-flight work
-    /// becomes zombie state, but the master does not know yet.
-    crashed: Vec<bool>,
-    /// Node declared dead by the master after the missed-heartbeat
-    /// timeout; its replicas are dropped and its attempts re-queued.
-    declared: Vec<bool>,
     /// Per-node liveness epoch, bumped on every crash and rejoin so
     /// in-flight heartbeat chains and death timers go stale.
     node_epoch: Vec<u32>,
-    /// Reduce tasks currently running per node (slot restore on rejoin).
-    running_reduces: Vec<u32>,
     /// Under-replicated blocks awaiting recovery, fewest visible replicas
     /// first: (visible count, enqueue seq, block id).
     recovery_q: std::collections::BTreeSet<(u32, u64, u64)>,
@@ -322,8 +311,6 @@ pub struct Engine {
     lost_blocks: FxHashSet<u64>,
     /// Failure-detection and recovery counters.
     stats: dare_metrics::FaultStats,
-    /// Map tasks currently running (or fetching) per node.
-    running_on: Vec<Vec<(u32, u32)>>,
     /// A background scrub pass is reading this node's disk (task reads
     /// share the bandwidth left after the scrub budget).
     scrubbing: Vec<bool>,
@@ -358,6 +345,8 @@ pub struct Engine {
     profiler: Option<Box<Profiler>>,
     /// Logical events processed (see `SimResult::logical_events`).
     logical_events: u64,
+    /// What the per-event invariant check re-visits next (armed runs).
+    marks: check::Marks,
 }
 
 /// Column handles of the cluster-series schema, registered once at engine
@@ -535,13 +524,25 @@ impl Engine {
     /// Build a simulator for `cfg` over `workload`: instantiates topology,
     /// bandwidth draws, the DFS (with the dataset ingested at t = 0), the
     /// per-node DARE policies, and the job-arrival events.
+    ///
+    /// # Panics
+    ///
+    /// On an invalid config, workload or fault plan; use
+    /// [`Engine::try_new`] to get the error instead.
     pub fn new(cfg: SimConfig, workload: &Workload) -> Self {
+        Self::try_new(cfg, workload).expect("invalid simulation input")
+    }
+
+    /// [`Engine::new`], reporting an invalid config, workload or fault
+    /// plan (a node, rack or block outside the cluster it builds) as
+    /// [`crate::SimError::InvalidInput`] instead of panicking.
+    pub fn try_new(cfg: SimConfig, workload: &Workload) -> Result<Self, crate::SimError> {
         let scheduler: Box<dyn Scheduler> = match cfg.scheduler {
             SchedulerKind::Fifo => Box::new(FifoScheduler::new()),
             SchedulerKind::Fair(fc) => Box::new(FairScheduler::with_config(fc)),
             SchedulerKind::Capacity(q) => Box::new(dare_sched::CapacityScheduler::new(q)),
         };
-        Self::with_scheduler(cfg, workload, scheduler)
+        Self::build(cfg, workload, scheduler)
     }
 
     /// [`Engine::new`] driven by `scheduler` instead of the indexed
@@ -551,10 +552,24 @@ impl Engine {
     pub fn with_scheduler(
         cfg: SimConfig,
         workload: &Workload,
-        mut scheduler: Box<dyn Scheduler>,
+        scheduler: Box<dyn Scheduler>,
     ) -> Self {
-        cfg.validate().expect("invalid simulation config");
-        workload.validate().expect("invalid workload");
+        Self::build(cfg, workload, scheduler).expect("invalid simulation input")
+    }
+
+    fn build(
+        cfg: SimConfig,
+        workload: &Workload,
+        mut scheduler: Box<dyn Scheduler>,
+    ) -> Result<Self, crate::SimError> {
+        let invalid =
+            |what: &str, e: String| crate::SimError::InvalidInput(format!("invalid {what}: {e}"));
+        // The plan first, so its errors are reported as the plan's.
+        cfg.faults
+            .validate(cfg.profile.nodes)
+            .map_err(|e| invalid("fault plan", e))?;
+        cfg.validate().map_err(|e| invalid("simulation config", e))?;
+        workload.validate().map_err(|e| invalid("workload", e))?;
         let root = DetRng::new(cfg.seed);
 
         let mut topo_rng = root.substream("topology");
@@ -562,7 +577,7 @@ impl Engine {
         let n = topo.nodes() as usize;
         cfg.faults
             .validate_racks(topo.racks())
-            .expect("invalid fault plan");
+            .map_err(|e| invalid("fault plan", e))?;
 
         let mut cap_rng = root.substream("capacities");
         let disk_caps_mbps = cfg.profile.sample_disk_capacities(&mut cap_rng);
@@ -590,7 +605,7 @@ impl Engine {
         // that the dataset is ingested.
         cfg.faults
             .validate_blocks(dfs.namenode().num_blocks() as u64)
-            .expect("invalid fault plan");
+            .map_err(|e| invalid("fault plan", e))?;
 
         // Access popularity per file (fraction of jobs reading it) — the
         // blockPopularity of the Fig. 11 metric.
@@ -686,7 +701,18 @@ impl Engine {
         }
 
         let cv_before = popularity_cv_of(&dfs, &file_popularity);
-        let slots = cfg.profile.map_slots_per_node;
+        let mut nodes = NodeTable::new(
+            n,
+            cfg.profile.map_slots_per_node,
+            cfg.profile.reduce_slots_per_node,
+        );
+        // Armed runs log every write from here on; the first check
+        // covers every node and block.
+        let marks = check::Marks::new(cfg.check_invariants, dfs.namenode().num_blocks());
+        if cfg.check_invariants {
+            nodes.log_touches();
+            dfs.log_touches(true);
+        }
 
         let scarlett = cfg.scarlett.map(|sc| {
             events.push(SimTime::ZERO + sc.epoch, Ev::Epoch);
@@ -817,7 +843,7 @@ impl Engine {
             }
         }
 
-        Engine {
+        Ok(Engine {
             workload_name: workload.name.clone(),
             dfs,
             flows,
@@ -828,13 +854,7 @@ impl Engine {
             jobs,
             events,
             now: SimTime::ZERO,
-            free_map_slots: vec![slots; n],
-            free_reduce_slots: vec![cfg.profile.reduce_slots_per_node; n],
-            reduce_free_nodes: if cfg.profile.reduce_slots_per_node > 0 {
-                (0..n as u32).collect()
-            } else {
-                std::collections::BTreeSet::new()
-            },
+            nodes,
             pending_reduces: std::collections::VecDeque::new(),
             active_local_reads: vec![0; n],
             disk_caps_mbps,
@@ -856,10 +876,7 @@ impl Engine {
             inflight_proactive: vec![0; n],
             scarlett,
             proactive_flows: FxHashMap::default(),
-            crashed: vec![false; n],
-            declared: vec![false; n],
             node_epoch: vec![0; n],
-            running_reduces: vec![0; n],
             recovery_q: std::collections::BTreeSet::new(),
             recovery_queued: FxHashSet::default(),
             recovery_seq: 0,
@@ -867,7 +884,6 @@ impl Engine {
             recovery_rng: root.substream("recovery"),
             lost_blocks: FxHashSet::default(),
             stats: dare_metrics::FaultStats::default(),
-            running_on: vec![Vec::new(); n],
             scrubbing: vec![false; n],
             repair_started: FxHashMap::default(),
             slow_factor: vec![1.0; n],
@@ -888,8 +904,9 @@ impl Engine {
             },
             profiler: cfg.self_profile.then(|| Box::new(Profiler::new())),
             logical_events: 0,
+            marks,
             cfg,
-        }
+        })
     }
 
     /// Record one trace event at the current simulation time (no-op
@@ -1081,6 +1098,11 @@ impl Engine {
         self.now
     }
 
+    /// The cluster topology the engine built (racks and their members).
+    pub fn topology(&self) -> &dare_net::Topology {
+        self.dfs.topology()
+    }
+
     /// Number of DFS blocks (inputs plus any job outputs registered).
     pub fn num_blocks(&self) -> usize {
         self.dfs.namenode().num_blocks()
@@ -1153,22 +1175,22 @@ impl Engine {
         let now_us = self.now.as_micros();
         let ago = |t: SimTime| now_us.saturating_sub(t.as_micros());
         let mut h = self.dfs.extended_fingerprint(self.now);
-        for i in 0..self.crashed.len() {
+        for i in 0..self.nodes.len() {
             fnv1a_u64(
                 &mut h,
-                self.crashed[i] as u64
-                    | (self.declared[i] as u64) << 1
+                self.nodes.crashed(i) as u64
+                    | (self.nodes.declared(i) as u64) << 1
                     | (self.scrubbing[i] as u64) << 2,
             );
             fnv1a_u64(&mut h, self.node_epoch[i] as u64);
-            fnv1a_u64(&mut h, self.free_map_slots[i] as u64);
-            fnv1a_u64(&mut h, self.free_reduce_slots[i] as u64);
-            fnv1a_u64(&mut h, self.running_reduces[i] as u64);
+            fnv1a_u64(&mut h, self.nodes.free_map(i) as u64);
+            fnv1a_u64(&mut h, self.nodes.free_reduce(i) as u64);
+            fnv1a_u64(&mut h, self.nodes.running_reduces(i) as u64);
             fnv1a_u64(&mut h, self.active_local_reads[i] as u64);
             fnv1a_u64(&mut h, self.slow_factor[i].to_bits());
             fnv1a_u64(&mut h, self.gray_disk[i].to_bits());
             fnv1a_u64(&mut h, self.gray_nic[i].to_bits());
-            for &(j, t) in &self.running_on[i] {
+            for &(j, t) in self.nodes.running_on(i) {
                 fnv1a_u64(&mut h, ((j as u64) << 32) | t as u64);
             }
             fnv1a_u64(&mut h, u64::MAX); // per-node terminator
@@ -1327,7 +1349,7 @@ impl Engine {
             return;
         };
         let t_us = ts.as_micros();
-        let n = self.crashed.len();
+        let n = self.nodes.len();
         let map_cap = self.cfg.profile.map_slots_per_node;
         let red_cap = self.cfg.profile.reduce_slots_per_node;
         self.flows.nic_utilization_into(&mut telem.util_scratch);
@@ -1340,16 +1362,16 @@ impl Engine {
         let (mut red_used, mut red_total) = (0u64, 0u64);
         let mut running_reduces = 0u64;
         for i in 0..n {
-            let declared = self.declared[i];
+            let declared = self.nodes.declared(i);
             let nm_total = if declared { 0 } else { map_cap };
-            let nm_used = nm_total.saturating_sub(self.free_map_slots[i]);
+            let nm_used = nm_total.saturating_sub(self.nodes.free_map(i));
             let nr_total = if declared { 0 } else { red_cap };
-            let nr_used = nr_total.saturating_sub(self.free_reduce_slots[i]);
+            let nr_used = nr_total.saturating_sub(self.nodes.free_reduce(i));
             map_used += nm_used as u64;
             map_total += nm_total as u64;
             red_used += nr_used as u64;
             red_total += nr_total as u64;
-            running_reduces += self.running_reduces[i] as u64;
+            running_reduces += self.nodes.running_reduces(i) as u64;
             let (tx, rx) = telem.util_scratch[i];
             telem.reg.observe(telem.ids.link_util, tx);
             telem.reg.observe(telem.ids.link_util, rx);
@@ -1357,7 +1379,7 @@ impl Engine {
             telem.nodes.push(NodeSample {
                 t_us,
                 node: i as u32,
-                alive: !self.crashed[i] && !declared,
+                alive: !self.nodes.crashed(i) && !declared,
                 advertised: !declared,
                 map_used: nm_used,
                 map_total: nm_total,
@@ -1550,7 +1572,7 @@ impl Engine {
     /// A node can take work and serve reads: neither silently crashed nor
     /// declared dead.
     fn node_up(&self, i: usize) -> bool {
-        !self.crashed[i] && !self.declared[i]
+        self.nodes.up(i)
     }
 
     fn on_job_arrival(&mut self, j: u32) {
@@ -1625,7 +1647,7 @@ impl Engine {
     /// Fill every free map slot on `node` the scheduler can use, falling
     /// back to a speculative backup when no regular work fits.
     fn service_map_slots(&mut self, node: u32) {
-        while self.free_map_slots[node as usize] > 0 {
+        while self.nodes.free_map(node as usize) > 0 {
             let assignment = {
                 let lookup = DfsLookup(&self.dfs);
                 self.scheduler.pick_map(
@@ -1669,14 +1691,14 @@ impl Engine {
     /// differs from the staggered default; the flag is therefore opt-in
     /// and never mixed into golden traces.
     fn on_heartbeat_tick(&mut self) {
-        let n = self.crashed.len();
+        let n = self.nodes.len();
         self.logical_events += n as u64;
         self.process_promotions();
         let may_assign =
             self.queue.total_pending() > 0 || self.cfg.speculation.is_some();
         if may_assign {
             for node in 0..n {
-                if self.free_map_slots[node] > 0 && self.node_up(node) {
+                if self.nodes.free_map(node) > 0 && self.node_up(node) {
                     self.service_map_slots(node as u32);
                 }
             }
@@ -1714,7 +1736,7 @@ impl Engine {
             });
             self.quarantine_and_repair(node, block);
         }
-        self.running_on[node as usize].push((job, task));
+        self.nodes.running_on_mut(node as usize).push((job, task));
         let present = self.dfs.is_physically_present(node_id, block);
         let bytes = self.dfs.namenode().block_size(block);
         let file = self.dfs.namenode().file_of(block);
@@ -1780,7 +1802,7 @@ impl Engine {
             replicate = true;
         }
 
-        self.free_map_slots[node as usize] -= 1;
+        *self.nodes.free_map_mut(node as usize) -= 1;
 
         if present {
             // Local read: disk capacity shared among concurrent readers.
@@ -1824,8 +1846,10 @@ impl Engine {
                     // The backup's pre-checked source was the local
                     // replica the checksum just quarantined: tear down
                     // only this backup, leaving the original running.
-                    self.running_on[node as usize].retain(|&(j, t)| !(j == job && t == task));
-                    self.free_map_slots[node as usize] += 1;
+                    self.nodes
+                        .running_on_mut(node as usize)
+                        .retain(|&(j, t)| !(j == job && t == task));
+                    *self.nodes.free_map_mut(node as usize) += 1;
                     let js = &mut self.jobs[job as usize];
                     js.live_attempts[task as usize] =
                         js.live_attempts[task as usize].saturating_sub(1);
@@ -2055,13 +2079,13 @@ impl Engine {
                     // committed, or the attempt was aborted): release
                     // this reader's registration if it still exists.
                     let ri = f.node as usize;
-                    if let Some(p) = self.running_on[ri]
+                    if let Some(p) = self.nodes.running_on(ri)
                         .iter()
                         .position(|&(j, t)| j == f.job && t == f.task)
                     {
-                        self.running_on[ri].swap_remove(p);
+                        self.nodes.running_on_mut(ri).swap_remove(p);
                         if self.node_up(ri) {
-                            self.free_map_slots[ri] += 1;
+                            *self.nodes.free_map_mut(ri) += 1;
                         }
                         self.emit(TraceEvent::TaskAborted {
                             job: f.job,
@@ -2114,7 +2138,7 @@ impl Engine {
     }
 
     fn on_local_read_done(&mut self, node: u32, job: u32, task: u32, attempt: u32) {
-        if self.crashed[node as usize] {
+        if self.nodes.crashed(node as usize) {
             return; // zombie: the node went silent mid-read
         }
         if self.jobs[job as usize].attempts[task as usize] != attempt {
@@ -2153,7 +2177,7 @@ impl Engine {
         let Some(spec) = self.cfg.speculation else {
             return false;
         };
-        if !self.node_up(node as usize) || self.free_map_slots[node as usize] == 0 {
+        if !self.node_up(node as usize) || self.nodes.free_map(node as usize) == 0 {
             return false;
         }
         // A job is speculation-eligible when all its maps are handed out
@@ -2188,7 +2212,7 @@ impl Engine {
                     && js.live_attempts[t] == 1
                     && self.now.saturating_since(js.started_at[t]).as_secs_f64() > threshold
                     // never co-locate the backup with the straggler
-                    && !self.running_on[node as usize].contains(&(job, t as u32))
+                    && !self.nodes.running_on(node as usize).contains(&(job, t as u32))
                     // a backup must have something live to read from
                     && self.has_live_source(js.blocks[t], NodeId(node))
             });
@@ -2213,14 +2237,14 @@ impl Engine {
     }
 
     fn on_compute_done(&mut self, node: u32, job: u32, task: u32, attempt: u32) {
-        if self.crashed[node as usize] {
+        if self.nodes.crashed(node as usize) {
             return; // zombie: the node went silent while computing
         }
         if self.jobs[job as usize].attempts[task as usize] != attempt {
             return; // stale completion from an aborted attempt
         }
-        self.running_on[node as usize].retain(|&(j, t)| !(j == job && t == task));
-        self.free_map_slots[node as usize] += 1;
+        self.nodes.running_on_mut(node as usize).retain(|&(j, t)| !(j == job && t == task));
+        *self.nodes.free_map_mut(node as usize) += 1;
         {
             let js = &mut self.jobs[job as usize];
             js.live_attempts[task as usize] = js.live_attempts[task as usize].saturating_sub(1);
@@ -2287,19 +2311,19 @@ impl Engine {
             // Lowest-index live node with a free slot, via the sorted
             // free-node index (same pick as the old full scan).
             let Some(node) = self
-                .reduce_free_nodes
-                .iter()
-                .find(|&&i| self.node_up(i as usize))
-                .map(|&i| i as usize)
+                .nodes
+                .reduce_free_nodes()
+                .find(|&i| self.node_up(i as usize))
+                .map(|i| i as usize)
             else {
                 return;
             };
             self.pending_reduces.pop_front();
-            self.free_reduce_slots[node] -= 1;
-            if self.free_reduce_slots[node] == 0 {
-                self.reduce_free_nodes.remove(&(node as u32));
+            *self.nodes.free_reduce_mut(node) -= 1;
+            if self.nodes.free_reduce(node) == 0 {
+                self.nodes.index_reduce_free(node, false);
             }
-            self.running_reduces[node] += 1;
+            *self.nodes.running_reduces_mut(node) += 1;
             self.events.push(
                 self.now + dur,
                 Ev::ReduceDone {
@@ -2312,10 +2336,10 @@ impl Engine {
 
     fn on_reduce_done(&mut self, node: u32, job: u32) {
         let ni = node as usize;
-        self.running_reduces[ni] = self.running_reduces[ni].saturating_sub(1);
+        *self.nodes.running_reduces_mut(ni) = self.nodes.running_reduces(ni).saturating_sub(1);
         if self.node_up(ni) {
-            self.free_reduce_slots[ni] += 1;
-            self.reduce_free_nodes.insert(node);
+            *self.nodes.free_reduce_mut(ni) += 1;
+            self.nodes.index_reduce_free(ni, true);
         }
         let js = &mut self.jobs[job as usize];
         debug_assert!(!js.failed, "failed jobs never reach the reduce phase");
@@ -2349,10 +2373,10 @@ impl Engine {
     /// timeout declares it dead — or it rejoins first.
     fn on_node_crash(&mut self, node: u32, permanent: bool, down_secs: u64) {
         let ni = node as usize;
-        if self.crashed[ni] || self.declared[ni] {
+        if self.nodes.crashed(ni) || self.nodes.declared(ni) {
             return; // idempotent: overlapping injections (rack + node)
         }
-        self.crashed[ni] = true;
+        self.nodes.set_crashed(ni, true);
         self.node_epoch[ni] += 1;
         self.active_local_reads[ni] = 0;
         self.scrubbing[ni] = false; // the in-flight pass dies with the node
@@ -2399,10 +2423,15 @@ impl Engine {
                         node: reader,
                     });
                     let ri = reader as usize;
-                    if let Some(p) = self.running_on[ri].iter().position(|&(j, t)| j == job && t == task) {
-                        self.running_on[ri].swap_remove(p);
+                    if let Some(p) = self
+                        .nodes
+                        .running_on(ri)
+                        .iter()
+                        .position(|&(j, t)| j == job && t == task)
+                    {
+                        self.nodes.running_on_mut(ri).swap_remove(p);
                         if self.node_up(ri) {
-                            self.free_map_slots[ri] += 1;
+                            *self.nodes.free_map_mut(ri) += 1;
                         }
                     }
                     let live = &mut self.jobs[job as usize].live_attempts[task as usize];
@@ -2478,17 +2507,17 @@ impl Engine {
     /// namenode's map, and the under-replicated blocks queued for repair.
     fn on_declare_dead(&mut self, node: u32, epoch: u32) {
         let ni = node as usize;
-        if !self.crashed[ni] || self.declared[ni] || self.node_epoch[ni] != epoch {
+        if !self.nodes.crashed(ni) || self.nodes.declared(ni) || self.node_epoch[ni] != epoch {
             return; // rejoined before the timer fired, or already declared
         }
-        self.declared[ni] = true;
+        self.nodes.set_declared(ni, true);
         self.stats.nodes_declared_dead += 1;
-        self.free_map_slots[ni] = 0;
-        self.free_reduce_slots[ni] = 0;
-        self.reduce_free_nodes.remove(&node);
+        *self.nodes.free_map_mut(ni) = 0;
+        *self.nodes.free_reduce_mut(ni) = 0;
+        self.nodes.index_reduce_free(ni, false);
 
         // The JobTracker re-queues everything that was running there.
-        let victims: Vec<(u32, u32)> = std::mem::take(&mut self.running_on[ni]);
+        let victims: Vec<(u32, u32)> = std::mem::take(self.nodes.running_on_mut(ni));
         for (job, task) in victims {
             // The dead node's own registration is already out of
             // `running_on`, so `kill_attempt` can't see it: record the
@@ -2532,16 +2561,16 @@ impl Engine {
     /// resume. Whatever ran there when it went down was lost.
     fn on_node_rejoin(&mut self, node: u32) {
         let ni = node as usize;
-        if !self.crashed[ni] {
+        if !self.nodes.crashed(ni) {
             return;
         }
-        self.crashed[ni] = false;
-        self.declared[ni] = false;
+        self.nodes.set_crashed(ni, false);
+        self.nodes.set_declared(ni, false);
         self.node_epoch[ni] += 1;
         self.stats.nodes_rejoined += 1;
 
         // The tracker restarts the node's interrupted attempts elsewhere.
-        let zombies: Vec<(u32, u32)> = std::mem::take(&mut self.running_on[ni]);
+        let zombies: Vec<(u32, u32)> = std::mem::take(self.nodes.running_on_mut(ni));
         for (job, task) in zombies {
             // As in `on_declare_dead`: this node's registration is already
             // gone from `running_on`, so record the zombie's abort here.
@@ -2559,17 +2588,14 @@ impl Engine {
             }
             self.abort_attempt(job, task, false);
         }
-        self.free_map_slots[ni] = self.cfg.profile.map_slots_per_node;
-        self.free_reduce_slots[ni] = self
+        *self.nodes.free_map_mut(ni) = self.cfg.profile.map_slots_per_node;
+        *self.nodes.free_reduce_mut(ni) = self
             .cfg
             .profile
             .reduce_slots_per_node
-            .saturating_sub(self.running_reduces[ni]);
-        if self.free_reduce_slots[ni] > 0 {
-            self.reduce_free_nodes.insert(node);
-        } else {
-            self.reduce_free_nodes.remove(&node);
-        }
+            .saturating_sub(self.nodes.running_reduces(ni));
+        let free = self.nodes.free_reduce(ni) > 0;
+        self.nodes.index_reduce_free(ni, free);
 
         // Block report: surviving replicas the namenode dropped at
         // declaration become visible again, and may satisfy queued
@@ -2645,19 +2671,25 @@ impl Engine {
                     attempt: aborted,
                     node: f.node,
                 });
-                self.running_on[f.node as usize].retain(|&(j, t)| !(j == job && t == task));
+                self.nodes
+                    .running_on_mut(f.node as usize)
+                    .retain(|&(j, t)| !(j == job && t == task));
                 if self.node_up(f.node as usize) {
-                    self.free_map_slots[f.node as usize] += 1;
+                    *self.nodes.free_map_mut(f.node as usize) += 1;
                 }
             }
         }
         // Attempts in their read/compute phase: clear every registry entry.
-        for n in 0..self.running_on.len() {
-            let before = self.running_on[n].len();
-            self.running_on[n].retain(|&(j, t)| !(j == job && t == task));
-            let removed = before - self.running_on[n].len();
+        for n in 0..self.nodes.len() {
+            // Only nodes running the task are written (and so marked).
+            if !self.nodes.running_on(n).contains(&(job, task)) {
+                continue;
+            }
+            let before = self.nodes.running_on(n).len();
+            self.nodes.running_on_mut(n).retain(|&(j, t)| !(j == job && t == task));
+            let removed = before - self.nodes.running_on(n).len();
             if removed > 0 && self.node_up(n) {
-                self.free_map_slots[n] += removed as u32;
+                *self.nodes.free_map_mut(n) += removed as u32;
             }
             for _ in 0..removed {
                 self.emit(TraceEvent::TaskAborted {
@@ -2904,10 +2936,10 @@ impl Engine {
         if self.lost_blocks.contains(&b.0) {
             return;
         }
-        let n = self.crashed.len();
+        let n = self.nodes.len();
         let any_copy = (0..n).any(|i| self.dfs.is_physically_present(NodeId(i as u32), b));
         if !any_copy {
-            self.lost_blocks.insert(b.0);
+            self.mark_lost(b);
             match cause {
                 LossCause::Crash => self.stats.blocks_lost += 1,
                 LossCause::Corruption => self.stats.blocks_lost_corruption += 1,
@@ -2969,7 +3001,7 @@ impl Engine {
                 // lost when the last holder's disk turns out to be gone.
                 continue;
             }
-            let n = self.crashed.len() as u32;
+            let n = self.nodes.len() as u32;
             let dsts: Vec<NodeId> = (0..n)
                 .filter(|&i| {
                     self.node_up(i as usize)
@@ -2998,7 +3030,7 @@ impl Engine {
                 cross_rack: cross,
                 ctx: FlowCtx::Block { block: b.0 },
             });
-            self.recovery_flows.insert(
+            self.start_recovery_xfer(
                 fid,
                 RecoveryXfer {
                     block: b,
@@ -3069,140 +3101,6 @@ impl Engine {
         }
         self.note_block_under_replicated(b); // still short? go again
         self.pump_recovery();
-    }
-
-    /// Structural invariants, checked after every event when
-    /// `SimConfig::check_invariants` is set. Every check is a named entry
-    /// of the shared [`dare_simcore::check::InvariantId`] catalog, so the
-    /// engine's per-event checks, the property suites, and the bounded
-    /// model checker all report violations under the same names.
-    fn check_invariants(&self) -> Result<(), crate::SimError> {
-        use dare_simcore::check::InvariantId as Inv;
-        let mut inv = dare_simcore::check::Invariants::new();
-        let slots = self.cfg.profile.map_slots_per_node;
-        let rslots = self.cfg.profile.reduce_slots_per_node;
-        for i in 0..self.crashed.len() {
-            if self.node_up(i) {
-                inv.check_id(
-                    Inv::SlotConservation,
-                    self.free_map_slots[i] + self.running_on[i].len() as u32 == slots,
-                    || {
-                        format!(
-                            "node {i}: map slots drifted ({} free + {} running != {slots})",
-                            self.free_map_slots[i],
-                            self.running_on[i].len()
-                        )
-                    },
-                );
-                inv.check_id(
-                    Inv::SlotConservation,
-                    self.free_reduce_slots[i] + self.running_reduces[i] == rslots,
-                    || {
-                        format!(
-                            "node {i}: reduce slots drifted ({} free + {} running != {rslots})",
-                            self.free_reduce_slots[i], self.running_reduces[i]
-                        )
-                    },
-                );
-            } else if self.declared[i] {
-                inv.check_id(Inv::DeclaredImpliesCrashed, self.crashed[i], || {
-                    format!("node {i} declared dead while running")
-                });
-                inv.check_id(
-                    Inv::DeclaredImpliesCrashed,
-                    self.free_map_slots[i] == 0 && self.free_reduce_slots[i] == 0,
-                    || format!("declared node {i} still advertises slots"),
-                );
-            }
-            inv.check_id(
-                Inv::SchedulerIndexSync,
-                (self.free_reduce_slots[i] > 0) == self.reduce_free_nodes.contains(&(i as u32)),
-                || {
-                    format!(
-                        "node {i}: reduce free-node index out of sync ({} free, indexed: {})",
-                        self.free_reduce_slots[i],
-                        self.reduce_free_nodes.contains(&(i as u32))
-                    )
-                },
-            );
-        }
-        inv.check_id(
-            Inv::RecoveryStreamCap,
-            self.recovery_flows.len() <= self.cfg.faults.max_recovery_streams,
-            || {
-                format!(
-                    "{} recovery streams exceed the cap of {}",
-                    self.recovery_flows.len(),
-                    self.cfg.faults.max_recovery_streams
-                )
-            },
-        );
-        // Need-driven repair: every in-flight recovery transfer started
-        // while its block was under-replicated. Sorted for a
-        // deterministic violation report.
-        let mut xfers: Vec<&RecoveryXfer> = self.recovery_flows.values().collect();
-        xfers.sort_unstable_by_key(|r| (r.block, r.dst));
-        for rx in xfers {
-            inv.check_id(
-                Inv::RereplicationConvergence,
-                rx.visible_at_start < self.cfg.dfs.replication_factor,
-                || {
-                    format!(
-                        "repair of block {} to node {} started at {} visible replicas (RF {})",
-                        rx.block.0, rx.dst, rx.visible_at_start, self.cfg.dfs.replication_factor
-                    )
-                },
-            );
-        }
-        for &b0 in &self.lost_blocks {
-            let b = BlockId(b0);
-            let copy = (0..self.crashed.len())
-                .any(|i| self.dfs.is_physically_present(NodeId(i as u32), b));
-            inv.check_id(Inv::LostBlocksUnrecoverable, !copy, || {
-                format!("block {b0} marked lost while a physical copy survives")
-            });
-        }
-        // Master/disk coherence on live nodes: every scheduler-visible
-        // location physically holds the block (a quarantined or evicted
-        // replica must vanish from both sides — no read can be routed to
-        // a node that cannot serve it). Crashed-but-undetected nodes are
-        // exempt: the master's view legitimately lags a silent failure.
-        // Primary locations are bounded by the replication target plus
-        // one per node-rejoin: a rejoining node re-registers primaries
-        // it still holds, and this model (unlike real HDFS) never
-        // deletes the over-replicated excess.
-        let rf = self.cfg.dfs.replication_factor as usize;
-        let primary_cap = rf + self.stats.nodes_rejoined as usize;
-        for i in 0..self.dfs.namenode().num_blocks() {
-            let b = BlockId(i as u64);
-            for &loc in self.dfs.visible_locations(b) {
-                if self.node_up(loc.idx()) {
-                    inv.check_id(
-                        Inv::QuarantineNoReads,
-                        self.dfs.is_physically_present(loc, b),
-                        || {
-                            format!(
-                                "block {} visible on live node {} with no physical replica",
-                                b.0, loc.0
-                            )
-                        },
-                    );
-                }
-            }
-            inv.check_id(
-                Inv::PrimaryWithinRf,
-                self.dfs.namenode().primary_locations(b).len() <= primary_cap,
-                || {
-                    format!(
-                        "block {} holds {} primary locations (RF {rf}, {} rejoin(s))",
-                        b.0,
-                        self.dfs.namenode().primary_locations(b).len(),
-                        self.stats.nodes_rejoined
-                    )
-                },
-            );
-        }
-        inv.into_result().map_err(crate::SimError::InvariantViolation)
     }
 
     /// End-of-run invariants: every job reached a terminal state with
@@ -3983,9 +3881,9 @@ mod tests {
             "heterogeneous disks must trigger backups"
         );
         // Slots never leak: every node ends with its full slot count.
-        for (i, &slots) in engine.free_map_slots.iter().enumerate() {
+        for i in 0..engine.nodes.len() {
             assert_eq!(
-                slots,
+                engine.nodes.free_map(i),
                 engine.cfg.profile.map_slots_per_node,
                 "node {i} leaked slots"
             );

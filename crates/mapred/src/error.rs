@@ -35,6 +35,9 @@ pub enum SimError {
     /// A runtime invariant check (enabled via
     /// `SimConfig::check_invariants`) failed.
     InvariantViolation(String),
+    /// The config, workload or fault plan is invalid for the cluster the
+    /// engine builds (`Engine::try_new`); the message names which.
+    InvalidInput(String),
 }
 
 impl std::fmt::Display for SimError {
@@ -57,6 +60,7 @@ impl std::fmt::Display for SimError {
                 now.as_secs_f64()
             ),
             SimError::InvariantViolation(msg) => write!(f, "invariant violation: {msg}"),
+            SimError::InvalidInput(msg) => f.write_str(msg),
         }
     }
 }

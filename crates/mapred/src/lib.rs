@@ -36,6 +36,7 @@ pub mod engine;
 pub mod error;
 pub mod faults;
 pub mod golden;
+mod nodes;
 pub mod result;
 pub mod scarlett;
 
@@ -63,12 +64,12 @@ pub fn run(cfg: SimConfig, workload: &dare_workload::Workload) -> SimResult {
     Engine::new(cfg, workload).run()
 }
 
-/// Like [`run`], but engine-level faults (a stalled event queue, an
-/// orphaned flow, a violated invariant) come back as a [`SimError`]
-/// instead of a panic.
+/// Like [`run`], but invalid input and engine-level faults (a stalled
+/// event queue, an orphaned flow, a violated invariant) come back as a
+/// [`SimError`] instead of a panic.
 pub fn try_run(
     cfg: SimConfig,
     workload: &dare_workload::Workload,
 ) -> Result<SimResult, SimError> {
-    Engine::new(cfg, workload).try_run()
+    Engine::try_new(cfg, workload)?.try_run()
 }

@@ -595,6 +595,18 @@ mod tests {
         }
     }
 
+    /// The CI sweep's yardsticks. Test builds also cross-check every
+    /// step's incremental invariant check against the full-scan oracle
+    /// (the engine panics on any disagreement).
+    #[test]
+    fn ci_sweep_keeps_its_digest() {
+        let report = explore(&McConfig { depth: 8, ..McConfig::default() }).expect("explore");
+        assert_eq!(report.violations_total, 0);
+        assert_eq!(report.states_explored, 4654);
+        assert_eq!(report.paths_closed, 1881);
+        assert_eq!(report.fingerprint_digest, 0xcb06_2cdd_fccd_73af);
+    }
+
     #[test]
     fn clean_protocol_has_no_violations_at_small_bound() {
         let report = explore(&small(4)).expect("explore");

@@ -16,8 +16,10 @@
 use dare_repro::core::PolicyKind;
 use dare_repro::mapred::config::SpeculationConfig;
 use dare_repro::mapred::scarlett::ScarlettConfig;
-use dare_repro::mapred::{self, FaultPlan, ScannerConfig, SchedulerKind, SimConfig, TelemetryConfig};
-use dare_repro::simcore::{DetRng, SimDuration};
+use dare_repro::mapred::{
+    self, Engine, FaultPlan, ScannerConfig, SchedulerKind, SimConfig, TelemetryConfig,
+};
+use dare_repro::simcore::SimDuration;
 use dare_repro::workload::swim::{synthesize, SwimParams};
 use dare_repro::workload::Workload;
 
@@ -291,23 +293,17 @@ fn build_config(a: &Args) -> Result<SimConfig, String> {
 /// cluster the run will build: structural JSON errors, out-of-range node
 /// or rack indices, overlapping availability windows, and corruption
 /// targets outside the ingested namespace all surface as CLI errors.
+/// The engine itself judges the plan ([`Engine::try_new`]); rack-outage
+/// and partition windows are then checked against the rack membership of
+/// the topology it built.
 fn load_fault_plan(path: &str, cfg: &SimConfig, wl: &Workload) -> Result<FaultPlan, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("could not read fault plan {path}: {e}"))?;
     let plan = FaultPlan::from_json(&text)
         .map_err(|e| format!("invalid fault plan {path}: {e}"))?;
-    plan.validate(cfg.profile.nodes)
-        .map_err(|e| format!("invalid fault plan {path}: {e}"))?;
-    // Rack membership and the block namespace are derived exactly as the
-    // engine will derive them, so validation here means no panic later.
-    let topo = cfg
-        .profile
-        .build_topology(&mut DetRng::new(cfg.seed).substream("topology"));
-    plan.validate_topology(&topo)
-        .map_err(|e| format!("invalid fault plan {path}: {e}"))?;
-    let bs = cfg.dfs.block_size;
-    let blocks: u64 = wl.files.iter().map(|f| f.size_bytes.div_ceil(bs)).sum();
-    plan.validate_blocks(blocks)
+    let eng = Engine::try_new(cfg.clone().with_faults(plan.clone()), wl)
+        .map_err(|e| format!("{path}: {e}"))?;
+    plan.validate_topology(eng.topology())
         .map_err(|e| format!("invalid fault plan {path}: {e}"))?;
     Ok(plan)
 }
