@@ -21,7 +21,7 @@ use crate::harness::{metric, replicate_experiment, MetricCol, RowOrder};
 use dare_core::PolicyKind;
 use dare_mapred::{FaultPlan, FaultSpec, ScannerConfig, SchedulerKind, SimConfig};
 use dare_simcore::parallel::parallel_map;
-use dare_simcore::{DetRng, SimDuration};
+use dare_simcore::SimDuration;
 use dare_workload::swim::{synthesize, SwimParams};
 
 /// One corruption-intensity level of the sweep.
@@ -60,11 +60,7 @@ fn collect(seed: u64, jobs: u32) -> Vec<(Vec<String>, Vec<f64>)> {
     let span = wl.jobs.last().map(|j| j.arrival.as_secs_f64()).unwrap_or(0.0) as u64;
     let horizon = span.max(30) * 3 / 4;
     let base = SimConfig::ec2(PolicyKind::Vanilla, SchedulerKind::fair_default(), seed);
-    let racks = base
-        .profile
-        .build_topology(&mut DetRng::new(seed).substream("topology"))
-        .racks();
-    let nodes = base.profile.nodes;
+    let topo = base.topology();
     // The corruption generator samples block ids over the ingested
     // namespace; derive the block count exactly as ingest will.
     let bs = base.dfs.block_size;
@@ -84,7 +80,7 @@ fn collect(seed: u64, jobs: u32) -> Vec<(Vec<String>, Vec<f64>)> {
                 straggler_factor: 1.0,
                 corruption_rate_per_node_hour: level.rate,
             };
-            FaultPlan::generate_with_blocks(&spec, nodes, racks, blocks, seed ^ ((li as u64) << 32))
+            FaultPlan::generate_valid(&spec, &topo, blocks, seed ^ ((li as u64) << 32))
         });
         for &policy in &policies {
             cells.push((level.label, plan.clone(), policy));

@@ -29,7 +29,6 @@ use crate::harness::csv_path;
 use dare_core::PolicyKind;
 use dare_farm::{aggregate_csv, merged_json, per_cell_csv, run_sweep, Cell, RunOptions, SweepSpec};
 use dare_mapred::{FaultPlan, FaultSpec, SchedulerKind, SimConfig};
-use dare_simcore::DetRng;
 use dare_workload::swim::{synthesize, SwimParams};
 
 /// Metric columns every cell reports, in order.
@@ -128,15 +127,18 @@ pub fn run_cell(cell: &Cell, quick: bool) -> Vec<f64> {
     cfg = cfg.with_speculation(Default::default()).with_invariant_checks();
 
     let level = cell.coord("faults").expect("faults axis");
-    if let Some(fs) = fault_spec(level, horizon) {
-        let racks = cfg
-            .profile
-            .build_topology(&mut DetRng::new(seed).substream("topology"))
-            .racks();
+    if let Some(mut fs) = fault_spec(level, horizon) {
+        let topo = cfg.topology();
+        // On a single-rack cluster a rack outage takes every node down,
+        // so it overlaps any other crash or kill before it ends and no
+        // valid plan has both: the cluster-wide outage is left out.
+        if topo.racks() == 1 {
+            fs.rack_outages = 0;
+        }
         // Distinct plan stream per level tag, mirroring the resilience
         // sweep's `seed ^ (level << 32)` idiom.
         let tag = if level == "light" { 1u64 } else { 2u64 };
-        let plan = FaultPlan::generate(&fs, cfg.profile.nodes, racks, seed ^ (tag << 32));
+        let plan = FaultPlan::generate_valid(&fs, &topo, 0, seed ^ (tag << 32));
         cfg = cfg.with_faults(plan);
     }
 

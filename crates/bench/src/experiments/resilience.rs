@@ -21,7 +21,6 @@ use crate::harness::{metric, replicate_experiment, MetricCol, RowOrder};
 use dare_core::PolicyKind;
 use dare_mapred::{FaultPlan, FaultSpec, SchedulerKind, SimConfig};
 use dare_simcore::parallel::parallel_map;
-use dare_simcore::DetRng;
 use dare_workload::swim::{synthesize, SwimParams};
 
 /// One failure-intensity level of the sweep.
@@ -92,12 +91,8 @@ fn collect(seed: u64, jobs: u32) -> Vec<(Vec<String>, Vec<f64>)> {
     let horizon = span.max(30) * 3 / 4;
     let base = SimConfig::ec2(PolicyKind::Vanilla, SchedulerKind::fair_default(), seed);
     // Fault plans are validated against the topology the engine will
-    // build, so derive the rack count exactly the same way.
-    let racks = base
-        .profile
-        .build_topology(&mut DetRng::new(seed).substream("topology"))
-        .racks();
-    let nodes = base.profile.nodes;
+    // build.
+    let topo = base.topology();
 
     let policies = [
         PolicyKind::Vanilla,
@@ -108,7 +103,7 @@ fn collect(seed: u64, jobs: u32) -> Vec<(Vec<String>, Vec<f64>)> {
     for (li, level) in levels(horizon).into_iter().enumerate() {
         let plan = level
             .spec
-            .map(|s| FaultPlan::generate(&s, nodes, racks, seed ^ ((li as u64) << 32)));
+            .map(|s| FaultPlan::generate_valid(&s, &topo, 0, seed ^ ((li as u64) << 32)));
         for &policy in &policies {
             cells.push((level.label, plan.clone(), policy));
         }

@@ -5,7 +5,6 @@ use crate::ChaosConfig;
 use dare_core::PolicyKind;
 use dare_mapred::{Engine, FaultPlan, SchedulerKind, SimConfig, StepOutcome};
 use dare_net::{ClusterProfile, RackId};
-use dare_simcore::DetRng;
 use dare_workload::swim::{synthesize, SwimParams};
 use dare_workload::Workload;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -37,11 +36,9 @@ impl ChaosEnv {
     /// Derive the shared environment of a campaign.
     pub fn new(cfg: &ChaosConfig) -> ChaosEnv {
         let sim = sim_config(cfg, &FaultPlan::default(), false);
-        let topology = sim
-            .profile
-            .build_topology(&mut DetRng::new(sim.seed).substream("topology"));
+        let topology = sim.topology();
         let racks: Vec<Vec<u32>> = (0..topology.racks())
-            .map(|r| topology.nodes_in_rack(RackId(r)).into_iter().map(|n| n.0).collect())
+            .map(|r| topology.rack_members(RackId(r)).iter().map(|n| n.0).collect())
             .collect();
         // Enough jobs that the cluster stays busy across the fault
         // horizon; trailing faults still dispatch after the last job
@@ -63,20 +60,15 @@ impl ChaosEnv {
 }
 
 /// Build the engine for one plan. The engine rejects a node, rack or
-/// block outside the cluster it builds; rack-outage and partition
-/// windows are then checked for overlap against that cluster's real
-/// rack membership.
+/// block outside the cluster it builds, and rack-outage and partition
+/// windows that overlap another fault on a member node.
 pub fn build_engine(
     cfg: &ChaosConfig,
     env: &ChaosEnv,
     plan: &FaultPlan,
     record_trace: bool,
 ) -> Result<Engine, String> {
-    let eng = Engine::try_new(sim_config(cfg, plan, record_trace), &env.workload)
-        .map_err(|e| e.to_string())?;
-    plan.validate_topology(eng.topology())
-        .map_err(|e| format!("invalid fault plan: {e}"))?;
-    Ok(eng)
+    Engine::try_new(sim_config(cfg, plan, record_trace), &env.workload).map_err(|e| e.to_string())
 }
 
 /// The engine configuration every run uses: vanilla replication and FIFO

@@ -4,7 +4,7 @@
 use crate::datanode::DataNode;
 use crate::ids::{BlockId, FileId};
 use crate::namenode::NameNode;
-use crate::placement::PlacementPolicy;
+use crate::placement::DefaultPlacement;
 use dare_net::{NodeId, Topology};
 use dare_simcore::fnv::{fnv1a_u64, FNV_OFFSET};
 use dare_simcore::{DetRng, SimDuration, SimTime};
@@ -178,7 +178,7 @@ impl Dfs {
         name: String,
         size_bytes: u64,
         writer: Option<NodeId>,
-        placement: &dyn PlacementPolicy,
+        placement: &DefaultPlacement,
         rng: &mut DetRng,
         is_system: bool,
     ) -> FileId {
@@ -190,22 +190,21 @@ impl Dfs {
         if rem > 0 {
             sizes.push(rem);
         }
-        let locs: Vec<Vec<NodeId>> = sizes
-            .iter()
-            .map(|_| placement.place(&self.topo, writer, self.cfg.replication_factor, rng))
-            .collect();
-        let fid = self
-            .nn
-            .register_file(name, size_bytes, sizes.clone(), locs, now, is_system);
-        // Mirror placement into the data nodes.
-        let blocks = self.nn.file(fid).blocks.clone();
-        for (b, sz) in blocks.iter().zip(sizes) {
-            for n in self.nn.primary_locations(*b).to_vec() {
-                self.dns[n.idx()].add_primary(*b, sz);
+        // The name node numbers the file's blocks consecutively from its
+        // current count, so each block is mirrored into the data nodes
+        // as it is placed.
+        let first = self.nn.num_blocks() as u64;
+        let mut locs = Vec::with_capacity(sizes.len());
+        for (i, &sz) in sizes.iter().enumerate() {
+            let b = BlockId(first + i as u64);
+            let nodes = placement.place(&self.topo, writer, self.cfg.replication_factor, rng);
+            for n in &nodes {
+                self.dns[n.idx()].add_primary(b, sz);
             }
-            self.touch(*b);
+            self.touch(b);
+            locs.push(nodes);
         }
-        fid
+        self.nn.register_file(name, size_bytes, sizes, locs, now, is_system)
     }
 
     /// True when a replica of `b` is physically on `node` — including a
@@ -488,7 +487,6 @@ impl Dfs {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::placement::DefaultPlacement;
     use dare_net::MB;
 
     fn small_dfs() -> (Dfs, DetRng) {

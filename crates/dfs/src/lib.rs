@@ -36,4 +36,4 @@ pub mod placement;
 pub use dfs::{Dfs, DfsConfig, FailOutcome, Quarantined};
 pub use ids::{BlockId, FileId};
 pub use namenode::NameNode;
-pub use placement::{DefaultPlacement, PlacementPolicy};
+pub use placement::DefaultPlacement;

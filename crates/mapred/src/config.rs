@@ -4,9 +4,9 @@ use crate::faults::{FaultEvent, FaultPlan};
 use crate::scarlett::ScarlettConfig;
 use dare_core::PolicyKind;
 use dare_dfs::DfsConfig;
-use dare_net::ClusterProfile;
+use dare_net::{ClusterProfile, Topology};
 use dare_sched::fair::FairConfig;
-use dare_simcore::SimDuration;
+use dare_simcore::{DetRng, SimDuration};
 
 /// Which scheduler drives the run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -291,6 +291,14 @@ impl SimConfig {
             profile: ClusterProfile::ec2(),
             ..Self::cct(policy, scheduler, seed)
         }
+    }
+
+    /// The topology the engine builds for this config: the profile's
+    /// shape, drawn from the `"topology"` substream of the seed. Fault
+    /// plans generated for a run are validated against it.
+    pub fn topology(&self) -> Topology {
+        self.profile
+            .build_topology(&mut DetRng::new(self.seed).substream("topology"))
     }
 
     /// Sanity-check parameter ranges.

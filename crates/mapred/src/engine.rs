@@ -572,11 +572,10 @@ impl Engine {
         workload.validate().map_err(|e| invalid("workload", e))?;
         let root = DetRng::new(cfg.seed);
 
-        let mut topo_rng = root.substream("topology");
-        let topo = cfg.profile.build_topology(&mut topo_rng);
+        let topo = cfg.topology();
         let n = topo.nodes() as usize;
         cfg.faults
-            .validate_racks(topo.racks())
+            .validate_topology(&topo)
             .map_err(|e| invalid("fault plan", e))?;
 
         let mut cap_rng = root.substream("capacities");
@@ -752,7 +751,7 @@ impl Engine {
                     rack,
                     down_secs,
                 } => {
-                    for nid in dfs.topology().nodes_in_rack(dare_net::RackId(rack)) {
+                    for &nid in dfs.topology().rack_members(dare_net::RackId(rack)) {
                         events.push(
                             SimTime::from_secs(at_secs),
                             Ev::NodeCrash {
@@ -790,7 +789,7 @@ impl Engine {
                     ..
                 } => {
                     for &rack in racks_b {
-                        for nid in dfs.topology().nodes_in_rack(dare_net::RackId(rack)) {
+                        for &nid in dfs.topology().rack_members(dare_net::RackId(rack)) {
                             events.push(
                                 SimTime::from_secs(at_secs),
                                 Ev::NodeCrash {
@@ -3784,10 +3783,9 @@ mod tests {
                 straggler_factor: 3.0,
                 corruption_rate_per_node_hour: 0.0,
             };
-            let plan = crate::FaultPlan::generate(&spec, 99, 40, 0xFA57);
-            let cfg = SimConfig::ec2(PolicyKind::GreedyLru, SchedulerKind::fair_default(), 95)
-                .with_faults(plan)
-                .with_invariant_checks();
+            let cfg = SimConfig::ec2(PolicyKind::GreedyLru, SchedulerKind::fair_default(), 95);
+            let plan = crate::FaultPlan::generate_valid(&spec, &cfg.topology(), 0, 0xFA57);
+            let cfg = cfg.with_faults(plan).with_invariant_checks();
             crate::run(cfg, &wl)
         };
         let a = run();
@@ -3850,6 +3848,31 @@ mod tests {
             rescued.run.gmtt_secs,
             degraded.run.gmtt_secs
         );
+    }
+
+    #[test]
+    fn build_rejects_a_rack_outage_overlapping_a_member_crash() {
+        // A crash inside a rack outage's window on a member node has no
+        // defined epoch order; the engine rejects it against the
+        // topology it builds (CCT: one rack holding every node).
+        let wl = tiny_workload(2, 2, 4);
+        let overlap = crate::FaultPlan {
+            events: vec![
+                crate::FaultEvent::RackOutage { at_secs: 20, rack: 0, down_secs: 30 },
+                crate::FaultEvent::Crash { at_secs: 30, node: 2, down_secs: 5 },
+            ],
+            ..crate::FaultPlan::default()
+        };
+        let cfg = SimConfig::cct(PolicyKind::Vanilla, SchedulerKind::Fifo, 1);
+        assert!(overlap.validate(cfg.profile.nodes).is_ok(), "node-only checks pass");
+        let err = Engine::try_new(cfg.clone().with_faults(overlap.clone()), &wl)
+            .err()
+            .expect("overlap rejected");
+        assert!(err.to_string().contains("overlapping"), "got: {err}");
+        // The crash after the outage heals is fine.
+        let mut later = overlap;
+        later.events[1] = crate::FaultEvent::Crash { at_secs: 60, node: 2, down_secs: 5 };
+        assert!(Engine::try_new(cfg.with_faults(later), &wl).is_ok());
     }
 
     #[test]
@@ -4472,8 +4495,9 @@ mod tests {
                 straggler_factor: 3.0,
                 corruption_rate_per_node_hour: 40.0,
             };
-            let plan = crate::FaultPlan::generate_with_blocks(&spec, 19, 2, 24, 0xB17F117);
-            let cfg = SimConfig::cct(PolicyKind::GreedyLru, SchedulerKind::fair_default(), 41)
+            let cfg = SimConfig::cct(PolicyKind::GreedyLru, SchedulerKind::fair_default(), 41);
+            let plan = crate::FaultPlan::generate_valid(&spec, &cfg.topology(), 24, 0xB17F117);
+            let cfg = cfg
                 .with_scanner(crate::ScannerConfig {
                     period: SimDuration::from_secs(45),
                     bytes_per_sec: 16 * MB,

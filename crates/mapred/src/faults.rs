@@ -11,6 +11,7 @@
 //! `(spec, seed)` pair always yields an identical plan, and an *empty*
 //! plan leaves every other random stream in the simulator untouched.
 
+use dare_net::{RackId, Topology};
 use dare_simcore::DetRng;
 
 /// One scheduled fault.
@@ -339,14 +340,14 @@ impl FaultPlan {
     /// range, and rack-outage windows — expanded to every member node —
     /// do not overlap any other availability fault on those nodes (e.g. a
     /// `Crash` inside a `RackOutage` window for a node of that rack).
-    pub fn validate_topology(&self, topo: &dare_net::Topology) -> Result<(), String> {
+    pub fn validate_topology(&self, topo: &Topology) -> Result<(), String> {
         self.validate_racks(topo.racks())?;
         let mut windows: Vec<(u32, u64, u64)> = Vec::new();
         for ev in &self.events {
             match *ev {
                 FaultEvent::RackOutage { rack, .. } => {
                     let (s, e) = ev.window().expect("rack outage has a window");
-                    for n in topo.nodes_in_rack(dare_net::RackId(rack)) {
+                    for n in topo.rack_members(RackId(rack)) {
                         windows.push((n.0, s, e));
                     }
                 }
@@ -361,7 +362,7 @@ impl FaultPlan {
                 } => {
                     let (s, e) = (at_secs, at_secs.saturating_add(heal_secs));
                     for &rack in racks_b {
-                        for n in topo.nodes_in_rack(dare_net::RackId(rack)) {
+                        for n in topo.rack_members(RackId(rack)) {
                             windows.push((n.0, s, e));
                         }
                     }
@@ -495,6 +496,35 @@ impl FaultPlan {
             events,
             ..FaultPlan::default()
         }
+    }
+
+    /// [`FaultPlan::generate_with_blocks`] for the cluster `topo`, kept
+    /// only once it is a plan the engine accepts there. The generator can
+    /// overlap a rack outage with another fault on one of the rack's
+    /// nodes, which [`FaultPlan::validate_topology`] rejects. The plan
+    /// for `seed` is returned as it is when valid; only an invalid one is
+    /// redrawn, from the `"fault-plan-redraw"` substreams of `seed`.
+    ///
+    /// # Panics
+    ///
+    /// When no valid plan turns up in 1000 draws: the spec's faults
+    /// (almost) never fit on this cluster without overlapping, as with
+    /// rack outages and crashes on a one-rack cluster.
+    pub fn generate_valid(spec: &FaultSpec, topo: &Topology, blocks: u64, seed: u64) -> FaultPlan {
+        const DRAWS: u64 = 1000;
+        let root = DetRng::new(seed);
+        (0..DRAWS)
+            .map(|i| match i {
+                0 => seed,
+                _ => root.substream_idx("fault-plan-redraw", i).next_u64(),
+            })
+            .map(|s| Self::generate_with_blocks(spec, topo.nodes(), topo.racks(), blocks, s))
+            .find(|p| {
+                p.validate(topo.nodes()).is_ok()
+                    && p.validate_topology(topo).is_ok()
+                    && p.validate_blocks(blocks).is_ok()
+            })
+            .unwrap_or_else(|| panic!("no valid fault plan for seed {seed} in {DRAWS} draws"))
     }
 }
 
@@ -1479,6 +1509,36 @@ mod tests {
         // The same crash on the master's side is fine — side A stays up.
         p.events[1] = FaultEvent::Crash { at_secs: 30, node: 2, down_secs: 5 };
         assert!(p.validate_topology(&topo).is_ok());
+    }
+
+    #[test]
+    fn generate_valid_keeps_a_valid_plan_and_redraws_an_invalid_one() {
+        // One rack of 6 nodes: a rack outage takes every node down, so it
+        // overlaps any crash or kill that starts before it ends.
+        let topo = Topology::single_rack(6);
+        let spec = FaultSpec {
+            horizon_secs: 200,
+            kills: 0,
+            crashes: 2,
+            rack_outages: 1,
+            ..FaultSpec::default()
+        };
+        let valid = |p: &FaultPlan| p.validate(6).is_ok() && p.validate_topology(&topo).is_ok();
+        let (good, bad): (Vec<u64>, Vec<u64>) =
+            (0..64).partition(|&s| valid(&FaultPlan::generate(&spec, 6, 1, s)));
+        assert!(!good.is_empty() && !bad.is_empty(), "the spec draws both kinds");
+        for s in good {
+            assert_eq!(
+                FaultPlan::generate_valid(&spec, &topo, 0, s),
+                FaultPlan::generate(&spec, 6, 1, s),
+                "seed {s}: a valid plan is kept as drawn"
+            );
+        }
+        for s in bad {
+            let p = FaultPlan::generate_valid(&spec, &topo, 0, s);
+            assert!(valid(&p), "seed {s}: redrawn plan is valid");
+            assert_eq!(p, FaultPlan::generate_valid(&spec, &topo, 0, s), "deterministic");
+        }
     }
 
     #[test]

@@ -51,7 +51,11 @@ struct Placement {
 #[derive(Debug, Clone)]
 pub struct Topology {
     placements: Vec<Placement>,
-    racks: u32,
+    /// Every rack's members, ascending, concatenated in rack order: rack
+    /// `r` owns `members[rack_start[r]..rack_start[r + 1]]`, so there are
+    /// `rack_start.len() - 1` racks.
+    members: Vec<NodeId>,
+    rack_start: Vec<u32>,
     /// Hops between distinct nodes in the same rack.
     hops_same_rack: u32,
     /// Hops between nodes in different racks of the same pod.
@@ -68,19 +72,13 @@ impl Topology {
     /// distinct nodes is one hop apart through the top-of-rack switch.
     pub fn single_rack(nodes: u32) -> Self {
         assert!(nodes > 0);
-        Topology {
-            placements: (0..nodes)
-                .map(|_| Placement {
-                    rack: RackId(0),
-                    pod: 0,
-                })
-                .collect(),
-            racks: 1,
-            hops_same_rack: 1,
-            hops_same_pod: 1,
-            hops_cross_pod: 1,
-            extra_hop_prob: 0.0,
-        }
+        let placements = (0..nodes)
+            .map(|_| Placement {
+                rack: RackId(0),
+                pod: 0,
+            })
+            .collect();
+        Topology::with_members(placements, 1, [1, 1, 1], 0.0)
     }
 
     /// Multi-rack virtualized cluster (EC2-like): `nodes` instances are
@@ -100,14 +98,7 @@ impl Topology {
                 }
             })
             .collect();
-        Topology {
-            placements,
-            racks,
-            hops_same_rack: 2,
-            hops_same_pod: 4,
-            hops_cross_pod: 6,
-            extra_hop_prob: 0.25,
-        }
+        Topology::with_members(placements, racks, [2, 4, 6], 0.25)
     }
 
     /// Explicit placement (tests and custom scenarios): `racks_of[i]` is the
@@ -122,13 +113,36 @@ impl Topology {
                 pod: r / racks_per_pod,
             })
             .collect();
+        let same_rack = if racks == 1 { 1 } else { 2 };
+        Topology::with_members(placements, racks, [same_rack, 4, 6], 0.0)
+    }
+
+    /// Assemble a topology and index each rack's members once. `hops` is
+    /// the same-rack, same-pod and cross-pod hop count.
+    fn with_members(
+        placements: Vec<Placement>,
+        racks: u32,
+        hops: [u32; 3],
+        extra_hop_prob: f64,
+    ) -> Self {
+        let mut rack_start = vec![0u32; racks as usize + 1];
+        for p in &placements {
+            rack_start[p.rack.idx() + 1] += 1;
+        }
+        for r in 0..racks as usize {
+            rack_start[r + 1] += rack_start[r];
+        }
+        // A stable sort keeps each rack's members in node order.
+        let mut members: Vec<NodeId> = (0..placements.len() as u32).map(NodeId).collect();
+        members.sort_by_key(|m| placements[m.idx()].rack);
         Topology {
             placements,
-            racks,
-            hops_same_rack: if racks == 1 { 1 } else { 2 },
-            hops_same_pod: 4,
-            hops_cross_pod: 6,
-            extra_hop_prob: 0.0,
+            members,
+            rack_start,
+            hops_same_rack: hops[0],
+            hops_same_pod: hops[1],
+            hops_cross_pod: hops[2],
+            extra_hop_prob,
         }
     }
 
@@ -139,7 +153,7 @@ impl Topology {
 
     /// Number of racks.
     pub fn racks(&self) -> u32 {
-        self.racks
+        self.rack_start.len() as u32 - 1
     }
 
     /// Rack of a node.
@@ -192,14 +206,15 @@ impl Topology {
         h
     }
 
-    /// All nodes in rack `r`, ascending.
-    pub fn nodes_in_rack(&self, r: RackId) -> Vec<NodeId> {
-        self.placements
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.rack == r)
-            .map(|(i, _)| NodeId(i as u32))
-            .collect()
+    /// All nodes in rack `r`, ascending (empty for a rack no node landed
+    /// in). A borrow of a list built with the topology.
+    ///
+    /// # Panics
+    ///
+    /// When `r` is not below [`Topology::racks`].
+    pub fn rack_members(&self, r: RackId) -> &[NodeId] {
+        let (lo, hi) = (self.rack_start[r.idx()], self.rack_start[r.idx() + 1]);
+        &self.members[lo as usize..hi as usize]
     }
 }
 
@@ -276,12 +291,23 @@ mod tests {
     }
 
     #[test]
-    fn nodes_in_rack_lists_members() {
+    fn rack_members_lists_members() {
         let t = Topology::explicit(vec![0, 1, 0, 1, 0], 1);
-        assert_eq!(
-            t.nodes_in_rack(RackId(0)),
-            vec![NodeId(0), NodeId(2), NodeId(4)]
-        );
-        assert_eq!(t.nodes_in_rack(RackId(1)), vec![NodeId(1), NodeId(3)]);
+        assert_eq!(t.rack_members(RackId(0)), [NodeId(0), NodeId(2), NodeId(4)]);
+        assert_eq!(t.rack_members(RackId(1)), [NodeId(1), NodeId(3)]);
+        // Rack 1 of 3 is empty; every node is listed exactly once.
+        let t = Topology::explicit(vec![2, 0, 2, 2], 1);
+        assert!(t.rack_members(RackId(1)).is_empty());
+        assert_eq!(t.rack_members(RackId(2)), [NodeId(0), NodeId(2), NodeId(3)]);
+        let mut rng = DetRng::new(9);
+        let t = Topology::virtualized(50, 20, 4, &mut rng);
+        let mut seen = 0;
+        for r in 0..t.racks() {
+            let m = t.rack_members(RackId(r));
+            assert!(m.windows(2).all(|w| w[0] < w[1]), "ascending");
+            assert!(m.iter().all(|&n| t.rack_of(n) == RackId(r)));
+            seen += m.len();
+        }
+        assert_eq!(seen, 50);
     }
 }

@@ -139,14 +139,15 @@ fn fault_plan_engine_matches_naive_scan() {
         straggler_factor: 4.0,
         corruption_rate_per_node_hour: 0.0,
     };
-    let plan = FaultPlan::generate(&spec, 99, 40, 0xD1FF);
     let cfg = SimConfig::ec2(
         PolicyKind::GreedyLru,
         SchedulerKind::fair_default(),
         13,
-    )
-    .with_speculation(Default::default())
-    .with_faults(plan)
-    .with_invariant_checks();
+    );
+    let plan = FaultPlan::generate_valid(&spec, &cfg.topology(), 0, 0xD1FF);
+    let cfg = cfg
+        .with_speculation(Default::default())
+        .with_faults(plan)
+        .with_invariant_checks();
     run_pair(cfg, &wl, "fault plan ec2 fair");
 }

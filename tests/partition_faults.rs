@@ -26,16 +26,12 @@ fn partition_heal_reconciles_exactly_like_rejoin() {
     // Cut off the most populated rack so the partition takes out several
     // nodes at once; the master's side is any other rack.
     let rack_b = (0..topo.racks())
-        .max_by_key(|&r| topo.nodes_in_rack(RackId(r)).len())
+        .max_by_key(|&r| topo.rack_members(RackId(r)).len())
         .expect("profile has racks");
     let rack_a = (0..topo.racks())
-        .find(|&r| r != rack_b && !topo.nodes_in_rack(RackId(r)).is_empty())
+        .find(|&r| r != rack_b && !topo.rack_members(RackId(r)).is_empty())
         .expect("at least two populated racks");
-    let cut: Vec<u32> = topo
-        .nodes_in_rack(RackId(rack_b))
-        .into_iter()
-        .map(|n| n.0)
-        .collect();
+    let cut: Vec<u32> = topo.rack_members(RackId(rack_b)).iter().map(|n| n.0).collect();
     assert!(cut.len() >= 2, "want a multi-node cut, got {cut:?}");
 
     // Heal after 45 s: past the 30 s declare-dead timeout (3 s heartbeat

@@ -126,13 +126,8 @@ fn faulty_runs_reach_terminal_states() {
             .iter()
             .map(|f| f.size_bytes.div_ceil(cfg.dfs.block_size))
             .sum();
-        let plan = mapred::FaultPlan::generate_with_blocks(
-            &spec,
-            19,
-            1,
-            blocks,
-            g.u64_in(0..1_000_000),
-        );
+        let plan =
+            mapred::FaultPlan::generate_valid(&spec, &cfg.topology(), blocks, g.u64_in(0..1_000_000));
         let corruptions = plan
             .events
             .iter()
