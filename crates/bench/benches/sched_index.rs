@@ -10,10 +10,13 @@
 //!
 //! Also measures, with a counting global allocator, heap allocations per
 //! scheduling probe: `classify` and the queue's `pick_best_for` must not
-//! allocate at all on the borrow-based lookup path.
+//! allocate at all on the borrow-based lookup path. And per map task over
+//! warmed add → take → complete → retire cycles of the job queue: once
+//! its recycled storage has grown, a job's whole life allocates nothing.
 //!
 //! Emits machine-readable results to `results/BENCH_sched.json` and
-//! fails loudly if the indexed path is not at least 2× faster.
+//! fails loudly if the indexed path is not at least 2× faster or if any
+//! of the three allocation counts is above zero.
 
 use dare_bench::microbench::{black_box, Runner};
 use dare_core::PolicyKind;
@@ -180,6 +183,77 @@ fn offer_replay(r: &mut Runner, topo: &Topology, lookup: &TableLookup) -> Vec<Pa
         .collect()
 }
 
+/// Job sizes (map tasks) of one job-lifecycle cycle: SWIM-like small jobs
+/// and one large one.
+const CYCLE_SIZES: [usize; 6] = [1, 3, 2, 5, 1, 120];
+/// Block layouts the cycles rotate through, so jobs of one size meet
+/// different node and rack sets.
+const CYCLE_LAYOUTS: u64 = 8;
+
+/// One add → take → complete → retire cycle: the `CYCLE_SIZES` jobs
+/// arrive together, the Fair scheduler drains them through round-robin
+/// slot offers (each launched task completes at once), and every job
+/// retires. Returns the map tasks run.
+fn lifecycle_cycle(
+    q: &mut JobQueue,
+    sched: &mut FairScheduler,
+    cycle: u64,
+    lookup: &TableLookup,
+    topo: &Topology,
+) -> u64 {
+    let first = cycle as u32 * CYCLE_SIZES.len() as u32;
+    for (k, &size) in CYCLE_SIZES.iter().enumerate() {
+        let salt = (cycle % CYCLE_LAYOUTS) * 97 + k as u64 * 13;
+        let tasks = (0..size).map(|t| PendingTask {
+            task: TaskId(t as u32),
+            block: BlockId((salt + t as u64 * 17) % BLOCKS),
+        });
+        q.add_job(
+            JobId(first + k as u32),
+            SimTime::from_secs(cycle),
+            tasks,
+            lookup,
+            topo,
+        );
+    }
+    let mut ran = 0u64;
+    let mut n = 0u32;
+    while q.has_pending() {
+        let node = NodeId(n % topo.nodes());
+        n += 1;
+        if let Some(a) = sched.pick_map(q, node, lookup, topo, SimTime::ZERO) {
+            q.on_map_complete(a.job);
+            ran += 1;
+        }
+    }
+    for k in 0..CYCLE_SIZES.len() as u32 {
+        q.retire_job(JobId(first + k));
+    }
+    ran
+}
+
+/// Warm-up cycles before counting. Recycled position lists change owner
+/// from job to job and grow to the largest length they meet; on this mix
+/// the last such growth happens around cycle 80.
+const WARM_CYCLES: u64 = 256;
+
+/// Allocation events per map task over `cycles` job-lifecycle cycles,
+/// after `WARM_CYCLES` warm-up cycles — must be 0.0.
+fn allocs_per_map_task(cycles: u64, lookup: &TableLookup, topo: &Topology) -> f64 {
+    let total_jobs = (WARM_CYCLES + cycles) as usize * CYCLE_SIZES.len();
+    let mut q = JobQueue::with_job_capacity(total_jobs);
+    let mut sched = FairScheduler::new();
+    for c in 0..WARM_CYCLES {
+        lifecycle_cycle(&mut q, &mut sched, c, lookup, topo);
+    }
+    let before = ALLOC_EVENTS.load(Ordering::Relaxed);
+    let mut tasks = 0;
+    for c in WARM_CYCLES..WARM_CYCLES + cycles {
+        tasks += lifecycle_cycle(&mut q, &mut sched, c, lookup, topo);
+    }
+    (ALLOC_EVENTS.load(Ordering::Relaxed) - before) as f64 / tasks as f64
+}
+
 /// Allocation events per probe over `n` probes of `f` — must be 0.0 for
 /// the zero-allocation acceptance check.
 fn allocs_per_probe(n: u64, mut f: impl FnMut(u64)) -> f64 {
@@ -251,7 +325,7 @@ fn main() {
             ));
         })
     };
-    let q = fill_queue(&lookup, &topo);
+    let mut q = fill_queue(&lookup, &topo);
     let probe_allocs = allocs_per_probe(100_000, |i| {
         black_box(q.pick_best_for(
             JobId((i % JOBS as u64) as u32),
@@ -261,6 +335,8 @@ fn main() {
     });
     println!("classify allocations/probe:      {classify_allocs}");
     println!("pick_best_for allocations/probe: {probe_allocs}");
+    let task_allocs = allocs_per_map_task(if r.quick { 256 } else { 2048 }, &lookup, &topo);
+    println!("job lifecycle allocations/task:  {task_allocs}");
 
     // -- End-to-end engine wall clock on the EC2 profile. ---------------
     let engine = engine_wallclock(&mut r);
@@ -288,7 +364,7 @@ fn main() {
         engine.scheduler, engine.naive_ns, engine.indexed_ns, engine.speedup()
     ));
     json.push_str(&format!(
-        "  \"classify_allocs_per_probe\": {classify_allocs},\n  \"pick_probe_allocs_per_probe\": {probe_allocs}\n}}\n"
+        "  \"classify_allocs_per_probe\": {classify_allocs},\n  \"pick_probe_allocs_per_probe\": {probe_allocs},\n  \"lifecycle_allocs_per_map_task\": {task_allocs}\n}}\n"
     ));
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../../results/BENCH_sched.json");
@@ -298,6 +374,10 @@ fn main() {
     // -- Acceptance gates. ----------------------------------------------
     assert_eq!(classify_allocs, 0.0, "classify must not heap-allocate");
     assert_eq!(probe_allocs, 0.0, "pick_best_for must not heap-allocate");
+    assert_eq!(
+        task_allocs, 0.0,
+        "a warmed job lifecycle (add, take, complete, retire) must not heap-allocate"
+    );
     for p in &pairs {
         assert!(
             p.speedup() >= 2.0,

@@ -54,13 +54,24 @@ impl Table {
         }
     }
 
-    /// Serialize as CSV.
+    /// Serialize as CSV (RFC 4180): a field holding `,`, `"` or a
+    /// newline is quoted, with its quotes doubled; every other field is
+    /// written as is.
     pub fn to_csv(&self) -> String {
         let mut s = String::new();
-        s.push_str(&self.header.join(","));
-        s.push('\n');
-        for r in &self.rows {
-            s.push_str(&r.join(","));
+        for line in std::iter::once(&self.header).chain(&self.rows) {
+            for (i, field) in line.iter().enumerate() {
+                if i > 0 {
+                    s.push(',');
+                }
+                if field.contains([',', '"', '\n', '\r']) {
+                    s.push('"');
+                    s.push_str(&field.replace('"', "\"\""));
+                    s.push('"');
+                } else {
+                    s.push_str(field);
+                }
+            }
             s.push('\n');
         }
         s
@@ -332,6 +343,31 @@ mod tests {
         let csv = t.to_csv();
         assert_eq!(csv, "a,b\n1,x\n2,y\n");
         t.print(); // smoke: must not panic
+    }
+
+    #[test]
+    fn csv_quotes_fields_with_separators() {
+        let mut t = Table::new("demo", &["policy", "locality"]);
+        t.row(vec!["elephant-trap(p=0.3,thr=1)".into(), "0.5".into()]);
+        t.row(vec!["say \"hi\"".into(), "a\nb".into()]);
+        let csv = t.to_csv();
+        assert_eq!(
+            csv,
+            "policy,locality\n\"elephant-trap(p=0.3,thr=1)\",0.5\n\"say \"\"hi\"\"\",\"a\nb\"\n"
+        );
+        // A comma inside a quoted field does not split it: the first data
+        // row has exactly as many fields as the header.
+        let first = csv.lines().nth(1).expect("data row");
+        let mut fields = 0;
+        let mut quoted = false;
+        for c in first.chars() {
+            match c {
+                '"' => quoted = !quoted,
+                ',' if !quoted => fields += 1,
+                _ => {}
+            }
+        }
+        assert_eq!(fields + 1, t.header.len());
     }
 
     #[test]

@@ -345,6 +345,8 @@ pub struct Engine {
     profiler: Option<Box<Profiler>>,
     /// Logical events processed (see `SimResult::logical_events`).
     logical_events: u64,
+    /// Map-slot offers made to the scheduler (see `SimResult::sched_offers`).
+    sched_offers: u64,
     /// What the per-event invariant check re-visits next (armed runs).
     marks: check::Marks,
 }
@@ -847,7 +849,7 @@ impl Engine {
             dfs,
             flows,
             scheduler,
-            queue: JobQueue::new(),
+            queue: JobQueue::with_job_capacity(jobs.len()),
             policies,
             policy_rngs,
             jobs,
@@ -903,6 +905,7 @@ impl Engine {
             },
             profiler: cfg.self_profile.then(|| Box::new(Profiler::new())),
             logical_events: 0,
+            sched_offers: 0,
             marks,
             cfg,
         })
@@ -1580,19 +1583,13 @@ impl Engine {
             maps: self.jobs[j as usize].blocks.len() as u32,
         });
         let job = &self.jobs[j as usize];
-        let tasks: Vec<PendingTask> = job
-            .blocks
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| PendingTask {
-                task: TaskId(i as u32),
-                block: b,
-            })
-            .collect();
-        let arrival = job.arrival;
+        let tasks = job.blocks.iter().enumerate().map(|(i, &b)| PendingTask {
+            task: TaskId(i as u32),
+            block: b,
+        });
         self.queue.add_job(
             JobId(j),
-            arrival,
+            job.arrival,
             tasks,
             &DfsLookup(&self.dfs),
             self.dfs.topology(),
@@ -1647,6 +1644,7 @@ impl Engine {
     /// back to a speculative backup when no regular work fits.
     fn service_map_slots(&mut self, node: u32) {
         while self.nodes.free_map(node as usize) > 0 {
+            self.sched_offers += 1;
             let assignment = {
                 let lookup = DfsLookup(&self.dfs);
                 self.scheduler.pick_map(
@@ -3304,6 +3302,8 @@ impl Engine {
             telemetry,
             profile,
             logical_events: self.logical_events,
+            sched_offers: self.sched_offers,
+            sched_probes: self.queue.probes(),
             dfs_fingerprint,
         }
     }
@@ -3476,6 +3476,19 @@ mod tests {
             a.run.gmtt_secs != c.run.gmtt_secs || a.replicas_created != c.replicas_created,
             "different seeds should differ somewhere"
         );
+    }
+
+    #[test]
+    fn scheduler_work_counters_repeat_per_seed() {
+        for sched in [SchedulerKind::Fifo, SchedulerKind::fair_default()] {
+            let a = run_cfg(PolicyKind::GreedyLru, sched, 11);
+            let b = run_cfg(PolicyKind::GreedyLru, sched, 11);
+            assert_eq!(a.sched_offers, b.sched_offers, "{sched:?}: offers");
+            assert_eq!(a.sched_probes, b.sched_probes, "{sched:?}: probes");
+            // Every launched map was one accepted offer and one probe.
+            assert!(a.sched_offers >= a.run.maps, "{sched:?}");
+            assert!(a.sched_probes >= a.run.maps, "{sched:?}");
+        }
     }
 
     #[test]

@@ -55,6 +55,14 @@ pub struct SimResult {
     /// services (the per-node work it replaces), so throughput is
     /// comparable between batched and per-node heartbeat runs.
     pub logical_events: u64,
+    /// Map-slot offers made to the scheduler: one per `pick_map` call,
+    /// whether or not it launched a task.
+    pub sched_offers: u64,
+    /// Jobs the scheduler examined across those offers: each lookup of a
+    /// job's best pending task for the offered node
+    /// (`JobQueue::pick_best_for` on a job with pending work). Zero under
+    /// the naive-scan oracle schedulers, which do not use the index.
+    pub sched_probes: u64,
     /// FNV-1a fingerprint of the DFS's final physical replica map (every
     /// datanode's held blocks plus their dynamic/primary status). Two runs
     /// with identical placement end with identical fingerprints, which is

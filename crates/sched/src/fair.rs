@@ -18,15 +18,16 @@
 //! cluster this approximates the 5-15 s wait times Zaharia et al. found
 //! sufficient for near-perfect locality.
 //!
-//! The deficit order comes from the queue's incrementally-maintained
-//! `BTreeSet` ([`JobQueue::deficit_order_into`], filled into a reusable
-//! scratch buffer) and per-job task selection from the locality index
-//! ([`JobQueue::pick_best_for`]) — no sort and no allocation per offer.
-//! [`crate::oracle::NaiveFairScheduler`] keeps the original
-//! sort-plus-scan for the differential tests.
+//! The deficit order is the queue's incrementally maintained sorted key
+//! vector, walked in place (`JobQueue::deficit_nth`) until the first job
+//! accepts; per-job task selection comes from the locality index
+//! ([`JobQueue::pick_best_for`]). An offer sorts, copies and allocates
+//! nothing, and examines exactly the jobs a sort-then-scan would: the
+//! declined jobs before the taker. [`crate::oracle::NaiveFairScheduler`]
+//! keeps the original sort-plus-scan for the differential tests.
 
 use crate::locality::Locality;
-use crate::queue::{Assignment, JobId, JobQueue};
+use crate::queue::{Assignment, JobQueue};
 use crate::{LocationLookup, Scheduler, SkipDecision};
 use dare_net::{NodeId, Topology};
 use dare_simcore::SimTime;
@@ -52,8 +53,6 @@ impl Default for FairConfig {
 #[derive(Debug, Default)]
 pub struct FairScheduler {
     cfg: FairConfig,
-    /// Reused across offers so the steady state allocates nothing.
-    order_scratch: Vec<JobId>,
     /// When true, declined opportunities are pushed onto `skip_log`.
     trace: bool,
     /// Skip decisions awaiting a [`Scheduler::drain_skips`] call.
@@ -71,7 +70,6 @@ impl FairScheduler {
         assert!(cfg.d1 <= cfg.d2, "rack threshold must not exceed any");
         FairScheduler {
             cfg,
-            order_scratch: Vec::new(),
             trace: false,
             skip_log: Vec::new(),
         }
@@ -93,35 +91,34 @@ impl Scheduler for FairScheduler {
         _now: SimTime,
     ) -> Option<Assignment> {
         // Deficit order: fewest running maps first, then arrival order.
-        let mut order = std::mem::take(&mut self.order_scratch);
-        queue.deficit_order_into(&mut order);
-
-        let mut picked = None;
-        for &job_id in &order {
-            let (idx, loc) = queue
-                .pick_best_for(job_id, node, topo)
-                .expect("listed jobs have pending work");
-            let skip_count = queue.job(job_id).expect("job exists").skip_count;
+        // Skips only touch `skip_count`, so the order holds for the walk.
+        let mut k = 0;
+        while let Some(job_id) = queue.deficit_nth(k) {
+            k += 1;
+            let Some((idx, loc)) = queue.pick_best_for(job_id, node, topo) else {
+                continue; // nothing pending: all its maps are running
+            };
+            let job = queue.job_mut(job_id).expect("job exists");
+            let skip_count = job.skip_count;
             let allowed = match loc {
                 Locality::NodeLocal => true,
                 Locality::RackLocal => skip_count >= self.cfg.d1,
                 Locality::Remote => skip_count >= self.cfg.d2,
             };
             if allowed {
-                let job = queue.job_mut(job_id).expect("job exists");
                 // Launching locally resets patience; a forced non-local
                 // launch also resets it (the job got its slot).
                 job.skip_count = 0;
                 let t = queue.take_task(job_id, idx);
-                picked = Some(Assignment {
+                return Some(Assignment {
                     job: job_id,
                     task: t.task,
                     block: t.block,
                     locality: loc,
                 });
-                break;
             }
             // Skip: remember the declined opportunity, try the next job.
+            job.skip_count += 1;
             if self.trace {
                 self.skip_log.push(SkipDecision {
                     job: job_id,
@@ -130,10 +127,8 @@ impl Scheduler for FairScheduler {
                     skips: skip_count,
                 });
             }
-            queue.job_mut(job_id).expect("job exists").skip_count += 1;
         }
-        self.order_scratch = order;
-        picked
+        None
     }
 
     fn name(&self) -> &'static str {
@@ -155,7 +150,7 @@ impl Scheduler for FairScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::{PendingTask, TaskId};
+    use crate::queue::{JobId, PendingTask, TaskId};
     use crate::TableLookup;
     use dare_dfs::BlockId;
 

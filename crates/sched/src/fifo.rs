@@ -13,9 +13,11 @@
 //! `replication_factor / cluster_size` for small jobs.
 //!
 //! Task selection is answered by the queue's locality index
-//! ([`JobQueue::pick_best_for`]) in O(log pending) without touching the
-//! per-task location lists; [`crate::oracle::NaiveFifoScheduler`] keeps the
-//! original scan for the differential tests.
+//! ([`JobQueue::pick_best_for`]): one hashed lookup of the node's (then the
+//! rack's) ascending position list, whose head is the pick, without
+//! touching the per-task location lists. An offer is one probe.
+//! [`crate::oracle::NaiveFifoScheduler`] keeps the original scan for the
+//! differential tests.
 
 use crate::queue::{Assignment, JobQueue};
 use crate::{LocationLookup, Scheduler};

@@ -4,7 +4,10 @@
 //! Each case generates a random topology, block layout, job mix, and a
 //! long interleaved event stream — slot offers, task completions,
 //! replica churn (dynamic replicas promoted and evicted), task aborts
-//! (requeue), mid-stream job arrivals, index rebuilds — and replays it
+//! (requeue), job retirement and abandonment, mid-stream job arrivals
+//! (about one in ten a large job of 100-400 tasks, so position lists run
+//! deep and retired jobs' recycled index storage gets reused), index
+//! rebuilds — and replays it
 //! against two queue+scheduler pairs: the indexed production scheduler
 //! and the O(tasks × replicas) scan oracle. Every single slot offer must
 //! return exactly the same `Option<Assignment>` (job, task, block, and
@@ -49,8 +52,10 @@ fn layout(g: &mut Gen, blocks: u64, nodes: u32) -> TableLookup {
     t
 }
 
+/// A job's tasks: usually 1-9, about one job in ten 100-399.
 fn job_tasks(g: &mut Gen, blocks: u64) -> Vec<PendingTask> {
-    g.vec(1..10, |g| g.u64_in(0..blocks))
+    let sizes = if g.bool(0.1) { 100..400 } else { 1..10 };
+    g.vec(sizes, |g| g.u64_in(0..blocks))
         .into_iter()
         .enumerate()
         .map(|(t, b)| PendingTask {
@@ -96,7 +101,7 @@ fn run_stream(
     let mut offers = 0usize;
     let steps = g.usize_in(60..240);
     for step in 0..steps {
-        match g.usize_in(0..15) {
+        match g.usize_in(0..16) {
             // Slot offers dominate the stream.
             0..=6 => {
                 let node = NodeId(g.u32_in(0..nodes));
@@ -184,6 +189,24 @@ fn run_stream(
                         pair.indexed.note_replica_added(b, n, topo);
                         pair.naive.note_replica_added(b, n, topo);
                     }
+                }
+            }
+            // A job whose maps are all done leaves the queue (the engine
+            // retires it on its last completion); its entry is recycled.
+            14 => {
+                let done = |q: &JobQueue| -> Vec<JobId> {
+                    q.jobs()
+                        .iter()
+                        .filter(|j| j.maps_exhausted() && j.running_maps() == 0)
+                        .map(|j| j.id)
+                        .collect()
+                };
+                let ids = done(&pair.indexed);
+                assert_eq!(ids, done(&pair.naive), "retirable jobs diverged");
+                if !ids.is_empty() {
+                    let id = ids[g.usize_in(0..ids.len())];
+                    pair.indexed.retire_job(id);
+                    pair.naive.retire_job(id);
                 }
             }
             // A new job arrives; occasionally force a full index rebuild
