@@ -13,8 +13,10 @@ use dare_sched::{
     PendingTask, Scheduler, SkipDecision, TaskId,
 };
 use dare_simcore::fnv::fnv1a_u64;
+use dare_simcore::stats::LatencyStat;
 use dare_simcore::{DetRng, EventQueue, FxHashMap, FxHashSet, SimDuration, SimTime};
-use dare_telemetry::{JobPhase, JobSample, MetricId, MetricRegistry, NodeSample, Profiler, Subsystem, Telemetry};
+use dare_telemetry::Value::{F64, U64};
+use dare_telemetry::{JobPhase, JobSample, NodeSample, Profiler, Subsystem, Telemetry};
 use dare_trace::{FlowCtx, FlowKind, Loc, Trace, TraceEvent};
 use dare_workload::Workload;
 
@@ -351,56 +353,6 @@ pub struct Engine {
     marks: check::Marks,
 }
 
-/// Column handles of the cluster-series schema, registered once at engine
-/// construction so every sample writes the same columns in the same order.
-struct MetricIds {
-    map_slots_used: MetricId,
-    map_slots_total: MetricId,
-    reduce_slots_used: MetricId,
-    reduce_slots_total: MetricId,
-    queued_jobs: MetricId,
-    pending_tasks: MetricId,
-    running_maps: MetricId,
-    pending_reduces: MetricId,
-    running_reduces: MetricId,
-    maps_done: MetricId,
-    node_local: MetricId,
-    rack_local: MetricId,
-    remote: MetricId,
-    locality_rate: MetricId,
-    dynamic_replicas: MetricId,
-    dynamic_bytes: MetricId,
-    storage_overhead: MetricId,
-    under_replicated: MetricId,
-    lost_blocks: MetricId,
-    active_flows: MetricId,
-    fetch_flows: MetricId,
-    recovery_flows: MetricId,
-    proactive_flows: MetricId,
-    link_util: MetricId,
-    d_nodes_declared_dead: MetricId,
-    d_nodes_rejoined: MetricId,
-    d_blocks_re_replicated: MetricId,
-    d_recovery_bytes: MetricId,
-    d_blocks_lost: MetricId,
-    d_tasks_retried: MetricId,
-    d_tasks_failed: MetricId,
-    d_jobs_failed: MetricId,
-    /// Data-integrity columns, registered only when corruption faults or
-    /// the block scanner are configured — a corruption-free run's export
-    /// stays byte-identical to the pre-integrity-layer schema.
-    corruption: Option<CorruptionIds>,
-}
-
-/// Column handles of the data-integrity schema extension.
-struct CorruptionIds {
-    corrupt_replicas: MetricId,
-    quarantine_depth: MetricId,
-    d_scrub_bytes: MetricId,
-    d_checksum_failures: MetricId,
-    repair_time: MetricId,
-}
-
 /// Live state of a telemetry-enabled run. The sampler holds no events in
 /// the queue: `try_run` pumps it from the main loop, emitting the sample
 /// for a tick only once the next popped event's timestamp exceeds it —
@@ -412,10 +364,15 @@ struct TelemetryState {
     interval: SimDuration,
     /// Next tick awaiting emission.
     next: SimTime,
-    reg: MetricRegistry,
-    ids: MetricIds,
-    nodes: Vec<NodeSample>,
-    jobs: Vec<JobSample>,
+    /// The series written so far; sealing hands it out as is.
+    out: Telemetry,
+    /// NIC utilization of every node, both directions, this tick.
+    link_util: LatencyStat,
+    /// Quarantine time-to-repair of the repairs committed since the last
+    /// tick. `Some` exactly when the data-integrity columns are written:
+    /// when corruption faults or the block scanner are configured, so a
+    /// corruption-free run's export keeps the pre-integrity-layer schema.
+    repair_time: Option<LatencyStat>,
     /// Cumulative fault counters at the previous tick (delta reporting).
     prev_faults: dare_metrics::FaultStats,
     /// Reusable per-node `(tx, rx)` utilization buffer.
@@ -424,69 +381,17 @@ struct TelemetryState {
 
 impl TelemetryState {
     fn new(interval: SimDuration, corruption: bool) -> Self {
-        let mut reg = MetricRegistry::new();
-        let ids = MetricIds {
-            map_slots_used: reg.gauge_int("map_slots_used"),
-            map_slots_total: reg.gauge_int("map_slots_total"),
-            reduce_slots_used: reg.gauge_int("reduce_slots_used"),
-            reduce_slots_total: reg.gauge_int("reduce_slots_total"),
-            queued_jobs: reg.gauge_int("queued_jobs"),
-            pending_tasks: reg.gauge_int("pending_tasks"),
-            running_maps: reg.gauge_int("running_maps"),
-            pending_reduces: reg.gauge_int("pending_reduces"),
-            running_reduces: reg.gauge_int("running_reduces"),
-            maps_done: reg.counter("maps_done"),
-            node_local: reg.gauge_int("node_local"),
-            rack_local: reg.gauge_int("rack_local"),
-            remote: reg.gauge_int("remote"),
-            locality_rate: reg.gauge_float("locality_rate"),
-            dynamic_replicas: reg.gauge_int("dynamic_replicas"),
-            dynamic_bytes: reg.gauge_int("dynamic_bytes"),
-            storage_overhead: reg.gauge_float("storage_overhead"),
-            under_replicated: reg.gauge_int("under_replicated"),
-            lost_blocks: reg.gauge_int("lost_blocks"),
-            active_flows: reg.gauge_int("active_flows"),
-            fetch_flows: reg.gauge_int("fetch_flows"),
-            recovery_flows: reg.gauge_int("recovery_flows"),
-            proactive_flows: reg.gauge_int("proactive_flows"),
-            link_util: reg.windowed("link_util"),
-            d_nodes_declared_dead: reg.gauge_int("d_nodes_declared_dead"),
-            d_nodes_rejoined: reg.gauge_int("d_nodes_rejoined"),
-            d_blocks_re_replicated: reg.gauge_int("d_blocks_re_replicated"),
-            d_recovery_bytes: reg.gauge_int("d_recovery_bytes"),
-            d_blocks_lost: reg.gauge_int("d_blocks_lost"),
-            d_tasks_retried: reg.gauge_int("d_tasks_retried"),
-            d_tasks_failed: reg.gauge_int("d_tasks_failed"),
-            d_jobs_failed: reg.gauge_int("d_jobs_failed"),
-            corruption: corruption.then(|| CorruptionIds {
-                corrupt_replicas: reg.gauge_int("corrupt_replicas"),
-                quarantine_depth: reg.gauge_int("quarantine_depth"),
-                d_scrub_bytes: reg.gauge_int("d_scrub_bytes"),
-                d_checksum_failures: reg.gauge_int("d_checksum_failures"),
-                repair_time: reg.windowed("repair_time_secs"),
-            }),
-        };
         TelemetryState {
             interval,
             next: SimTime::ZERO,
-            reg,
-            ids,
-            nodes: Vec::new(),
-            jobs: Vec::new(),
+            out: Telemetry {
+                interval_us: interval.as_micros(),
+                ..Telemetry::default()
+            },
+            link_util: LatencyStat::new(),
+            repair_time: corruption.then(LatencyStat::new),
             prev_faults: dare_metrics::FaultStats::default(),
             util_scratch: Vec::new(),
-        }
-    }
-
-    /// Seal into the exported time-series.
-    fn seal(self) -> Telemetry {
-        let (columns, cluster) = self.reg.into_series();
-        Telemetry {
-            interval_us: self.interval.as_micros(),
-            columns,
-            cluster,
-            nodes: self.nodes,
-            jobs: self.jobs,
         }
     }
 }
@@ -1375,10 +1280,10 @@ impl Engine {
             red_total += nr_total as u64;
             running_reduces += self.nodes.running_reduces(i) as u64;
             let (tx, rx) = telem.util_scratch[i];
-            telem.reg.observe(telem.ids.link_util, tx);
-            telem.reg.observe(telem.ids.link_util, rx);
+            telem.link_util.push(tx);
+            telem.link_util.push(rx);
             let dn = self.dfs.datanode(NodeId(i as u32));
-            telem.nodes.push(NodeSample {
+            telem.out.nodes.push(NodeSample {
                 t_us,
                 node: i as u32,
                 alive: !self.nodes.crashed(i) && !declared,
@@ -1413,7 +1318,7 @@ impl Engine {
                 JobPhase::Running
             };
             if terminal || (js.arrival <= ts && phase == JobPhase::Running) {
-                telem.jobs.push(JobSample {
+                telem.out.jobs.push(JobSample {
                     t_us,
                     job: j as u32,
                     phase,
@@ -1427,65 +1332,56 @@ impl Engine {
             }
         }
 
-        let reg = &mut telem.reg;
-        let ids = &telem.ids;
-        reg.set_int(ids.map_slots_used, map_used);
-        reg.set_int(ids.map_slots_total, map_total);
-        reg.set_int(ids.reduce_slots_used, red_used);
-        reg.set_int(ids.reduce_slots_total, red_total);
-        let depth = self.queue.depth();
-        reg.set_int(ids.queued_jobs, depth.jobs as u64);
-        reg.set_int(ids.pending_tasks, depth.pending_tasks as u64);
-        reg.set_int(ids.running_maps, depth.running_maps as u64);
-        reg.set_int(ids.pending_reduces, self.pending_reduces.len() as u64);
-        reg.set_int(ids.running_reduces, running_reduces);
-        reg.set_total(ids.maps_done, maps_done);
-        reg.set_int(ids.node_local, node_local);
-        reg.set_int(ids.rack_local, rack_local);
-        reg.set_int(ids.remote, remote);
-        reg.set_float(
-            ids.locality_rate,
-            if maps_done == 0 {
-                0.0
-            } else {
-                node_local as f64 / maps_done as f64
-            },
-        );
-        reg.set_int(ids.dynamic_replicas, self.dfs.total_dynamic_replicas());
-        let dyn_bytes = self.dfs.total_dynamic_bytes();
-        reg.set_int(ids.dynamic_bytes, dyn_bytes);
-        let primary = self.dfs.total_primary_bytes();
-        reg.set_float(
-            ids.storage_overhead,
-            if primary == 0 {
-                0.0
-            } else {
-                dyn_bytes as f64 / primary as f64
-            },
-        );
-        reg.set_int(ids.under_replicated, self.recovery_q.len() as u64);
-        reg.set_int(ids.lost_blocks, self.lost_blocks.len() as u64);
-        reg.set_int(ids.active_flows, self.flows.active() as u64);
-        reg.set_int(ids.fetch_flows, self.fetches.len() as u64);
-        reg.set_int(ids.recovery_flows, self.recovery_flows.len() as u64);
-        reg.set_int(ids.proactive_flows, self.proactive_flows.len() as u64);
+        // Each cluster column is named once, here, where its value is
+        // computed; the first tick records the names.
         let d = self.stats.delta(&telem.prev_faults);
         telem.prev_faults = self.stats;
-        reg.set_int(ids.d_nodes_declared_dead, d.nodes_declared_dead);
-        reg.set_int(ids.d_nodes_rejoined, d.nodes_rejoined);
-        reg.set_int(ids.d_blocks_re_replicated, d.blocks_re_replicated);
-        reg.set_int(ids.d_recovery_bytes, d.recovery_bytes);
-        reg.set_int(ids.d_blocks_lost, d.blocks_lost);
-        reg.set_int(ids.d_tasks_retried, d.tasks_retried);
-        reg.set_int(ids.d_tasks_failed, d.tasks_failed);
-        reg.set_int(ids.d_jobs_failed, d.jobs_failed);
-        if let Some(c) = ids.corruption.as_ref() {
-            reg.set_int(c.corrupt_replicas, self.dfs.total_corrupt_replicas());
-            reg.set_int(c.quarantine_depth, self.repair_started.len() as u64);
-            reg.set_int(c.d_scrub_bytes, d.scrub_bytes);
-            reg.set_int(c.d_checksum_failures, d.checksum_failures);
+        let depth = self.queue.depth();
+        let dyn_bytes = self.dfs.total_dynamic_bytes();
+        let primary = self.dfs.total_primary_bytes();
+        let t = &mut telem.out;
+        t.push_row(t_us);
+        t.put("map_slots_used", U64(map_used));
+        t.put("map_slots_total", U64(map_total));
+        t.put("reduce_slots_used", U64(red_used));
+        t.put("reduce_slots_total", U64(red_total));
+        t.put("queued_jobs", U64(depth.jobs as u64));
+        t.put("pending_tasks", U64(depth.pending_tasks as u64));
+        t.put("running_maps", U64(depth.running_maps as u64));
+        t.put("pending_reduces", U64(self.pending_reduces.len() as u64));
+        t.put("running_reduces", U64(running_reduces));
+        t.put("maps_done", U64(maps_done));
+        t.put("node_local", U64(node_local));
+        t.put("rack_local", U64(rack_local));
+        t.put("remote", U64(remote));
+        let locality = if maps_done == 0 { 0.0 } else { node_local as f64 / maps_done as f64 };
+        t.put("locality_rate", F64(locality));
+        t.put("dynamic_replicas", U64(self.dfs.total_dynamic_replicas()));
+        t.put("dynamic_bytes", U64(dyn_bytes));
+        let overhead = if primary == 0 { 0.0 } else { dyn_bytes as f64 / primary as f64 };
+        t.put("storage_overhead", F64(overhead));
+        t.put("under_replicated", U64(self.recovery_q.len() as u64));
+        t.put("lost_blocks", U64(self.lost_blocks.len() as u64));
+        t.put("active_flows", U64(self.flows.active() as u64));
+        t.put("fetch_flows", U64(self.fetches.len() as u64));
+        t.put("recovery_flows", U64(self.recovery_flows.len() as u64));
+        t.put("proactive_flows", U64(self.proactive_flows.len() as u64));
+        t.put_window("link_util", &mut telem.link_util);
+        t.put("d_nodes_declared_dead", U64(d.nodes_declared_dead));
+        t.put("d_nodes_rejoined", U64(d.nodes_rejoined));
+        t.put("d_blocks_re_replicated", U64(d.blocks_re_replicated));
+        t.put("d_recovery_bytes", U64(d.recovery_bytes));
+        t.put("d_blocks_lost", U64(d.blocks_lost));
+        t.put("d_tasks_retried", U64(d.tasks_retried));
+        t.put("d_tasks_failed", U64(d.tasks_failed));
+        t.put("d_jobs_failed", U64(d.jobs_failed));
+        if let Some(repair_time) = telem.repair_time.as_mut() {
+            t.put("corrupt_replicas", U64(self.dfs.total_corrupt_replicas()));
+            t.put("quarantine_depth", U64(self.repair_started.len() as u64));
+            t.put("d_scrub_bytes", U64(d.scrub_bytes));
+            t.put("d_checksum_failures", U64(d.checksum_failures));
+            t.put_window("repair_time_secs", repair_time);
         }
-        reg.sample(ts);
         self.telem = Some(telem);
     }
 
@@ -3089,11 +2985,8 @@ impl Engine {
                 node: rx.dst,
                 wait_us,
             });
-            if let Some(telem) = self.telem.as_mut() {
-                if let Some(c) = telem.ids.corruption.as_ref() {
-                    let id = c.repair_time;
-                    telem.reg.observe(id, wait_us as f64 / 1e6);
-                }
+            if let Some(w) = self.telem.as_mut().and_then(|t| t.repair_time.as_mut()) {
+                w.push(wait_us as f64 / 1e6);
             }
         }
         self.note_block_under_replicated(b); // still short? go again
@@ -3252,7 +3145,7 @@ impl Engine {
 
     fn finish(mut self) -> SimResult {
         let trace = self.tracer.take();
-        let telemetry = self.telem.take().map(|t| t.seal());
+        let telemetry = self.telem.take().map(|t| t.out);
         let profile = self.profiler.take().map(|mut p| {
             p.note_slab_peak(self.flows.peak_active() as u64);
             p.finish()

@@ -183,6 +183,23 @@ impl Default for FaultPlan {
     }
 }
 
+/// The largest slowdown or gray factor a plan may carry: 100× the
+/// largest one any generator draws (`dare-chaos` draws up to 10). A run
+/// at factor 10^9 never finishes: its simulated time, and with it the
+/// heartbeat count, grows with the factor.
+pub const MAX_FACTOR: f64 = 1000.0;
+
+/// Reject a slowdown or gray factor below 1, above [`MAX_FACTOR`], or NaN.
+fn check_factor(what: &str, f: f64) -> Result<(), String> {
+    if f < 1.0 || f.is_nan() {
+        return Err(format!("{what} {f} must be >= 1"));
+    }
+    if f > MAX_FACTOR {
+        return Err(format!("{what} {f} must be <= {MAX_FACTOR}"));
+    }
+    Ok(())
+}
+
 impl FaultPlan {
     /// True when no faults are scheduled — the engine then behaves
     /// bit-identically to a fault-free build.
@@ -193,12 +210,12 @@ impl FaultPlan {
     /// Validate the plan against a cluster of `nodes` nodes.
     ///
     /// Rejects out-of-range node indices, duplicate permanent kills of
-    /// the same node, non-positive outage durations, slowdown factors
-    /// below 1, degenerate knob values, and *overlapping availability
-    /// faults on the same node* (a crash landing while the node is
-    /// already down — or after its permanent kill — would produce
-    /// ambiguous epoch ordering in the engine). Rack indices and
-    /// rack-vs-node overlaps are checked by
+    /// the same node, non-positive outage durations, slowdown and gray
+    /// factors outside [1, [`MAX_FACTOR`]], degenerate knob values, and
+    /// *overlapping availability faults on the same node* (a crash
+    /// landing while the node is already down — or after its permanent
+    /// kill — would produce ambiguous epoch ordering in the engine).
+    /// Rack indices and rack-vs-node overlaps are checked by
     /// [`FaultPlan::validate_topology`] once the topology is built.
     pub fn validate(&self, nodes: u32) -> Result<(), String> {
         if self.detect_heartbeats == 0 {
@@ -228,11 +245,7 @@ impl FaultPlan {
                         return Err("transient outage must last >= 1 s".into());
                     }
                 }
-                FaultEvent::Slowdown { factor, .. } => {
-                    if factor < 1.0 || factor.is_nan() {
-                        return Err(format!("slowdown factor {factor} must be >= 1"));
-                    }
-                }
+                FaultEvent::Slowdown { factor, .. } => check_factor("slowdown factor", factor)?,
                 FaultEvent::CorruptReplica { .. } => {}
                 FaultEvent::Partition {
                     ref racks_a,
@@ -262,11 +275,8 @@ impl FaultPlan {
                     if secs == 0 {
                         return Err("gray episode must last >= 1 s".into());
                     }
-                    for (name, f) in [("disk_factor", disk_factor), ("nic_factor", nic_factor)] {
-                        if f < 1.0 || f.is_nan() {
-                            return Err(format!("gray {name} {f} must be >= 1"));
-                        }
-                    }
+                    check_factor("gray disk_factor", disk_factor)?;
+                    check_factor("gray nic_factor", nic_factor)?;
                 }
             }
         }
@@ -1488,6 +1498,23 @@ mod tests {
             nic_factor: 1.0,
         }];
         assert!(p.validate(10).is_err(), "disk speedup rejected");
+    }
+
+    #[test]
+    fn factors_are_bounded_above() {
+        let slow = |factor| FaultEvent::Slowdown { at_secs: 5, node: 3, factor, duration_secs: None };
+        let gray = |disk_factor, nic_factor| FaultEvent::GrayNode {
+            at_secs: 5, node: 3, secs: 9, disk_factor, nic_factor,
+        };
+        let mut p = FaultPlan::default();
+        for f in [MAX_FACTOR, 1e9, f64::INFINITY] {
+            for ev in [slow(f), gray(f, 2.0), gray(2.0, f)] {
+                p.events = vec![ev];
+                let got = p.validate(10);
+                assert_eq!(got.is_ok(), f == MAX_FACTOR, "{:?}: {got:?}", p.events);
+                assert!(got.is_ok() || got.unwrap_err().contains("must be <= 1000"));
+            }
+        }
     }
 
     #[test]

@@ -353,7 +353,7 @@ impl Histogram {
 /// simulation can report percentiles without buffering every sample.
 ///
 /// Shared by the trace summary's latency percentiles and the telemetry
-/// registry's windowed histograms. All values are in the caller's unit
+/// sampler's windowed columns. All values are in the caller's unit
 /// (the trace uses seconds).
 #[derive(Debug, Clone)]
 pub struct LatencyStat {

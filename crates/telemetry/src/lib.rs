@@ -9,12 +9,11 @@
 //! breakdowns — into a [`Telemetry`] value on the run's `SimResult`.
 //!
 //! Layers:
-//! - [`registry`]: the metric registry — named counters, gauges and
-//!   windowed histograms (P²-backed via `dare_simcore::stats::LatencyStat`)
-//!   whose registration order *is* the cluster-series column schema.
-//! - [`series`]: the sealed [`Telemetry`] time-series with byte-stable CSV
-//!   and JSONL exporters, a JSONL schema validator, and the terminal
-//!   summary table `dare-sim --telemetry` prints.
+//! - [`series`]: the [`Telemetry`] time-series. The sampler names each
+//!   cluster column once, where it writes the value; node and job rows
+//!   are typed structs with one field list each. The byte-stable CSV and
+//!   JSONL exporters walk those lists. Also a JSONL schema validator and
+//!   the terminal summary table `dare-sim --telemetry` prints.
 //! - [`profile`]: the wall-clock self-profiler wrapped around the engine's
 //!   event-dispatch arms (sched/dfs/net/fault) and its
 //!   `results/BENCH_profile.json` report format.
@@ -30,9 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod profile;
-pub mod registry;
 pub mod series;
 
 pub use profile::{validate_profile_json, ProfileReport, Profiler, Subsystem};
-pub use registry::{MetricId, MetricKind, MetricRegistry, Value};
-pub use series::{validate_jsonl, JobPhase, JobSample, NodeSample, Telemetry};
+pub use series::{validate_jsonl, JobPhase, JobSample, NodeSample, Telemetry, Value};

@@ -38,16 +38,6 @@ impl Subsystem {
         Subsystem::Queue,
     ];
 
-    fn idx(self) -> usize {
-        match self {
-            Subsystem::Sched => 0,
-            Subsystem::Dfs => 1,
-            Subsystem::Net => 2,
-            Subsystem::Fault => 3,
-            Subsystem::Queue => 4,
-        }
-    }
-
     /// Stable name used in the JSON report.
     pub fn name(self) -> &'static str {
         match self {
@@ -77,7 +67,7 @@ impl Profiler {
 
     /// Charge `elapsed` wall time for one event of `sub`.
     pub fn record(&mut self, sub: Subsystem, elapsed: std::time::Duration) {
-        let i = sub.idx();
+        let i = sub as usize;
         self.wall_ns[i] += elapsed.as_nanos() as u64;
         self.events[i] += 1;
     }
@@ -121,12 +111,7 @@ impl ProfileReport {
     /// Total events dispatched (the Queue arm times the pops feeding the
     /// same events, so it is excluded to avoid double counting).
     pub fn total_events(&self) -> u64 {
-        self.events
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != Subsystem::Queue.idx())
-            .map(|(_, &e)| e)
-            .sum()
+        self.events.iter().sum::<u64>() - self.events[Subsystem::Queue as usize]
     }
 
     /// Dispatched events per second of total dispatch+queue wall time.
@@ -145,36 +130,33 @@ impl ProfileReport {
 
     /// Events and wall time of one subsystem.
     pub fn of(&self, sub: Subsystem) -> (u64, u64) {
-        (self.events[sub.idx()], self.wall_ns[sub.idx()])
+        (self.events[sub as usize], self.wall_ns[sub as usize])
     }
 
     /// Render the `BENCH_profile.json` report: one object with a schema
     /// tag, the scenario label, end-to-end totals, and one entry per
     /// subsystem (integer nanoseconds only).
     pub fn to_json(&self, scenario: &str) -> String {
-        let mut s = String::from("{\n");
-        s.push_str("  \"schema\": \"dare-profile-v1\",\n");
-        s.push_str(&format!("  \"scenario\": \"{scenario}\",\n"));
-        s.push_str(&format!("  \"total_events\": {},\n", self.total_events()));
-        s.push_str(&format!("  \"total_wall_ns\": {},\n", self.total_wall_ns()));
-        s.push_str(&format!("  \"events_per_sec\": {},\n", self.events_per_sec()));
-        s.push_str(&format!(
-            "  \"peak_slab_occupancy\": {},\n",
-            self.peak_slab_occupancy
-        ));
-        s.push_str(&format!("  \"peak_queue_len\": {},\n", self.peak_queue_len));
-        s.push_str("  \"subsystems\": [\n");
-        for (i, sub) in Subsystem::ALL.iter().enumerate() {
-            let (events, wall) = self.of(*sub);
-            let mean = wall.checked_div(events).unwrap_or(0);
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"events\": {events}, \"wall_ns\": {wall}, \"mean_ns\": {mean}}}{}\n",
-                sub.name(),
-                if i + 1 < Subsystem::ALL.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        let subsystems: Vec<String> = Subsystem::ALL
+            .iter()
+            .map(|&sub| {
+                let (events, wall) = self.of(sub);
+                let mean = wall.checked_div(events).unwrap_or(0);
+                let name = sub.name();
+                format!("    {{\"name\": \"{name}\", \"events\": {events}, \"wall_ns\": {wall}, \"mean_ns\": {mean}}}")
+            })
+            .collect();
+        format!(
+            "{{\n  \"schema\": \"dare-profile-v1\",\n  \"scenario\": \"{scenario}\",\n  \"total_events\": {},\n  \
+             \"total_wall_ns\": {},\n  \"events_per_sec\": {},\n  \"peak_slab_occupancy\": {},\n  \
+             \"peak_queue_len\": {},\n  \"subsystems\": [\n{}\n  ]\n}}\n",
+            self.total_events(),
+            self.total_wall_ns(),
+            self.events_per_sec(),
+            self.peak_slab_occupancy,
+            self.peak_queue_len,
+            subsystems.join(",\n")
+        )
     }
 
     /// One-line human summary for logs.
@@ -199,7 +181,7 @@ impl ProfileReport {
 }
 
 /// Validate a `BENCH_profile.json` document: schema tag, scenario, totals,
-/// and all four subsystem entries with integer `events`/`wall_ns`/`mean_ns`
+/// and all five subsystem entries with integer `events`/`wall_ns`/`mean_ns`
 /// fields. This is what the CI `telemetry-smoke` gate runs against the
 /// written file.
 pub fn validate_profile_json(s: &str) -> Result<(), String> {
@@ -209,43 +191,23 @@ pub fn validate_profile_json(s: &str) -> Result<(), String> {
     if !s.contains("\"scenario\": \"") {
         return Err("missing scenario".into());
     }
-    for key in [
-        "total_events",
-        "total_wall_ns",
-        "events_per_sec",
-        "peak_slab_occupancy",
-        "peak_queue_len",
-    ] {
-        let int_after = |k: &str| -> Result<u64, String> {
-            let pat = format!("\"{k}\": ");
-            let at = s.find(&pat).ok_or_else(|| format!("missing {k:?}"))?;
-            let rest = &s[at + pat.len()..];
-            let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
-            digits.parse().map_err(|_| format!("non-integer {k:?}"))
-        };
-        int_after(key)?;
+    // The integer after the first `"key": ` in `s`.
+    let int_after = |s: &str, key: &str| -> Option<u64> {
+        let pat = format!("\"{key}\": ");
+        let rest = &s[s.find(&pat)? + pat.len()..];
+        rest[..rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len())].parse().ok()
+    };
+    for key in ["total_events", "total_wall_ns", "events_per_sec", "peak_slab_occupancy", "peak_queue_len"] {
+        int_after(s, key).ok_or_else(|| format!("missing or non-integer {key:?}"))?;
     }
     for sub in Subsystem::ALL {
-        let pat = format!("{{\"name\": \"{}\", \"events\": ", sub.name());
+        let name = sub.name();
         let at = s
-            .find(&pat)
-            .ok_or_else(|| format!("missing subsystem entry {:?}", sub.name()))?;
-        let rest = &s[at + pat.len()..];
-        for field in ["", "\"wall_ns\": ", "\"mean_ns\": "] {
-            let start = if field.is_empty() {
-                0
-            } else {
-                rest.find(field)
-                    .ok_or_else(|| format!("missing {field:?} for {:?}", sub.name()))?
-                    + field.len()
-            };
-            let digits: String = rest[start..]
-                .chars()
-                .take_while(|c| c.is_ascii_digit())
-                .collect();
-            if digits.is_empty() {
-                return Err(format!("non-integer field for {:?}", sub.name()));
-            }
+            .find(&format!("{{\"name\": \"{name}\", \"events\": "))
+            .ok_or_else(|| format!("missing subsystem entry {name:?}"))?;
+        for field in ["events", "wall_ns", "mean_ns"] {
+            int_after(&s[at..], field)
+                .ok_or_else(|| format!("non-integer {field:?} for {name:?}"))?;
         }
     }
     Ok(())

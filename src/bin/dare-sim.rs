@@ -420,7 +420,6 @@ fn usage_xray() -> String {
 
 /// Run the `xray` subcommand; returns the process exit code.
 fn run_xray(argv: &[String]) -> i32 {
-    use dare_repro::{trace, xray};
     let args = match parse_xray_args(argv) {
         Ok(a) => a,
         Err(e) => {
@@ -440,7 +439,7 @@ fn run_xray(argv: &[String]) -> i32 {
             return 2;
         }
     };
-    let parsed = match trace::from_jsonl(&jsonl) {
+    let parsed = match dare_repro::trace::from_jsonl(&jsonl) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("error: {input} is not a valid trace JSONL: {e}");
@@ -458,27 +457,49 @@ fn run_xray(argv: &[String]) -> i32 {
             Err(e) => eprintln!("warning: span check failed: {e}"),
         }
     }
-    let report = xray::analyze(&parsed);
+    match export_xray(&parsed, args.csv.as_deref(), args.json.as_deref(), args.top, 1) {
+        Ok(table) => {
+            print!("{table}");
+            0
+        }
+        Err(code) => code,
+    }
+}
+
+/// Write one output file. A failure prints `error: could not write {what}
+/// to {path}: ...` and gives exit code 2.
+fn write_out(path: &str, what: &str, contents: impl AsRef<[u8]>) -> Result<(), i32> {
+    std::fs::write(path, contents).map_err(|e| {
+        eprintln!("error: could not write {what} to {path}: {e}");
+        2
+    })
+}
+
+/// Attribute `trace`, check the report (a failure gives `check_exit`),
+/// write its CSV and JSON where asked and return its table of the `top`
+/// slowest jobs.
+fn export_xray(
+    trace: &dare_repro::trace::Trace,
+    csv: Option<&str>,
+    json: Option<&str>,
+    top: usize,
+    check_exit: i32,
+) -> Result<String, i32> {
+    use dare_repro::xray;
+    let report = xray::analyze(trace);
     if let Err(e) = report.check() {
         eprintln!("error: xray invariant violated: {e}");
-        return 1;
+        return Err(check_exit);
     }
-    if let Some(path) = &args.csv {
-        if let Err(e) = std::fs::write(path, xray::to_csv(&report)) {
-            eprintln!("error: could not write xray CSV to {path}: {e}");
-            return 2;
-        }
+    if let Some(path) = csv {
+        write_out(path, "xray CSV", xray::to_csv(&report))?;
         eprintln!("[dare-sim] xray CSV saved to {path}");
     }
-    if let Some(path) = &args.json {
-        if let Err(e) = std::fs::write(path, xray::to_json(&report)) {
-            eprintln!("error: could not write xray JSON to {path}: {e}");
-            return 2;
-        }
+    if let Some(path) = json {
+        write_out(path, "xray JSON", xray::to_json(&report))?;
         eprintln!("[dare-sim] xray JSON saved to {path}");
     }
-    print!("{}", xray::table(&report, args.top));
-    0
+    Ok(xray::table(&report, top))
 }
 
 /// Parsed `mc` subcommand line.
@@ -678,9 +699,8 @@ fn run_mc(argv: &[String]) -> i32 {
         }
         if let Some(path) = &args.out {
             let v = &report.violations[0];
-            if let Err(e) = std::fs::write(path, &v.jsonl) {
-                eprintln!("error: could not write counterexample to {path}: {e}");
-                return 2;
+            if let Err(code) = write_out(path, "counterexample", &v.jsonl) {
+                return code;
             }
             println!("counterexample JSONL saved to {path} (replay with: dare-sim mc --replay {path} ...same bounds...)");
         }
@@ -849,9 +869,8 @@ fn run_chaos(argv: &[String]) -> i32 {
     );
 
     if let Some(path) = &args.bench_json {
-        if let Err(e) = std::fs::write(path, chaos::bench_json(&args.cfg, &report)) {
-            eprintln!("error: could not write bench JSON to {path}: {e}");
-            return 2;
+        if let Err(code) = write_out(path, "bench JSON", chaos::bench_json(&args.cfg, &report)) {
+            return code;
         }
         println!("campaign stats saved to {path}");
     }
@@ -880,13 +899,10 @@ fn run_chaos(argv: &[String]) -> i32 {
             );
             if let Some(out) = &args.out {
                 let plan_path = format!("{out}.plan.json");
-                if let Err(e) = std::fs::write(out, &v.counterexample) {
-                    eprintln!("error: could not write counterexample to {out}: {e}");
-                    return 2;
-                }
-                if let Err(e) = std::fs::write(&plan_path, &v.plan_json) {
-                    eprintln!("error: could not write fault plan to {plan_path}: {e}");
-                    return 2;
+                let written = write_out(out, "counterexample", &v.counterexample)
+                    .and_then(|()| write_out(&plan_path, "fault plan", &v.plan_json));
+                if let Err(code) = written {
+                    return code;
                 }
                 println!(
                     "counterexample saved to {out} (replay with: dare-sim chaos --replay {out} ...same knobs...)"
@@ -910,53 +926,50 @@ fn run_chaos(argv: &[String]) -> i32 {
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("mc") {
-        std::process::exit(run_mc(&argv[1..]));
-    }
-    if argv.first().map(String::as_str) == Some("chaos") {
-        std::process::exit(run_chaos(&argv[1..]));
-    }
-    if argv.first().map(String::as_str) == Some("xray") {
-        std::process::exit(run_xray(&argv[1..]));
-    }
-    if argv.first().map(String::as_str) == Some("experiments") {
+    let code = match argv.first().map(String::as_str) {
+        Some("mc") => run_mc(&argv[1..]),
+        Some("chaos") => run_chaos(&argv[1..]),
+        Some("xray") => run_xray(&argv[1..]),
         // Forward to the dare-bench experiment driver, so one command
         // regenerates every figure/table: `dare-sim experiments -- all
         // --seeds 5`. (cli::run skips a leading literal `--` itself.)
-        std::process::exit(dare_repro::bench::cli::run(&argv[1..]));
-    }
-    let args = match parse_args(&argv) {
+        Some("experiments") => dare_repro::bench::cli::run(&argv[1..]),
+        _ => match run_sim(&argv) {
+            Ok(()) => return,
+            Err(code) => code,
+        },
+    };
+    std::process::exit(code);
+}
+
+/// Run one simulation from the command line and print its report. `Err`
+/// carries the exit code.
+fn run_sim(argv: &[String]) -> Result<(), i32> {
+    // A bad command line or input exits 2.
+    let fail = |e: String| {
+        eprintln!("error: {e}");
+        2
+    };
+    let args = match parse_args(argv) {
         Ok(a) => a,
+        Err(e) if e.is_empty() => {
+            println!("{}", usage());
+            return Ok(());
+        }
         Err(e) => {
-            if e.is_empty() {
-                println!("{}", usage());
-                return;
-            }
             eprintln!("error: {e}\n\n{}", usage());
-            std::process::exit(2);
+            return Err(2);
         }
     };
-    let cfg = build_config(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
-    let mut cfg = cfg;
-    let wl = build_workload(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    });
+    let mut cfg = build_config(&args).map_err(fail)?;
+    let wl = build_workload(&args).map_err(fail)?;
     if let Some(path) = &args.fault_plan {
-        let plan = load_fault_plan(path, &cfg, &wl).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        });
+        let plan = load_fault_plan(path, &cfg, &wl).map_err(fail)?;
         cfg = cfg.with_faults(plan);
     }
     if let Some(path) = &args.workload_out {
-        if let Err(e) = dare_repro::workload::io::save(&wl, std::path::Path::new(path)) {
-            eprintln!("error: could not save workload to {path}: {e}");
-            std::process::exit(2);
-        }
+        dare_repro::workload::io::save(&wl, std::path::Path::new(path))
+            .map_err(|e| fail(format!("could not save workload to {path}: {e}")))?;
         eprintln!("[dare-sim] workload saved to {path}");
     }
 
@@ -966,57 +979,27 @@ fn main() {
 
     if let Some(trace) = &r.trace {
         if let Some(path) = &args.trace_chrome {
-            if let Err(e) = std::fs::write(path, dare_repro::trace::to_chrome(trace)) {
-                eprintln!("error: could not write Chrome trace to {path}: {e}");
-                std::process::exit(2);
-            }
+            write_out(path, "Chrome trace", dare_repro::trace::to_chrome(trace))?;
             eprintln!("[dare-sim] Chrome trace saved to {path} (open at ui.perfetto.dev)");
         }
         if let Some(path) = &args.trace_jsonl {
-            if let Err(e) = std::fs::write(path, dare_repro::trace::to_jsonl(trace)) {
-                eprintln!("error: could not write trace JSONL to {path}: {e}");
-                std::process::exit(2);
-            }
+            write_out(path, "trace JSONL", dare_repro::trace::to_jsonl(trace))?;
             eprintln!("[dare-sim] trace JSONL saved to {path}");
         }
         eprintln!("[dare-sim] {}", trace.summary());
         if args.xray {
-            let report = dare_repro::xray::analyze(trace);
-            if let Err(e) = report.check() {
-                eprintln!("error: xray invariant violated: {e}");
-                std::process::exit(2);
-            }
-            if let Some(path) = &args.xray_csv {
-                if let Err(e) = std::fs::write(path, dare_repro::xray::to_csv(&report)) {
-                    eprintln!("error: could not write xray CSV to {path}: {e}");
-                    std::process::exit(2);
-                }
-                eprintln!("[dare-sim] xray CSV saved to {path}");
-            }
-            if let Some(path) = &args.xray_json {
-                if let Err(e) = std::fs::write(path, dare_repro::xray::to_json(&report)) {
-                    eprintln!("error: could not write xray JSON to {path}: {e}");
-                    std::process::exit(2);
-                }
-                eprintln!("[dare-sim] xray JSON saved to {path}");
-            }
-            eprint!("{}", dare_repro::xray::table(&report, 10));
+            let (csv, json) = (args.xray_csv.as_deref(), args.xray_json.as_deref());
+            eprint!("{}", export_xray(trace, csv, json, 10, 2)?);
         }
     }
 
     if let Some(telemetry) = &r.telemetry {
         if let Some(path) = &args.telemetry_csv {
-            if let Err(e) = std::fs::write(path, telemetry.cluster_csv()) {
-                eprintln!("error: could not write telemetry CSV to {path}: {e}");
-                std::process::exit(2);
-            }
+            write_out(path, "telemetry CSV", telemetry.cluster_csv())?;
             eprintln!("[dare-sim] telemetry CSV saved to {path}");
         }
         if let Some(path) = &args.telemetry_jsonl {
-            if let Err(e) = std::fs::write(path, telemetry.to_jsonl()) {
-                eprintln!("error: could not write telemetry JSONL to {path}: {e}");
-                std::process::exit(2);
-            }
+            write_out(path, "telemetry JSONL", telemetry.to_jsonl())?;
             eprintln!("[dare-sim] telemetry JSONL saved to {path}");
         }
         eprintln!("[dare-sim] telemetry: {}", telemetry.summary());
@@ -1052,7 +1035,7 @@ fn main() {
             r.reexecuted_tasks,
             r.speculative_launches,
         );
-        return;
+        return Ok(());
     }
 
     println!(
@@ -1097,6 +1080,7 @@ fn main() {
         println!("\ncluster state over time:");
         print!("{}", telemetry.summary_table(12));
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1152,6 +1136,7 @@ mod tests {
             "--fail 60:99",
             "--fail 60:3 --fail 90:3",
             "--degrade 30:2:0.5",
+            "--degrade 30:2:1e9",
             "--scheduler capacity --capacity-queues 0",
             "--policy vanilla --scarlett-epoch 0",
         ] {

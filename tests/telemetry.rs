@@ -133,6 +133,27 @@ fn telemetry_jsonl_is_schema_valid_and_rederives_locality() {
     }
 }
 
+/// The JSONL export of the scanner + corruption case, byte for byte
+/// against `tests/golden/telemetry-scrubbed-corrupt-dare-lru.jsonl`: cluster
+/// rows with the gated corruption and `repair_time_secs` columns, node
+/// rows and job rows. After an intentional change to the telemetry schema
+/// or to simulated outcomes, refresh it with
+/// `UPDATE_GOLDEN=1 cargo test --test telemetry`.
+#[test]
+fn telemetry_jsonl_matches_golden() {
+    const NAME: &str = "scrubbed-corrupt-dare-lru";
+    let cfg = cases().into_iter().find(|(n, _)| n == NAME).expect("known case").1;
+    let jsonl = dare_mapred::run(cfg, &golden_workload()).telemetry.unwrap().to_jsonl();
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join(format!("tests/golden/telemetry-{NAME}.jsonl"));
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        return std::fs::write(&path, &jsonl).unwrap_or_else(|e| panic!("write {path:?}: {e}"));
+    }
+    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
+    let diff = dare_trace::diff_golden(&golden, &jsonl).unwrap_or_default();
+    assert!(jsonl == golden, "telemetry drifted from golden:\n{diff}");
+}
+
 /// The data-integrity columns are strictly gated: they appear exactly
 /// when the scanner or a corruption fault is configured, so a
 /// corruption-free export carries the pre-scanner schema byte for byte.
