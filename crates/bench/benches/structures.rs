@@ -1,9 +1,8 @@
 //! Micro-benchmarks of the core data structures: the ElephantTrap circular
-//! list vs the greedy LRU queue — the per-task cost of each policy's hot
-//! path, and of the name-node lookup the scheduler hammers.
+//! list, and the per-task cost of each policy kind's hot path.
 
 use dare_bench::microbench::{black_box, Runner};
-use dare_core::{build_policy, CircularTrap, PolicyCtx, PolicyKind};
+use dare_core::{CircularTrap, Policy, PolicyCtx, PolicyKind};
 use dare_dfs::{BlockId, FileId};
 use dare_simcore::DetRng;
 
@@ -42,7 +41,7 @@ fn policy_throughput(r: &mut Runner) {
         ("lfu", PolicyKind::Lfu),
     ];
     for (name, kind) in kinds {
-        let mut policy = build_policy(kind, 64 * BLK);
+        let mut policy = Policy::new(kind, 64 * BLK);
         let mut rng = DetRng::new(7);
         let mut wl = DetRng::new(8);
         r.bench(&format!("policy_on_map_task/{name}"), move || {

@@ -1,180 +1,19 @@
-//! Algorithm 1 — the greedy approach: replicate on *every* non-local map
-//! task, bounded by the replication budget, evicting least-recently-used
-//! dynamic replicas (lazy deletion), never evicting a block of the same
-//! file as the one being inserted.
-
-use crate::policy::{PolicyCtx, PolicyStats, ReplicationDecision, ReplicationPolicy};
-use dare_dfs::{BlockId, FileId};
-use dare_simcore::FxHashMap;
-use std::collections::VecDeque;
-
-/// Per-tracked-block record.
-#[derive(Debug, Clone, Copy)]
-struct Tracked {
-    file: FileId,
-    bytes: u64,
-}
-
-/// The greedy LRU policy of Algorithm 1.
-///
-/// `blocksInUsageOrder` from the pseudocode is the internal usage queue:
-/// front = least recently used, tail = most recently used; refreshed on
-/// every local read of a tracked block.
-#[derive(Debug)]
-pub struct GreedyLru {
-    budget_bytes: u64,
-    used_bytes: u64,
-    usage_order: VecDeque<BlockId>,
-    tracked: FxHashMap<BlockId, Tracked>,
-    stats: PolicyStats,
-}
-
-impl GreedyLru {
-    /// Policy with a dynamic-replica budget of `budget_bytes` on this node.
-    pub fn new(budget_bytes: u64) -> Self {
-        GreedyLru {
-            budget_bytes,
-            used_bytes: 0,
-            usage_order: VecDeque::new(),
-            tracked: FxHashMap::default(),
-            stats: PolicyStats::default(),
-        }
-    }
-
-    /// Bytes of budget currently in use.
-    pub fn used_bytes(&self) -> u64 {
-        self.used_bytes
-    }
-
-    /// The configured budget.
-    pub fn budget_bytes(&self) -> u64 {
-        self.budget_bytes
-    }
-
-    /// Number of tracked dynamic replicas.
-    pub fn tracked_count(&self) -> usize {
-        self.tracked.len()
-    }
-
-    /// Move a block to the most-recently-used end.
-    fn refresh(&mut self, b: BlockId) {
-        if let Some(pos) = self.usage_order.iter().position(|&x| x == b) {
-            self.usage_order.remove(pos);
-            self.usage_order.push_back(b);
-        }
-    }
-
-    /// `markBlockForDeletion`: pick the least-recently-used victim that does
-    /// not belong to `evicting_file`. Detaches the victim from the policy's
-    /// own bookkeeping and returns it, or `None` when every tracked block
-    /// belongs to the same file.
-    fn mark_block_for_deletion(&mut self, evicting_file: FileId) -> Option<BlockId> {
-        let pos = self
-            .usage_order
-            .iter()
-            .position(|b| self.tracked[b].file != evicting_file)?;
-        let victim = self
-            .usage_order
-            .remove(pos)
-            .expect("position came from the queue");
-        let rec = self.tracked.remove(&victim).expect("tracked victim");
-        self.used_bytes -= rec.bytes;
-        self.stats.evictions += 1;
-        Some(victim)
-    }
-}
-
-impl ReplicationPolicy for GreedyLru {
-    fn on_map_task(&mut self, ctx: PolicyCtx<'_>) -> ReplicationDecision {
-        if ctx.is_local {
-            // "blocksInUsageOrder queue is refreshed on every read."
-            if self.tracked.contains_key(&ctx.block) {
-                self.refresh(ctx.block);
-                self.stats.refreshes += 1;
-            }
-            return ReplicationDecision::Skip;
-        }
-        if self.tracked.contains_key(&ctx.block) {
-            // Already replicated here (e.g. not yet scheduler-visible);
-            // treat as a recency hit, nothing to insert.
-            self.refresh(ctx.block);
-            self.stats.refreshes += 1;
-            return ReplicationDecision::Skip;
-        }
-        if ctx.block_bytes > self.budget_bytes {
-            // Block alone exceeds the budget: never replicable.
-            self.stats.skipped_no_victim += 1;
-            return ReplicationDecision::Skip;
-        }
-
-        // Bytes pinned by same-file blocks can never be evicted for this
-        // insert; if the rest of the budget can't host the block even after
-        // evicting every eligible victim, skip before touching anything.
-        let pinned: u64 = self
-            .tracked
-            .values()
-            .filter(|t| t.file == ctx.file)
-            .map(|t| t.bytes)
-            .sum();
-        if pinned + ctx.block_bytes > self.budget_bytes {
-            self.stats.skipped_no_victim += 1;
-            return ReplicationDecision::Skip;
-        }
-
-        // Evict least-recently-used eligible victims until the block fits.
-        let mut evict = Vec::new();
-        while self.used_bytes + ctx.block_bytes > self.budget_bytes {
-            let v = self
-                .mark_block_for_deletion(ctx.file)
-                .expect("pinned-bytes check guarantees an eligible victim");
-            evict.push(v);
-        }
-
-        self.tracked.insert(
-            ctx.block,
-            Tracked {
-                file: ctx.file,
-                bytes: ctx.block_bytes,
-            },
-        );
-        self.usage_order.push_back(ctx.block);
-        self.used_bytes += ctx.block_bytes;
-        self.stats.replicas_created += 1;
-        self.stats.bytes_replicated += ctx.block_bytes;
-        ReplicationDecision::Replicate { evict }
-    }
-
-    fn forget(&mut self, block: BlockId) {
-        if let Some(rec) = self.tracked.remove(&block) {
-            self.used_bytes -= rec.bytes;
-            if let Some(pos) = self.usage_order.iter().position(|&x| x == block) {
-                self.usage_order.remove(pos);
-            }
-        }
-    }
-
-    fn stats(&self) -> PolicyStats {
-        self.stats
-    }
-
-    fn name(&self) -> &'static str {
-        "lru"
-    }
-}
+//! Algorithm 1 — greedy admission with LRU eviction — pinned as unit
+//! tests of [`crate::Policy`] under [`crate::PolicyKind::GreedyLru`].
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::policy::{Policy, PolicyCtx, PolicyKind, ReplicationDecision};
+    use dare_dfs::{BlockId, FileId};
     use dare_simcore::DetRng;
 
     const BLK: u64 = 128;
 
-    fn ctx<'a>(
-        rng: &'a mut DetRng,
-        block: u64,
-        file: u32,
-        is_local: bool,
-    ) -> PolicyCtx<'a> {
+    fn lru(budget_bytes: u64) -> Policy {
+        Policy::new(PolicyKind::GreedyLru, budget_bytes)
+    }
+
+    fn ctx<'a>(rng: &'a mut DetRng, block: u64, file: u32, is_local: bool) -> PolicyCtx<'a> {
         PolicyCtx {
             block: BlockId(block),
             file: FileId(file),
@@ -186,11 +25,17 @@ mod tests {
 
     #[test]
     fn replicates_every_remote_access_until_budget() {
-        let mut p = GreedyLru::new(3 * BLK);
+        let mut p = lru(3 * BLK);
         let mut rng = DetRng::new(1);
         for i in 0..3 {
             let d = p.on_map_task(ctx(&mut rng, i, i as u32, false));
-            assert_eq!(d, ReplicationDecision::Replicate { evict: vec![] });
+            assert_eq!(
+                d,
+                ReplicationDecision {
+                    evict: vec![],
+                    replicate: true,
+                }
+            );
         }
         assert_eq!(p.used_bytes(), 3 * BLK);
         assert_eq!(p.stats().replicas_created, 3);
@@ -198,7 +43,7 @@ mod tests {
 
     #[test]
     fn evicts_lru_when_budget_full() {
-        let mut p = GreedyLru::new(2 * BLK);
+        let mut p = lru(2 * BLK);
         let mut rng = DetRng::new(1);
         p.on_map_task(ctx(&mut rng, 1, 1, false));
         p.on_map_task(ctx(&mut rng, 2, 2, false));
@@ -206,8 +51,9 @@ mod tests {
         let d = p.on_map_task(ctx(&mut rng, 3, 3, false));
         assert_eq!(
             d,
-            ReplicationDecision::Replicate {
-                evict: vec![BlockId(1)]
+            ReplicationDecision {
+                evict: vec![BlockId(1)],
+                replicate: true,
             }
         );
         assert_eq!(p.used_bytes(), 2 * BLK);
@@ -216,59 +62,60 @@ mod tests {
 
     #[test]
     fn local_read_refreshes_lru_position() {
-        let mut p = GreedyLru::new(2 * BLK);
+        let mut p = lru(2 * BLK);
         let mut rng = DetRng::new(1);
         p.on_map_task(ctx(&mut rng, 1, 1, false));
         p.on_map_task(ctx(&mut rng, 2, 2, false));
         // Touch block 1 locally: now block 2 is LRU.
         assert_eq!(
             p.on_map_task(ctx(&mut rng, 1, 1, true)),
-            ReplicationDecision::Skip
+            ReplicationDecision::SKIP
         );
-        assert_eq!(p.stats().refreshes, 1);
         let d = p.on_map_task(ctx(&mut rng, 3, 3, false));
         assert_eq!(
             d,
-            ReplicationDecision::Replicate {
-                evict: vec![BlockId(2)]
+            ReplicationDecision {
+                evict: vec![BlockId(2)],
+                replicate: true,
             }
         );
     }
 
     #[test]
     fn same_file_victims_are_skipped() {
-        let mut p = GreedyLru::new(2 * BLK);
+        let mut p = lru(2 * BLK);
         let mut rng = DetRng::new(1);
         p.on_map_task(ctx(&mut rng, 1, 7, false)); // file 7 (LRU)
         p.on_map_task(ctx(&mut rng, 2, 8, false)); // file 8
-        // Inserting another block of file 7 must evict file 8's block even
-        // though file 7's is least recently used.
+                                                   // Inserting another block of file 7 must evict file 8's block even
+                                                   // though file 7's is least recently used.
         let d = p.on_map_task(ctx(&mut rng, 3, 7, false));
         assert_eq!(
             d,
-            ReplicationDecision::Replicate {
-                evict: vec![BlockId(2)]
+            ReplicationDecision {
+                evict: vec![BlockId(2)],
+                replicate: true,
             }
         );
     }
 
     #[test]
     fn all_same_file_means_no_victim_and_no_insert() {
-        let mut p = GreedyLru::new(BLK);
+        let mut p = lru(BLK);
         let mut rng = DetRng::new(1);
         p.on_map_task(ctx(&mut rng, 1, 7, false));
         let d = p.on_map_task(ctx(&mut rng, 2, 7, false));
-        assert_eq!(d, ReplicationDecision::Skip);
+        assert_eq!(d, ReplicationDecision::SKIP);
         assert_eq!(p.stats().skipped_no_victim, 1);
         assert!(p.tracked_count() == 1);
     }
 
     #[test]
     fn oversized_block_is_skipped() {
-        let mut p = GreedyLru::new(BLK - 1);
+        let mut p = lru(BLK - 1);
         let mut rng = DetRng::new(1);
         let d = p.on_map_task(ctx(&mut rng, 1, 1, false));
-        assert_eq!(d, ReplicationDecision::Skip);
+        assert_eq!(d, ReplicationDecision::SKIP);
         assert_eq!(p.stats().skipped_no_victim, 1);
     }
 
@@ -276,18 +123,18 @@ mod tests {
     fn remote_access_to_already_tracked_block_is_refresh_not_duplicate() {
         // A replica exists locally but isn't scheduler-visible yet, so the
         // scheduler sent us a "remote" task for a block we already hold.
-        let mut p = GreedyLru::new(2 * BLK);
+        let mut p = lru(2 * BLK);
         let mut rng = DetRng::new(1);
         p.on_map_task(ctx(&mut rng, 1, 1, false));
         let d = p.on_map_task(ctx(&mut rng, 1, 1, false));
-        assert_eq!(d, ReplicationDecision::Skip);
+        assert_eq!(d, ReplicationDecision::SKIP);
         assert_eq!(p.used_bytes(), BLK);
         assert_eq!(p.stats().replicas_created, 1);
     }
 
     #[test]
     fn forget_releases_budget() {
-        let mut p = GreedyLru::new(2 * BLK);
+        let mut p = lru(2 * BLK);
         let mut rng = DetRng::new(1);
         p.on_map_task(ctx(&mut rng, 1, 1, false));
         p.forget(BlockId(1));
@@ -303,7 +150,7 @@ mod tests {
 
     #[test]
     fn budget_never_exceeded_under_random_workload() {
-        let mut p = GreedyLru::new(5 * BLK);
+        let mut p = lru(5 * BLK);
         let mut rng = DetRng::new(99);
         let mut coin = DetRng::new(100);
         for i in 0..2000u64 {

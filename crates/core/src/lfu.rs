@@ -1,141 +1,18 @@
-//! Least-frequently-used eviction ablation.
-//!
-//! Section IV notes the choice between LRU and LFU "should be made after
-//! profiling typical workloads". This policy pairs the greedy admission of
-//! Algorithm 1 with LFU eviction so the `ablation` experiment can profile
-//! exactly that choice. Frequency counts persist for as long as a block is
-//! tracked (no aging) — the classic LFU pathology of stale-but-formerly-hot
-//! blocks is part of what the ablation exposes.
-
-use crate::policy::{PolicyCtx, PolicyStats, ReplicationDecision, ReplicationPolicy};
-use dare_dfs::{BlockId, FileId};
-use dare_simcore::FxHashMap;
-
-#[derive(Debug, Clone, Copy)]
-struct Tracked {
-    file: FileId,
-    bytes: u64,
-    freq: u64,
-    /// Insertion sequence; ties in frequency evict the oldest.
-    seq: u64,
-}
-
-/// Greedy admission + least-frequently-used eviction.
-#[derive(Debug)]
-pub struct LfuPolicy {
-    budget_bytes: u64,
-    used_bytes: u64,
-    tracked: FxHashMap<BlockId, Tracked>,
-    next_seq: u64,
-    stats: PolicyStats,
-}
-
-impl LfuPolicy {
-    /// Policy with a dynamic-replica budget of `budget_bytes`.
-    pub fn new(budget_bytes: u64) -> Self {
-        LfuPolicy {
-            budget_bytes,
-            used_bytes: 0,
-            tracked: FxHashMap::default(),
-            next_seq: 0,
-            stats: PolicyStats::default(),
-        }
-    }
-
-    /// Bytes of budget currently in use.
-    pub fn used_bytes(&self) -> u64 {
-        self.used_bytes
-    }
-
-    /// Number of tracked dynamic replicas.
-    pub fn tracked_count(&self) -> usize {
-        self.tracked.len()
-    }
-
-    /// Lowest-frequency victim outside `evicting_file` (ties: oldest).
-    fn evict_one(&mut self, evicting_file: FileId) -> Option<BlockId> {
-        let victim = self
-            .tracked
-            .iter()
-            .filter(|(_, t)| t.file != evicting_file)
-            .min_by_key(|(_, t)| (t.freq, t.seq))
-            .map(|(&b, _)| b)?;
-        let rec = self.tracked.remove(&victim).expect("victim tracked");
-        self.used_bytes -= rec.bytes;
-        self.stats.evictions += 1;
-        Some(victim)
-    }
-}
-
-impl ReplicationPolicy for LfuPolicy {
-    fn on_map_task(&mut self, ctx: PolicyCtx<'_>) -> ReplicationDecision {
-        if let Some(t) = self.tracked.get_mut(&ctx.block) {
-            t.freq += 1;
-            self.stats.refreshes += 1;
-            return ReplicationDecision::Skip;
-        }
-        if ctx.is_local {
-            return ReplicationDecision::Skip;
-        }
-        if ctx.block_bytes > self.budget_bytes {
-            self.stats.skipped_no_victim += 1;
-            return ReplicationDecision::Skip;
-        }
-        let pinned: u64 = self
-            .tracked
-            .values()
-            .filter(|t| t.file == ctx.file)
-            .map(|t| t.bytes)
-            .sum();
-        if pinned + ctx.block_bytes > self.budget_bytes {
-            self.stats.skipped_no_victim += 1;
-            return ReplicationDecision::Skip;
-        }
-        let mut evict = Vec::new();
-        while self.used_bytes + ctx.block_bytes > self.budget_bytes {
-            let v = self
-                .evict_one(ctx.file)
-                .expect("pinned-bytes check guarantees a victim");
-            evict.push(v);
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.tracked.insert(
-            ctx.block,
-            Tracked {
-                file: ctx.file,
-                bytes: ctx.block_bytes,
-                freq: 0,
-                seq,
-            },
-        );
-        self.used_bytes += ctx.block_bytes;
-        self.stats.replicas_created += 1;
-        self.stats.bytes_replicated += ctx.block_bytes;
-        ReplicationDecision::Replicate { evict }
-    }
-
-    fn forget(&mut self, block: BlockId) {
-        if let Some(rec) = self.tracked.remove(&block) {
-            self.used_bytes -= rec.bytes;
-        }
-    }
-
-    fn stats(&self) -> PolicyStats {
-        self.stats
-    }
-
-    fn name(&self) -> &'static str {
-        "lfu"
-    }
-}
+//! The least-frequently-used ablation — greedy admission with LFU
+//! eviction — pinned as unit tests of [`crate::Policy`] under
+//! [`crate::PolicyKind::Lfu`].
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::policy::{Policy, PolicyCtx, PolicyKind, ReplicationDecision};
+    use dare_dfs::{BlockId, FileId};
     use dare_simcore::DetRng;
 
     const BLK: u64 = 128;
+
+    fn lfu(budget_bytes: u64) -> Policy {
+        Policy::new(PolicyKind::Lfu, budget_bytes)
+    }
 
     fn ctx<'a>(rng: &'a mut DetRng, block: u64, file: u32, is_local: bool) -> PolicyCtx<'a> {
         PolicyCtx {
@@ -149,7 +26,7 @@ mod tests {
 
     #[test]
     fn evicts_least_frequent() {
-        let mut p = LfuPolicy::new(2 * BLK);
+        let mut p = lfu(2 * BLK);
         let mut rng = DetRng::new(1);
         p.on_map_task(ctx(&mut rng, 1, 1, false));
         p.on_map_task(ctx(&mut rng, 2, 2, false));
@@ -161,42 +38,44 @@ mod tests {
         let d = p.on_map_task(ctx(&mut rng, 3, 3, false));
         assert_eq!(
             d,
-            ReplicationDecision::Replicate {
-                evict: vec![BlockId(2)]
+            ReplicationDecision {
+                evict: vec![BlockId(2)],
+                replicate: true,
             }
         );
     }
 
     #[test]
     fn frequency_ties_evict_oldest() {
-        let mut p = LfuPolicy::new(2 * BLK);
+        let mut p = lfu(2 * BLK);
         let mut rng = DetRng::new(1);
         p.on_map_task(ctx(&mut rng, 1, 1, false));
         p.on_map_task(ctx(&mut rng, 2, 2, false));
         let d = p.on_map_task(ctx(&mut rng, 3, 3, false));
         assert_eq!(
             d,
-            ReplicationDecision::Replicate {
-                evict: vec![BlockId(1)]
+            ReplicationDecision {
+                evict: vec![BlockId(1)],
+                replicate: true,
             }
         );
     }
 
     #[test]
     fn same_file_exclusion_holds() {
-        let mut p = LfuPolicy::new(BLK);
+        let mut p = lfu(BLK);
         let mut rng = DetRng::new(1);
         p.on_map_task(ctx(&mut rng, 1, 7, false));
         assert_eq!(
             p.on_map_task(ctx(&mut rng, 2, 7, false)),
-            ReplicationDecision::Skip
+            ReplicationDecision::SKIP
         );
         assert_eq!(p.stats().skipped_no_victim, 1);
     }
 
     #[test]
     fn budget_respected_under_churn() {
-        let mut p = LfuPolicy::new(4 * BLK);
+        let mut p = lfu(4 * BLK);
         let mut rng = DetRng::new(5);
         let mut wl = DetRng::new(6);
         for _ in 0..3000 {
@@ -209,7 +88,7 @@ mod tests {
 
     #[test]
     fn forget_is_idempotent() {
-        let mut p = LfuPolicy::new(BLK);
+        let mut p = lfu(BLK);
         let mut rng = DetRng::new(1);
         p.on_map_task(ctx(&mut rng, 1, 1, false));
         p.forget(BlockId(1));

@@ -1,18 +1,27 @@
 //! Property-based tests of the replication-policy invariants.
 //!
 //! These model the contract between a policy and the file system: whatever
-//! the access sequence, (1) the budget is never exceeded, (2) a policy only
-//! ever evicts blocks it previously asked to replicate and that are still
-//! live, and (3) internal bookkeeping stays consistent under interleaved
-//! forgets.
+//! the access sequence and however the block sizes differ, (1) the live
+//! dynamic bytes never exceed the budget, (2) a policy only ever evicts
+//! blocks it previously asked to replicate and that are still live, and
+//! (3) its tracked set equals the live set under interleaved forgets.
 
-use dare_core::{build_policy, PolicyCtx, PolicyKind, ReplicationDecision};
+use dare_core::{Policy, PolicyCtx, PolicyKind};
 use dare_dfs::{BlockId, FileId};
 use dare_simcore::check::{run_cases, Gen};
 use dare_simcore::DetRng;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 const BLK: u64 = 128;
+
+/// Every third block is half-size, as the last block of a file can be.
+fn block_bytes(block: u64) -> u64 {
+    if block % 3 == 2 {
+        BLK / 2
+    } else {
+        BLK
+    }
+}
 
 /// One step of a simulated access sequence.
 #[derive(Debug, Clone)]
@@ -43,6 +52,7 @@ fn kinds() -> Vec<PolicyKind> {
         PolicyKind::Lfu,
         PolicyKind::ElephantTrap { p: 1.0, threshold: 1 },
         PolicyKind::ElephantTrap { p: 0.4, threshold: 2 },
+        PolicyKind::ElephantTrap { p: 1.0, threshold: 4 },
     ]
 }
 
@@ -50,10 +60,10 @@ fn kinds() -> Vec<PolicyKind> {
 /// and check the shared invariants after every step.
 fn run_policy(kind: PolicyKind, ops: &[Op], budget_blocks: u64, seed: u64) {
     let budget = budget_blocks * BLK;
-    let mut policy = build_policy(kind, budget);
+    let mut policy = Policy::new(kind, budget);
     let mut rng = DetRng::new(seed);
-    // The set of blocks the DFS believes are dynamically replicated here.
-    let mut live: HashSet<u64> = HashSet::new();
+    // The blocks (and their bytes) the DFS holds as dynamic replicas here.
+    let mut live: HashMap<u64, u64> = HashMap::new();
 
     for (step, op) in ops.iter().enumerate() {
         match *op {
@@ -61,36 +71,40 @@ fn run_policy(kind: PolicyKind, ops: &[Op], budget_blocks: u64, seed: u64) {
                 let decision = policy.on_map_task(PolicyCtx {
                     block: BlockId(block),
                     file: FileId((block / 3) as u32),
-                    block_bytes: BLK,
-                    is_local: local || live.contains(&block),
+                    block_bytes: block_bytes(block),
+                    is_local: local || live.contains_key(&block),
                     rng: &mut rng,
                 });
-                if let ReplicationDecision::Replicate { evict } = decision {
-                    let mut seen = HashSet::new();
-                    for v in &evict {
-                        assert!(
-                            live.remove(&v.0),
-                            "step {step}: {kind:?} evicted {v:?} which was not live"
-                        );
-                        assert!(seen.insert(*v), "duplicate eviction of {v:?}");
-                        assert_ne!(v.0, block, "step {step}: evicted the block being inserted");
-                    }
+                let mut seen = HashSet::new();
+                for v in &decision.evict {
                     assert!(
-                        live.insert(block),
+                        live.remove(&v.0).is_some(),
+                        "step {step}: {kind:?} evicted {v:?} which was not live"
+                    );
+                    assert!(seen.insert(*v), "duplicate eviction of {v:?}");
+                    assert_ne!(v.0, block, "step {step}: evicted the block being inserted");
+                }
+                if decision.replicate {
+                    assert!(
+                        live.insert(block, block_bytes(block)).is_none(),
                         "step {step}: {kind:?} re-replicated live block {block}"
                     );
                 }
-                assert!(
-                    (live.len() as u64) * BLK <= budget,
-                    "step {step}: {kind:?} exceeded budget: {} live blocks",
-                    live.len()
-                );
             }
             Op::Forget { block } => {
                 policy.forget(BlockId(block));
                 live.remove(&block);
             }
         }
+        let live_bytes: u64 = live.values().sum();
+        assert!(
+            live_bytes <= budget,
+            "step {step}: {kind:?} exceeded budget: {live_bytes} live bytes > {budget}"
+        );
+        let tracked: HashSet<u64> = policy.tracked_blocks().map(|b| b.0).collect();
+        let expected: HashSet<u64> = live.keys().copied().collect();
+        assert_eq!(tracked, expected, "step {step}: {kind:?} tracked set != live set");
+        assert_eq!(policy.used_bytes(), live_bytes, "step {step}: {kind:?} used bytes");
     }
 }
 
@@ -114,20 +128,19 @@ fn same_file_never_evicted_for_its_own_block() {
         // All blocks map to files of 3 blocks; whenever an eviction list
         // comes back, no victim may share a file with the inserted block.
         for kind in kinds() {
-            let mut policy = build_policy(kind, 4 * BLK);
+            let mut policy = Policy::new(kind, 4 * BLK);
             let mut rng = DetRng::new(seed);
             for &block in &accesses {
                 let file = FileId((block / 3) as u32);
-                if let ReplicationDecision::Replicate { evict } = policy.on_map_task(PolicyCtx {
+                let decision = policy.on_map_task(PolicyCtx {
                     block: BlockId(block),
                     file,
                     block_bytes: BLK,
                     is_local: false,
                     rng: &mut rng,
-                }) {
-                    for v in evict {
-                        assert_ne!((v.0 / 3) as u32, file.0, "evicted a same-file victim");
-                    }
+                });
+                for v in decision.evict {
+                    assert_ne!((v.0 / 3) as u32, file.0, "evicted a same-file victim");
                 }
             }
         }
@@ -143,7 +156,7 @@ fn deterministic_across_reruns() {
         // the reproducibility contract every experiment relies on.
         for kind in kinds() {
             let run = |s| {
-                let mut p = build_policy(kind, 5 * BLK);
+                let mut p = Policy::new(kind, 5 * BLK);
                 let mut rng = DetRng::new(s);
                 for op in &ops {
                     if let Op::Task { block, local } = *op {

@@ -4,7 +4,7 @@ use crate::config::{SchedulerKind, SimConfig};
 use crate::nodes::NodeTable;
 use crate::result::{ProactiveStats, SimResult};
 use crate::scarlett::{ProactiveTransfer, ScarlettState};
-use dare_core::{build_policy, PolicyCtx, ReplicationDecision, ReplicationPolicy};
+use dare_core::{Policy, PolicyCtx, PolicyKind, ReplicationDecision};
 use dare_dfs::{BlockId, DefaultPlacement, Dfs};
 use dare_net::flow::{FlowId, FlowSim};
 use dare_net::{NodeId, MB};
@@ -255,7 +255,7 @@ pub struct Engine {
     flows: FlowSim,
     scheduler: Box<dyn Scheduler>,
     queue: JobQueue,
-    policies: Vec<Box<dyn ReplicationPolicy>>,
+    policies: Vec<Policy>,
     policy_rngs: Vec<DetRng>,
     jobs: Vec<JobState>,
     events: EventQueue<Ev>,
@@ -522,9 +522,7 @@ impl Engine {
 
         // Per-node dynamic-replica budget.
         let budget_bytes = ((dfs.total_primary_bytes() as f64 / n as f64) * cfg.budget_frac) as u64;
-        let policies: Vec<Box<dyn ReplicationPolicy>> = (0..n)
-            .map(|_| build_policy(cfg.policy, budget_bytes))
-            .collect();
+        let policies = vec![Policy::new(cfg.policy, budget_bytes); n];
         let policy_rngs: Vec<DetRng> = (0..n)
             .map(|i| root.substream_idx("policy-node", i as u64))
             .collect();
@@ -1299,10 +1297,10 @@ impl Engine {
             });
         }
 
-        // Per-job rows plus the cumulative locality tally. `node_local`
-        // counts launched attempts (rolled back if an attempt dies), so
-        // mid-run the rate can momentarily include in-flight work; at the
-        // terminal sample it equals the outcome counters exactly.
+        // Per-job rows plus the cumulative locality tally. The locality
+        // classes count launched attempts (rolled back if an attempt dies),
+        // so the rate is over launched work, in-flight maps included; at
+        // the terminal sample they equal the outcome counters exactly.
         let (mut maps_done, mut node_local) = (0u64, 0u64);
         let (mut rack_local, mut remote) = (0u64, 0u64);
         for (j, js) in self.jobs.iter().enumerate() {
@@ -1354,7 +1352,8 @@ impl Engine {
         t.put("node_local", U64(node_local));
         t.put("rack_local", U64(rack_local));
         t.put("remote", U64(remote));
-        let locality = if maps_done == 0 { 0.0 } else { node_local as f64 / maps_done as f64 };
+        let launched = node_local + rack_local + remote;
+        let locality = if launched == 0 { 0.0 } else { node_local as f64 / launched as f64 };
         t.put("locality_rate", F64(locality));
         t.put("dynamic_replicas", U64(self.dfs.total_dynamic_replicas()));
         t.put("dynamic_bytes", U64(dyn_bytes));
@@ -1666,17 +1665,22 @@ impl Engine {
         }
 
         // DARE hook: the node's policy sees every scheduled map task.
-        let decision = self.policies[node as usize].on_map_task(PolicyCtx {
-            block,
-            file,
-            block_bytes: bytes,
-            is_local: present,
-            rng: &mut self.policy_rngs[node as usize],
-        });
-        let mut replicate = false;
-        if let ReplicationDecision::Replicate { evict } = decision {
+        // Vanilla Hadoop has no policy to ask and draws no coin.
+        let decision = if matches!(self.cfg.policy, PolicyKind::Vanilla) {
+            ReplicationDecision::SKIP
+        } else {
+            self.policies[node as usize].on_map_task(PolicyCtx {
+                block,
+                file,
+                block_bytes: bytes,
+                is_local: present,
+                rng: &mut self.policy_rngs[node as usize],
+            })
+        };
+        let replicate = decision.replicate;
+        if replicate || !decision.evict.is_empty() {
             let mut evicted = 0u32;
-            for v in evict {
+            for v in decision.evict {
                 if let Some(visible) = self.dfs.evict_dynamic(node_id, v) {
                     evicted += 1;
                     if visible {
@@ -1689,10 +1693,9 @@ impl Engine {
             self.emit(TraceEvent::ReplicaDecision {
                 node,
                 block: block.0,
-                replicate: true,
+                replicate,
                 evictions: evicted,
             });
-            replicate = true;
         }
 
         *self.nodes.free_map_mut(node as usize) -= 1;

@@ -16,10 +16,11 @@
 //!    [`dare_net::flow::FlowSim`] flow-level network model with
 //!    per-endpoint fair sharing and cross-rack oversubscription.
 //! 5. **DARE hook**: every scheduled map task is reported to the node's
-//!    [`dare_core::ReplicationPolicy`]; on a `Replicate` decision the
-//!    engine evicts the victims immediately (lazy deletion) and inserts the
-//!    fetched block into HDFS when its bytes finish arriving — the replica
-//!    becomes scheduler-visible one block report later.
+//!    [`dare_core::Policy`] (vanilla Hadoop has none to ask); the engine
+//!    evicts the decision's victims immediately (lazy deletion) and, when
+//!    it says `replicate`, inserts the fetched block into HDFS when its
+//!    bytes finish arriving — the replica becomes scheduler-visible one
+//!    block report later.
 //!
 //! Model simplifications (documented in DESIGN.md): reduce tasks occupy
 //! reduce slots FIFO but their shuffle is an analytic duration (per-reducer

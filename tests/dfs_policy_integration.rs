@@ -3,7 +3,7 @@
 //! contract (policy decides → DFS applies) and checks the two layers stay
 //! consistent under long random access streams.
 
-use dare_repro::core::{build_policy, PolicyCtx, PolicyKind, ReplicationDecision};
+use dare_repro::core::{Policy, PolicyCtx, PolicyKind};
 use dare_repro::dfs::{DefaultPlacement, Dfs, DfsConfig};
 use dare_repro::net::{NodeId, Topology, MB};
 use dare_repro::simcore::{DetRng, SimDuration, SimTime};
@@ -33,7 +33,7 @@ fn drive(policy_kind: PolicyKind, accesses: usize, seed: u64) -> (u64, u64) {
     let mut dfs = build_dfs(12, 4, &mut rng);
     let node = NodeId(0);
     let budget = 6 * 128 * MB;
-    let mut policy = build_policy(policy_kind, budget);
+    let mut policy = Policy::new(policy_kind, budget);
     let mut coin = DetRng::new(seed ^ 0xD00D);
     let mut now = SimTime::ZERO;
     let (mut inserts, mut rejected) = (0u64, 0u64);
@@ -55,13 +55,13 @@ fn drive(policy_kind: PolicyKind, accesses: usize, seed: u64) -> (u64, u64) {
             is_local,
             rng: &mut rng,
         });
-        if let ReplicationDecision::Replicate { evict } = decision {
-            for v in evict {
-                assert!(
-                    dfs.evict_dynamic(node, v).is_some(),
-                    "step {step}: policy evicted {v} the DFS does not hold"
-                );
-            }
+        for v in decision.evict {
+            assert!(
+                dfs.evict_dynamic(node, v).is_some(),
+                "step {step}: policy evicted {v} the DFS does not hold"
+            );
+        }
+        if decision.replicate {
             if dfs.insert_dynamic(now, node, block) {
                 inserts += 1;
             } else {
@@ -131,7 +131,7 @@ fn failure_recovery_keeps_policy_and_dfs_in_sync() {
     let mut rng = DetRng::new(7);
     let mut dfs = build_dfs(6, 3, &mut rng);
     let node = NodeId(1);
-    let mut policy = build_policy(PolicyKind::GreedyLru, 10 * 128 * MB);
+    let mut policy = Policy::new(PolicyKind::GreedyLru, 10 * 128 * MB);
 
     // Replicate a few blocks onto node 1.
     let mut tracked = Vec::new();
@@ -141,14 +141,15 @@ fn failure_recovery_keeps_policy_and_dfs_in_sync() {
             continue;
         }
         let meta = dfs.namenode().block(b);
-        if let ReplicationDecision::Replicate { evict } = policy.on_map_task(PolicyCtx {
+        let d = policy.on_map_task(PolicyCtx {
             block: b,
             file: meta.file,
             block_bytes: meta.size_bytes,
             is_local: false,
             rng: &mut rng,
-        }) {
-            assert!(evict.is_empty());
+        });
+        if d.replicate {
+            assert!(d.evict.is_empty());
             assert!(dfs.insert_dynamic(SimTime::ZERO, node, b));
             tracked.push(b);
         }
@@ -172,5 +173,5 @@ fn failure_recovery_keeps_policy_and_dfs_in_sync() {
         is_local: false,
         rng: &mut rng,
     });
-    assert!(matches!(d, ReplicationDecision::Replicate { .. }));
+    assert!(d.replicate);
 }

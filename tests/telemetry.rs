@@ -50,7 +50,25 @@ fn cases() -> Vec<(String, SimConfig)> {
             block: 0,
         });
     }
+    // A faster scanner + one rotten replica of an RF-3 block: a scrub pass
+    // quarantines it within the run and the repair from a healthy copy
+    // commits, so the run records a `repair_time_secs` value.
+    let mut repaired = scrubbed.clone().with_scanner(dare_mapred::ScannerConfig {
+        period: SimDuration::from_secs(5),
+        bytes_per_sec: 256 << 20,
+    });
+    let probe = dare_mapred::Engine::new(repaired.clone(), &golden_workload());
+    assert_eq!(probe.replication_factor(), 3);
+    let node = (0..19)
+        .find(|&n| probe.block_present(n, 0))
+        .expect("block 0 is placed");
+    repaired.faults.events = vec![dare_mapred::FaultEvent::CorruptReplica {
+        at_secs: 2,
+        node,
+        block: 0,
+    }];
     cases.push(("scrubbed-corrupt-dare-lru".to_string(), scrubbed));
+    cases.push(("repaired-corrupt-dare-lru".to_string(), repaired));
     for (_, cfg) in &mut cases {
         *cfg = cfg.clone().with_telemetry(TelemetryConfig {
             interval: SimDuration::from_secs(5),
@@ -103,9 +121,10 @@ fn telemetry_exports_are_byte_identical_across_runs() {
     }
 }
 
-/// Every case's JSONL export passes the schema validator, and on the
-/// fault-free golden matrix the telemetry-derived locality metrics agree
-/// bitwise with the summarizer's.
+/// Every case's JSONL export passes the schema validator, its
+/// `locality_rate` is a rate at every tick and ends at the run's locality
+/// when no job failed, and on the fault-free golden matrix the
+/// telemetry-derived locality metrics agree bitwise with the summarizer's.
 #[test]
 fn telemetry_jsonl_is_schema_valid_and_rederives_locality() {
     let wl = golden_workload();
@@ -115,6 +134,24 @@ fn telemetry_jsonl_is_schema_valid_and_rederives_locality() {
         let t = r.telemetry.as_ref().unwrap();
         validate_jsonl(&t.to_jsonl())
             .unwrap_or_else(|e| panic!("{name}: invalid JSONL: {e}"));
+        let rate = |i: usize| match t.value(i, "locality_rate").unwrap() {
+            dare_telemetry::Value::F64(v) => v,
+            other => panic!("{name}: locality_rate is a float, got {other:?}"),
+        };
+        for i in 0..t.ticks() {
+            assert!(
+                (0.0..=1.0).contains(&rate(i)),
+                "{name}: tick {i} rate {}",
+                rate(i)
+            );
+        }
+        if r.run.failed_jobs == 0 {
+            assert_eq!(
+                rate(t.ticks() - 1).to_bits(),
+                r.run.locality.to_bits(),
+                "{name}: terminal locality_rate is the run's locality"
+            );
+        }
         if faulted {
             continue; // locality cross-check is exercised on clean runs
         }
@@ -152,6 +189,25 @@ fn telemetry_jsonl_matches_golden() {
     let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
     let diff = dare_trace::diff_golden(&golden, &jsonl).unwrap_or_default();
     assert!(jsonl == golden, "telemetry drifted from golden:\n{diff}");
+}
+
+/// A committed repair of a quarantined replica shows up in the windowed
+/// `repair_time_secs` columns: some tick counts it and its time is positive.
+#[test]
+fn committed_repair_records_repair_time() {
+    const NAME: &str = "repaired-corrupt-dare-lru";
+    let cfg = cases().into_iter().find(|(n, _)| n == NAME).expect("known case").1;
+    let r = dare_mapred::run(cfg, &golden_workload());
+    assert_eq!(r.faults.replicas_corrupted, 1, "one replica rots");
+    assert_eq!(r.faults.blocks_lost, 0, "two healthy copies remain");
+    let t = r.telemetry.unwrap();
+    let repaired = (0..t.ticks()).any(|i| {
+        let n = t.value(i, "repair_time_secs_n");
+        let max = t.value(i, "repair_time_secs_max");
+        matches!(n, Some(dare_telemetry::Value::U64(n)) if n >= 1)
+            && matches!(max, Some(dare_telemetry::Value::F64(m)) if m > 0.0)
+    });
+    assert!(repaired, "no tick recorded the committed repair");
 }
 
 /// The data-integrity columns are strictly gated: they appear exactly
