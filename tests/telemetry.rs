@@ -208,6 +208,12 @@ fn committed_repair_records_repair_time() {
             && matches!(max, Some(dare_telemetry::Value::F64(m)) if m > 0.0)
     });
     assert!(repaired, "no tick recorded the committed repair");
+    // The scrubber finds the rotten replica: some tick counts the
+    // detection and the quarantine it triggers.
+    for col in ["d_scrub_detections", "d_replicas_quarantined"] {
+        let seen = (0..t.ticks()).any(|i| t.value(i, col).is_some_and(|v| v.as_f64() > 0.0));
+        assert!(seen, "no tick recorded {col}");
+    }
 }
 
 /// The data-integrity columns are strictly gated: they appear exactly
@@ -230,6 +236,8 @@ fn corruption_columns_are_gated() {
             "quarantine_depth",
             "d_scrub_bytes",
             "d_checksum_failures",
+            "d_scrub_detections",
+            "d_replicas_quarantined",
             "repair_time_secs",
         ] {
             assert_eq!(
