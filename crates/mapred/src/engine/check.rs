@@ -19,7 +19,6 @@
 use super::{Engine, RecoveryXfer};
 use dare_dfs::BlockId;
 use dare_net::flow::FlowId;
-use dare_net::NodeId;
 use dare_simcore::check::{InvariantId as Inv, Invariants};
 
 /// What the next check must re-visit, plus the running work count.
@@ -157,8 +156,38 @@ impl Engine {
         for b in 0..self.dfs.namenode().num_blocks() {
             self.check_block(&mut inv, BlockId(b as u64));
         }
+        self.assert_disk_counts();
         inv.into_result()
             .map_err(crate::SimError::InvariantViolation)
+    }
+
+    /// The DFS's running copy counts and usage totals equal a scan of its
+    /// data nodes.
+    #[cfg(any(test, feature = "oracle"))]
+    fn assert_disk_counts(&self) {
+        let mut copies = vec![0u32; self.dfs.namenode().num_blocks()];
+        let dns = self.dfs.datanodes();
+        for dn in dns {
+            let mut held = dn.all_blocks();
+            held.dedup(); // a block both primary and dynamic here
+            for b in held {
+                copies[b.idx()] += 1;
+            }
+        }
+        for (b, &scan) in copies.iter().enumerate() {
+            let count = self.dfs.physical_copies(BlockId(b as u64));
+            assert_eq!(count, scan, "copy count of block {b} drifted at t={}", self.now);
+        }
+        let sum = |f: fn(&dare_dfs::datanode::DataNode) -> u64| dns.iter().map(f).sum::<u64>();
+        let totals = [
+            (self.dfs.total_primary_bytes(), sum(|d| d.primary_bytes())),
+            (self.dfs.total_dynamic_bytes(), sum(|d| d.dynamic_bytes())),
+            (self.dfs.total_dynamic_replicas(), sum(|d| d.dynamic_count() as u64)),
+            (self.dfs.total_corrupt_replicas(), sum(|d| d.corrupt_count() as u64)),
+        ];
+        for (i, (total, scan)) in totals.into_iter().enumerate() {
+            assert_eq!(total, scan, "DFS usage total {i} drifted at t={}", self.now);
+        }
     }
 
     /// Slot conservation on a live node, declared-implies-crashed on a
@@ -244,9 +273,7 @@ impl Engine {
     }
 
     fn check_lost(&self, inv: &mut Invariants, b0: u64) {
-        let b = BlockId(b0);
-        let copy =
-            (0..self.nodes.len()).any(|i| self.dfs.is_physically_present(NodeId(i as u32), b));
+        let copy = self.dfs.physical_copies(BlockId(b0)) > 0;
         inv.check_id(Inv::LostBlocksUnrecoverable, !copy, || {
             format!("block {b0} marked lost while a physical copy survives")
         });
@@ -296,7 +323,7 @@ mod tests {
     use super::*;
     use crate::{SchedulerKind, SimConfig, StepOutcome};
     use dare_core::PolicyKind;
-    use dare_net::MB;
+    use dare_net::{NodeId, MB};
     use dare_simcore::{SimDuration, SimTime};
     use dare_workload::{FileSpec, JobSpec, Workload};
 

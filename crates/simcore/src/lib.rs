@@ -16,6 +16,8 @@
 //! * [`fx`] — a SipHash-free [`std::hash::BuildHasher`] (FxHash-style
 //!   multiply-xor) and `HashMap`/`HashSet` aliases for hot point-lookup
 //!   tables whose iteration order is never observed.
+//! * [`numfmt`] — direct integer and six-decimal float writers for the
+//!   byte-stable JSONL and CSV exports (the text `core::fmt` would write).
 //! * [`rng`] — deterministic random-number generation with hierarchical
 //!   substream derivation, so adding a consumer of randomness in one
 //!   subsystem does not perturb another subsystem's stream.
@@ -46,6 +48,7 @@ pub mod dist;
 pub mod events;
 pub mod fnv;
 pub mod fx;
+pub mod numfmt;
 pub mod parallel;
 pub mod quantile;
 pub mod rng;

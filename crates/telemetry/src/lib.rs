@@ -32,4 +32,4 @@ pub mod profile;
 pub mod series;
 
 pub use profile::{validate_profile_json, ProfileReport, Profiler, Subsystem};
-pub use series::{validate_jsonl, JobPhase, JobSample, NodeSample, Telemetry, Value};
+pub use series::{validate_jsonl, JobPhase, JobSample, NodeSample, Telemetry, Value, Window};

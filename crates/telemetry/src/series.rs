@@ -10,7 +10,8 @@
 //! endings — two identical runs serialize identically, which is what the
 //! determinism tests pin.
 
-use dare_simcore::stats::LatencyStat;
+use dare_simcore::numfmt::{push_fixed6, push_u64};
+use dare_simcore::quantile::P2Quantile;
 use std::fmt::Write as _;
 
 /// One sampled cluster cell: integer or fixed-format float.
@@ -50,12 +51,12 @@ enum Cell<'a> {
 
 impl Cell<'_> {
     fn write(self, out: &mut String, quote: bool) {
-        let _ = match self {
-            Cell::Num(Value::U64(v)) => write!(out, "{v}"),
-            Cell::Num(Value::F64(v)) => write!(out, "{v:.6}"),
-            Cell::Label(l) if quote => write!(out, "\"{l}\""),
-            Cell::Label(l) => write!(out, "{l}"),
-        };
+        match self {
+            Cell::Num(Value::U64(v)) => push_u64(out, v),
+            Cell::Num(Value::F64(v)) => push_fixed6(out, v),
+            Cell::Label(l) if quote => out.extend(["\"", l, "\""]),
+            Cell::Label(l) => out.push_str(l),
+        }
     }
 }
 
@@ -74,7 +75,7 @@ fn write_row<'a>(
     fields: impl IntoIterator<Item = (&'a str, Cell<'a>)>,
 ) {
     if let Some(kind) = kind {
-        let _ = write!(out, "{{\"kind\":\"{kind}\"");
+        out.extend(["{\"kind\":\"", kind, "\""]);
     }
     for (i, (key, cell)) in fields.into_iter().enumerate() {
         if kind.is_some() {
@@ -100,6 +101,35 @@ where
         write_row(&mut s, None, row);
     }
     s
+}
+
+/// The samples of one windowed cluster column since the last tick: what
+/// [`Telemetry::put_window`] writes, their count, maximum and streaming
+/// (P²) median.
+#[derive(Debug, Clone)]
+pub struct Window {
+    n: u64,
+    max: f64,
+    p50: P2Quantile,
+}
+
+impl Default for Window {
+    fn default() -> Self {
+        Window {
+            n: 0,
+            max: f64::NEG_INFINITY,
+            p50: P2Quantile::new(0.5),
+        }
+    }
+}
+
+impl Window {
+    /// Record one sample.
+    pub fn push(&mut self, x: f64) {
+        self.n += 1;
+        self.max = self.max.max(x);
+        self.p50.push(x);
+    }
 }
 
 /// Lifecycle phase of a job at a sampling tick.
@@ -252,12 +282,12 @@ impl Telemetry {
     /// Append the window `w` as `{name}_p50`, `{name}_max` and `{name}_n`
     /// (an empty window writes 0 for all three), then reset it for the
     /// next tick.
-    pub fn put_window(&mut self, name: &str, w: &mut LatencyStat) {
-        let p50 = if w.count() == 0 { 0.0 } else { w.p50() };
+    pub fn put_window(&mut self, name: &str, w: &mut Window) {
+        let w = std::mem::take(w);
+        let (p50, max) = if w.n == 0 { (0.0, 0.0) } else { (w.p50.estimate(), w.max) };
         self.cell(name, "_p50", Value::F64(p50));
-        self.cell(name, "_max", Value::F64(w.max()));
-        self.cell(name, "_n", Value::U64(w.count()));
-        *w = LatencyStat::new();
+        self.cell(name, "_max", Value::F64(max));
+        self.cell(name, "_n", Value::U64(w.n));
     }
 
     fn cell(&mut self, name: &str, suffix: &str, v: Value) {
@@ -503,7 +533,7 @@ mod tests {
     #[test]
     fn write_order_is_column_order() {
         let mut t = Telemetry::default();
-        let mut w = LatencyStat::new();
+        let mut w = Window::default();
         w.push(0.5);
         w.push(1.5);
         t.push_row(3_000_000);
@@ -520,7 +550,7 @@ mod tests {
     #[test]
     fn windows_reset_between_ticks() {
         let mut t = Telemetry::default();
-        let mut w = LatencyStat::new();
+        let mut w = Window::default();
         w.push(1.0);
         for t_us in [1, 2] {
             t.push_row(t_us);

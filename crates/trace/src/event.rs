@@ -7,9 +7,8 @@
 //! below the domain crates in the dependency graph and must not know
 //! about their newtypes.
 
+use dare_simcore::numfmt::push_u64;
 use dare_simcore::time::SimTime;
-use std::fmt::Display;
-use std::str::FromStr;
 
 /// Which subsystem an event belongs to, used for per-subsystem counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -661,12 +660,68 @@ fn attempt_fields(
 /// way the writer spells it.
 pub(crate) trait FieldVisitor {
     /// An integer or bool field, written as its `Display` text.
-    fn field<T: FromStr + Display>(&mut self, key: &'static str, v: &mut T) -> Result<(), String>;
+    fn field<T: Scalar>(&mut self, key: &'static str, v: &mut T) -> Result<(), String>;
     /// A field naming one value of a closed set, written as a JSON string.
     fn label<L: Label>(&mut self, key: &'static str, v: &mut L) -> Result<(), String>;
     /// Whether the next field is `key`: a writer answers `current`, a
     /// reader looks at the line.
     fn next_is(&mut self, key: &'static str, current: bool) -> bool;
+}
+
+/// An integer or bool field value, written as its `Display` text and
+/// read back only from that spelling.
+pub(crate) trait Scalar: Copy {
+    /// Append the value's text.
+    fn write(self, out: &mut String);
+    /// The value `text` spells, if `write` would spell it so: digits
+    /// only for an integer (no sign, no leading zero, no overflow),
+    /// `true` or `false` for a bool.
+    fn read(text: &str) -> Option<Self>;
+}
+
+/// The `u64` a canonical decimal spelling denotes.
+fn read_digits(text: &str) -> Option<u64> {
+    let digits = text.as_bytes();
+    if digits.is_empty() || (digits[0] == b'0' && digits.len() > 1) {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |acc, &d| {
+        if !d.is_ascii_digit() {
+            return None;
+        }
+        acc.checked_mul(10)?.checked_add((d - b'0') as u64)
+    })
+}
+
+impl Scalar for u64 {
+    fn write(self, out: &mut String) {
+        push_u64(out, self);
+    }
+    fn read(text: &str) -> Option<Self> {
+        read_digits(text)
+    }
+}
+
+impl Scalar for u32 {
+    fn write(self, out: &mut String) {
+        push_u64(out, self.into());
+    }
+    fn read(text: &str) -> Option<Self> {
+        read_digits(text)?.try_into().ok()
+    }
+}
+
+impl Scalar for bool {
+    fn write(self, out: &mut String) {
+        out.push_str(if self { "true" } else { "false" });
+    }
+    fn read(text: &str) -> Option<Self> {
+        match text {
+            "true" => Some(true),
+            "false" => Some(false),
+            _ => None,
+        }
+    }
 }
 
 /// A closed set of values with stable names.

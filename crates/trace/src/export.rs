@@ -13,17 +13,16 @@
 //! loads directly in Perfetto (<https://ui.perfetto.dev>) or
 //! `chrome://tracing`.
 
-use crate::event::{FieldVisitor, Label, TraceEvent, TraceRecord};
+use crate::event::{FieldVisitor, Label, Scalar, TraceEvent, TraceRecord};
 use crate::recorder::Trace;
 use dare_simcore::time::SimTime;
-use std::fmt::{Display, Write as _};
-use std::str::FromStr;
 
 /// The writer: appends each field as `"key":value,`.
 impl FieldVisitor for String {
-    fn field<T: FromStr + Display>(&mut self, key: &'static str, v: &mut T) -> Result<(), String> {
+    fn field<T: Scalar>(&mut self, key: &'static str, v: &mut T) -> Result<(), String> {
         self.extend(["\"", key, "\":"]);
-        let _ = write!(self, "{v},");
+        v.write(self);
+        self.push(',');
         Ok(())
     }
 
@@ -78,15 +77,9 @@ impl<'a> Reader<'a> {
 }
 
 impl FieldVisitor for Reader<'_> {
-    fn field<T: FromStr + Display>(&mut self, key: &'static str, v: &mut T) -> Result<(), String> {
+    fn field<T: Scalar>(&mut self, key: &'static str, v: &mut T) -> Result<(), String> {
         let text = self.value(key)?;
-        // `parse` alone would also take "+1" and "01".
-        let canonical = !text.starts_with('+') && (text.len() == 1 || !text.starts_with('0'));
-        *v = text
-            .parse()
-            .ok()
-            .filter(|_| canonical)
-            .ok_or_else(|| format!("bad {key:?} value {text:?}"))?;
+        *v = T::read(text).ok_or_else(|| format!("bad {key:?} value {text:?}"))?;
         Ok(())
     }
 
@@ -377,7 +370,7 @@ pub fn to_chrome(trace: &Trace) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{FlowCtx, FlowKind, Loc};
+    use crate::event::{FlowCtx, FlowKind, Loc, Scalar};
 
     fn sample_trace() -> Trace {
         let mut tr = Trace::default();
@@ -509,14 +502,70 @@ mod tests {
                 Err(e) => assert!(e.contains("line 1"), "{what}: {e}"),
             }
         }
-        // Integers spelled other than the way `Display` writes them.
-        for n in ["01", "+1"] {
+        // Integers spelled other than the way `Display` writes them, or
+        // out of the field's range.
+        for n in ["01", "+1", "", "-0", "4294967296"] {
             let line = format!("{head}\"ev\":\"job_failed\",\"sub\":\"sched\",\"job\":{n}}}\n");
-            assert!(from_jsonl(&line).unwrap_err().contains("line 1"), "{n}");
+            let err = format!("line 1: bad \"job\" value {n:?}");
+            assert_eq!(from_jsonl(&line).unwrap_err(), err);
         }
         // The same flow without the stray key is what `to_jsonl` writes.
         let ok = format!("{head}{flow},\"job\":1,\"task\":2,\"attempt\":0}}\n");
         assert_eq!(to_jsonl(&from_jsonl(&ok).expect("valid")), ok);
+    }
+
+    /// The reader before the digit scanner: `parse`, then a filter on
+    /// the spellings `parse` takes beyond what `Display` writes.
+    fn parse_canonical<T: std::str::FromStr>(text: &str) -> Option<T> {
+        let canonical = !text.starts_with('+') && (text.len() == 1 || !text.starts_with('0'));
+        text.parse().ok().filter(|_| canonical)
+    }
+
+    fn assert_scalar<T>(v: T)
+    where
+        T: Scalar + std::fmt::Display + std::str::FromStr + PartialEq + std::fmt::Debug,
+    {
+        let text = v.to_string();
+        let mut written = String::new();
+        v.write(&mut written);
+        assert_eq!(written, text);
+        assert_eq!(T::read(&text), Some(v), "{text}");
+    }
+
+    /// Integer and bool fields, differentially: the writer spells what
+    /// `Display` spells, and the reader accepts exactly what
+    /// [`parse_canonical`] accepts.
+    #[test]
+    fn scalar_fields_match_display_and_parse() {
+        let mut rng = dare_simcore::DetRng::new(23);
+        for _ in 0..20_000 {
+            let x = rng.next_u64() >> (rng.next_u64() % 64);
+            assert_scalar(x);
+            assert_scalar(x as u32);
+        }
+        for v in [0, 1, u32::MAX as u64, u32::MAX as u64 + 1, u64::MAX] {
+            assert_scalar(v);
+        }
+        assert_scalar(true);
+        assert_scalar(false);
+
+        let edges = "0 00 01 1 10 +1 +0 -0 -1 + - 1e3 0x1 true false True 1true \
+                     4294967295 4294967296 18446744073709551615 18446744073709551616";
+        let mut texts: Vec<String> = ["", " 1", "1 "].map(String::from).into();
+        texts.extend(edges.split(' ').map(String::from));
+        const ALPHABET: &[u8] = b"0123456789+-";
+        for _ in 0..20_000 {
+            let len = rng.index(22);
+            let text = (0..len)
+                .map(|_| ALPHABET[rng.index(ALPHABET.len())] as char)
+                .collect();
+            texts.push(text);
+        }
+        for t in &texts {
+            assert_eq!(u64::read(t), parse_canonical::<u64>(t), "u64 {t:?}");
+            assert_eq!(u32::read(t), parse_canonical::<u32>(t), "u32 {t:?}");
+            assert_eq!(bool::read(t), parse_canonical::<bool>(t), "bool {t:?}");
+        }
     }
 
     /// One record of every event kind, with both flow contexts.
