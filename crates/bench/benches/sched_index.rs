@@ -1,7 +1,7 @@
 //! Before/after benchmark of the incremental locality index.
 //!
-//! "Before" is the retained naive-scan scheduler path
-//! (`dare_sched::oracle`, O(tasks × replicas) per offer, full deficit
+//! "Before" is the naive-scan reference scheduler (`Scheduler::naive`,
+//! the scans in `dare_sched::oracle`, O(tasks × replicas) per offer, full deficit
 //! sort per Fair offer); "after" is the indexed production path. Both
 //! replay the identical offer stream — the differential tests prove them
 //! bit-identical — on the paper's 100-node EC2 profile, in a
@@ -24,10 +24,7 @@ use dare_dfs::BlockId;
 use dare_mapred::{Engine, SchedulerKind, SimConfig};
 use dare_net::{ClusterProfile, NodeId, Topology};
 use dare_sched::locality::classify;
-use dare_sched::oracle::{NaiveFairScheduler, NaiveFifoScheduler};
-use dare_sched::{
-    FairScheduler, FifoScheduler, JobId, JobQueue, PendingTask, Scheduler, TableLookup, TaskId,
-};
+use dare_sched::{JobId, JobQueue, PendingTask, Scheduler, TableLookup, TaskId};
 use dare_simcore::{DetRng, SimTime};
 use dare_workload::swim::{synthesize, SwimParams};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -106,7 +103,7 @@ fn fill_queue(lookup: &TableLookup, topo: &Topology) -> JobQueue {
 
 /// Offer slots round-robin until every task is handed out; completions
 /// are instant so the drain cost is pure scheduling.
-fn drain(sched: &mut dyn Scheduler, q: &mut JobQueue, lookup: &TableLookup, topo: &Topology) -> u64 {
+fn drain(sched: &mut Scheduler, q: &mut JobQueue, lookup: &TableLookup, topo: &Topology) -> u64 {
     let nodes = topo.nodes();
     let mut n = 0u32;
     let mut assigned = 0u64;
@@ -114,7 +111,7 @@ fn drain(sched: &mut dyn Scheduler, q: &mut JobQueue, lookup: &TableLookup, topo
     while q.has_pending() && idle < 8 * nodes {
         let node = NodeId(n % nodes);
         n += 1;
-        match sched.pick_map(q, node, lookup, topo, SimTime::ZERO) {
+        match sched.pick_map(q, node, lookup, topo) {
             Some(a) => {
                 q.on_map_complete(a.job);
                 assigned += 1;
@@ -139,34 +136,19 @@ impl PairResult {
 }
 
 fn offer_replay(r: &mut Runner, topo: &Topology, lookup: &TableLookup) -> Vec<PairResult> {
-    type MkSched = fn(bool) -> Box<dyn Scheduler>;
-    let variants: [(&'static str, MkSched); 2] = [
-        ("fifo", |naive| {
-            if naive {
-                Box::new(NaiveFifoScheduler::new())
-            } else {
-                Box::new(FifoScheduler::new())
-            }
-        }),
-        ("fair", |naive| {
-            if naive {
-                Box::new(NaiveFairScheduler::new())
-            } else {
-                Box::new(FairScheduler::new())
-            }
-        }),
-    ];
     let expected = JOBS as u64 * TASKS_PER_JOB as u64;
-    variants
+    [SchedulerKind::Fifo, SchedulerKind::fair_default()]
         .into_iter()
-        .map(|(name, mk)| {
+        .map(|kind| {
+            let name = kind.label();
             let mut measure = |naive: bool| {
                 let label = if naive { "naive" } else { "indexed" };
+                let mk = if naive { Scheduler::naive } else { Scheduler::new };
                 r.bench_batched(
                     &format!("offer_replay/{name}/{label}"),
-                    || (mk(naive), fill_queue(lookup, topo)),
+                    || (mk(kind), fill_queue(lookup, topo)),
                     |(mut sched, mut q)| {
-                        let got = drain(sched.as_mut(), &mut q, lookup, topo);
+                        let got = drain(&mut sched, &mut q, lookup, topo);
                         assert_eq!(got, expected, "drain must hand out every task");
                     },
                 )
@@ -196,7 +178,7 @@ const CYCLE_LAYOUTS: u64 = 8;
 /// retires. Returns the map tasks run.
 fn lifecycle_cycle(
     q: &mut JobQueue,
-    sched: &mut FairScheduler,
+    sched: &mut Scheduler,
     cycle: u64,
     lookup: &TableLookup,
     topo: &Topology,
@@ -221,7 +203,7 @@ fn lifecycle_cycle(
     while q.has_pending() {
         let node = NodeId(n % topo.nodes());
         n += 1;
-        if let Some(a) = sched.pick_map(q, node, lookup, topo, SimTime::ZERO) {
+        if let Some(a) = sched.pick_map(q, node, lookup, topo) {
             q.on_map_complete(a.job);
             ran += 1;
         }
@@ -242,7 +224,7 @@ const WARM_CYCLES: u64 = 256;
 fn allocs_per_map_task(cycles: u64, lookup: &TableLookup, topo: &Topology) -> f64 {
     let total_jobs = (WARM_CYCLES + cycles) as usize * CYCLE_SIZES.len();
     let mut q = JobQueue::with_job_capacity(total_jobs);
-    let mut sched = FairScheduler::new();
+    let mut sched = Scheduler::new(SchedulerKind::fair_default());
     for c in 0..WARM_CYCLES {
         lifecycle_cycle(&mut q, &mut sched, c, lookup, topo);
     }
@@ -287,7 +269,7 @@ fn engine_wallclock(r: &mut Runner) -> PairResult {
                 7,
             );
             let engine = if naive {
-                Engine::with_scheduler(cfg, wl, Box::new(NaiveFairScheduler::new()))
+                Engine::with_scheduler(cfg, wl, Scheduler::naive(SchedulerKind::fair_default()))
             } else {
                 Engine::new(cfg, wl)
             };

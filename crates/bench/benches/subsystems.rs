@@ -7,9 +7,8 @@ use dare_dfs::{BlockId, DefaultPlacement, Dfs, DfsConfig};
 use dare_mapred::DfsLookup;
 use dare_net::flow::FlowSim;
 use dare_net::{NodeId, Topology, MB};
-use dare_sched::{
-    FairScheduler, FifoScheduler, JobId, JobQueue, PendingTask, Scheduler, TaskId,
-};
+use dare_mapred::SchedulerKind;
+use dare_sched::{JobId, JobQueue, PendingTask, Scheduler, TaskId};
 use dare_simcore::{DetRng, SimTime};
 
 fn build_dfs(nodes: u32, files: u32, blocks: u64) -> Dfs {
@@ -52,16 +51,12 @@ fn fill_queue(dfs: &Dfs, jobs: u32, tasks_per_job: usize) -> JobQueue {
 
 fn scheduler_pick(r: &mut Runner) {
     let dfs = build_dfs(19, 64, 4);
-    type MkSched = fn() -> Box<dyn Scheduler>;
-    let variants: [(&str, MkSched); 2] = [
-        ("fifo", || Box::new(FifoScheduler::new())),
-        ("fair", || Box::new(FairScheduler::new())),
-    ];
-    for (name, mk) in variants {
+    for kind in [SchedulerKind::Fifo, SchedulerKind::fair_default()] {
+        let name = kind.label();
         for &jobs in &[4u32, 32] {
             r.bench_batched(
                 &format!("scheduler_pick_map/{name}/{jobs}"),
-                || (mk(), fill_queue(&dfs, jobs, 8)),
+                || (Scheduler::new(kind), fill_queue(&dfs, jobs, 8)),
                 |(mut sched, mut q)| {
                     let lookup = DfsLookup(&dfs);
                     let mut node = 0u32;
@@ -70,7 +65,6 @@ fn scheduler_pick(r: &mut Runner) {
                         NodeId(node % 19),
                         &lookup,
                         dfs.topology(),
-                        SimTime::ZERO,
                     ) {
                         black_box(a);
                         node += 1;

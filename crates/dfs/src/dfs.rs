@@ -86,7 +86,7 @@ pub enum Quarantined {
 /// dfs.process_reports(SimTime::from_secs(3)); // next heartbeat
 /// assert!(dfs.visible_locations(block).contains(&outsider));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Dfs {
     cfg: DfsConfig,
     nn: NameNode,
@@ -387,7 +387,9 @@ impl Dfs {
             let candidates: Vec<NodeId> = live
                 .iter()
                 .copied()
-                .filter(|n| *n != node && !existing.contains(n))
+                .filter(|&n| {
+                    n != node && !existing.contains(&n) && !self.is_physically_present(n, b)
+                })
                 .collect();
             if candidates.is_empty() {
                 continue;
@@ -1062,6 +1064,13 @@ mod tests {
             let scan = dns.iter().filter(|d| d.holds(b)).count() as u32;
             assert_eq!(dfs.physical_copies(b), scan, "copies of {b}");
         }
+        for d in dns {
+            let blocks = d.all_blocks();
+            assert!(
+                blocks.windows(2).all(|w| w[0] != w[1]),
+                "a block stored twice on one node: {blocks:?}"
+            );
+        }
         let sum = |f: fn(&DataNode) -> u64| dns.iter().map(f).sum::<u64>();
         assert_eq!(dfs.total_primary_bytes(), sum(|d| d.primary_bytes()));
         assert_eq!(dfs.total_dynamic_bytes(), sum(|d| d.dynamic_bytes()));
@@ -1075,10 +1084,10 @@ mod tests {
         );
     }
 
-    /// `fail_node` picks its target among the nodes the name node does
-    /// not list, so it can re-replicate onto a node whose dynamic replica
-    /// is not reported yet. That node already held a copy: the count
-    /// stays, and evicting the dynamic replica later leaves the primary.
+    /// `fail_node` skips a node whose dynamic replica is not reported
+    /// yet: the name node does not list it, but it already holds the
+    /// bytes, so a primary there would store the block twice. With that
+    /// node the only other one, the block stays under-replicated.
     #[test]
     fn re_replication_onto_an_unreported_dynamic_holder_keeps_the_count() {
         let (mut dfs, mut rng) = (
@@ -1104,16 +1113,13 @@ mod tests {
         assert_eq!(dfs.physical_copies(b), 4);
         let live: Vec<NodeId> = (0..4).map(NodeId).collect();
         let out = dfs.fail_node(holders[0], &live, &mut rng);
-        assert_eq!(out.re_replicated, 1);
-        assert!(
-            dfs.namenode().primary_locations(b).contains(&outsider),
-            "the only candidate"
-        );
+        assert_eq!(out.re_replicated, 0, "no candidate");
+        assert!(!dfs.namenode().primary_locations(b).contains(&outsider));
         assert_eq!(dfs.physical_copies(b), 3, "one disk lost, none gained");
         assert_counts_match_scan(&dfs);
         assert_eq!(dfs.evict_dynamic(outsider, b), Some(false));
-        assert!(dfs.is_physically_present(outsider, b), "the primary stays");
-        assert_eq!(dfs.physical_copies(b), 3);
+        assert!(!dfs.is_physically_present(outsider, b), "no primary left");
+        assert_eq!(dfs.physical_copies(b), 2);
         assert_counts_match_scan(&dfs);
     }
 

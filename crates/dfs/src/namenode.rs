@@ -22,7 +22,7 @@ struct PendingReport {
 }
 
 /// Master metadata server.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct NameNode {
     files: Vec<FileMeta>,
     blocks: Vec<BlockMeta>,

@@ -22,7 +22,7 @@ use dare_net::flow::FlowId;
 use dare_simcore::check::{InvariantId as Inv, Invariants};
 
 /// What the next check must re-visit, plus the running work count.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(super) struct Marks {
     /// Blocks marked by the engine (lost-set inserts) and drained from
     /// the DFS touch log.

@@ -8,6 +8,7 @@
 use std::collections::BTreeSet;
 
 /// Slots, running work and liveness of every node.
+#[derive(Clone)]
 pub(crate) struct NodeTable {
     free_map: Vec<u32>,
     free_reduce: Vec<u32>,

@@ -61,7 +61,7 @@ pub struct SimResult {
     /// Jobs the scheduler examined across those offers: each lookup of a
     /// job's best pending task for the offered node
     /// (`JobQueue::pick_best_for` on a job with pending work). Zero under
-    /// the naive-scan oracle schedulers, which do not use the index.
+    /// the naive-scan reference scheduler, which does not use the index.
     pub sched_probes: u64,
     /// FNV-1a fingerprint of the DFS's final physical replica map (every
     /// datanode's held blocks plus their dynamic/primary status). Two runs

@@ -49,7 +49,7 @@ impl Default for ScarlettConfig {
 }
 
 /// Per-run state of the epoch replicator.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ScarlettState {
     /// Active configuration.
     pub cfg: ScarlettConfig,

@@ -16,10 +16,13 @@
 //!
 //! ## Forking by replay
 //!
-//! `Engine` is not `Clone` (the scheduler is a boxed trait object), so a
-//! checker state is its **action prefix**: the engine is rebuilt from the
-//! deterministic config and the prefix replayed to fork. Replay is cheap
-//! at these bounds and keeps the checker decoupled from engine internals.
+//! A checker state is its **action prefix**: the engine is rebuilt from
+//! the deterministic config and the prefix replayed to fork. `Engine` is
+//! `Clone`, and a clone with one action applied reaches the state replay
+//! does (`clone_then_apply_matches_replay`), so the checker could fork by
+//! clone instead; it keeps replay until that switch is measured on its
+//! own. Replay is cheap at these bounds and keeps the checker decoupled
+//! from engine internals.
 //!
 //! ## Deduplication
 //!
@@ -605,6 +608,37 @@ mod tests {
         assert_eq!(report.states_explored, 4654);
         assert_eq!(report.paths_closed, 1881);
         assert_eq!(report.fingerprint_digest, 0xcb06_2cdd_fccd_73af);
+    }
+
+    /// Forking by clone reaches the state forking by replay does: along
+    /// random paths, a clone of the parent with one action applied has
+    /// the fingerprint of a fresh engine replaying the whole prefix, and
+    /// the parent is untouched.
+    #[test]
+    fn clone_then_apply_matches_replay() {
+        let cfg = McConfig { depth: 12, max_faults: 3, ..McConfig::default() };
+        let wl = mc_workload(&cfg);
+        let mut rng = dare_simcore::DetRng::new(0xC10E);
+        for _ in 0..24 {
+            let mut eng = Engine::new(mc_sim_config(&cfg), &wl);
+            let mut prefix = Vec::new();
+            for _ in 0..cfg.depth {
+                let options = successors(&cfg, &eng, tally(&prefix));
+                let a = options[rng.index(options.len())];
+                prefix.push(a);
+                let parent = eng.state_fingerprint();
+                let mut fork = eng.clone();
+                apply(&mut fork, a).expect("clean protocol");
+                assert_eq!(eng.state_fingerprint(), parent, "parent changed by {a:?}");
+                let replayed = replay(&cfg, &wl, &prefix).map_err(|b| b.1).expect("replay");
+                assert_eq!(
+                    fork.state_fingerprint(),
+                    replayed.state_fingerprint(),
+                    "clone and replay diverged after {prefix:?}"
+                );
+                eng = fork;
+            }
+        }
     }
 
     #[test]

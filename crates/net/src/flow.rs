@@ -63,7 +63,7 @@ impl Flow {
 /// let (t, _) = sim.next_completion().unwrap();
 /// assert!((t.as_secs_f64() - 2.0).abs() < 1e-3); // 50 MB/s each
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct FlowSim {
     /// Per-node NIC capacity, bytes/s (converted from MB/s at construction).
     nic_bytes_per_sec: Vec<f64>,

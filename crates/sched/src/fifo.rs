@@ -1,4 +1,4 @@
-//! Hadoop's default FIFO scheduler.
+//! Hadoop's default FIFO scheduler ([`SchedulerKind::Fifo`]).
 //!
 //! Jobs are served strictly in arrival order. Within the job at the head of
 //! the queue the scheduler prefers, for the heartbeating node, a node-local
@@ -16,71 +16,24 @@
 //! ([`JobQueue::pick_best_for`]): one hashed lookup of the node's (then the
 //! rack's) ascending position list, whose head is the pick, without
 //! touching the per-task location lists. An offer is one probe.
-//! [`crate::oracle::NaiveFifoScheduler`] keeps the original scan for the
-//! differential tests.
+//!
+//! [`SchedulerKind::Fifo`]: crate::SchedulerKind::Fifo
 
-use crate::queue::{Assignment, JobQueue};
-use crate::{LocationLookup, Scheduler};
-use dare_net::{NodeId, Topology};
-use dare_simcore::SimTime;
+use crate::queue::{JobId, JobQueue};
 
-/// The FIFO scheduler (no configuration).
-#[derive(Debug, Default)]
-pub struct FifoScheduler;
-
-impl FifoScheduler {
-    /// Construct.
-    pub fn new() -> Self {
-        FifoScheduler
-    }
-}
-
-impl Scheduler for FifoScheduler {
-    fn pick_map(
-        &mut self,
-        queue: &mut JobQueue,
-        node: NodeId,
-        _lookup: &dyn LocationLookup,
-        topo: &Topology,
-        _now: SimTime,
-    ) -> Option<Assignment> {
-        // First job (arrival order) with pending maps gets the slot.
-        let job_id = queue.jobs().iter().find(|j| !j.pending().is_empty())?.id;
-        let (idx, locality) = queue
-            .pick_best_for(job_id, node, topo)
-            .expect("job had pending tasks");
-        let t = queue.take_task(job_id, idx);
-        Some(Assignment {
-            job: job_id,
-            task: t.task,
-            block: t.block,
-            locality,
-        })
-    }
-
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
+/// The first job (arrival order) with pending maps: it gets the slot.
+pub(crate) fn head_job(queue: &JobQueue) -> Option<JobId> {
+    Some(queue.jobs().iter().find(|j| !j.pending().is_empty())?.id)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::locality::Locality;
-    use crate::queue::{JobId, PendingTask, TaskId};
-    use crate::TableLookup;
+    use crate::queue::{JobId, JobQueue};
+    use crate::{tasks, Scheduler, SchedulerKind, TableLookup};
     use dare_dfs::BlockId;
-
-    fn tasks(blocks: &[u64]) -> Vec<PendingTask> {
-        blocks
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| PendingTask {
-                task: TaskId(i as u32),
-                block: BlockId(b),
-            })
-            .collect()
-    }
+    use dare_net::{NodeId, Topology};
+    use dare_simcore::SimTime;
 
     #[test]
     fn prefers_node_local_within_head_job() {
@@ -88,9 +41,9 @@ mod tests {
         let lookup = TableLookup::from_pairs(&[(10, vec![1]), (11, vec![2])]);
         let mut q = JobQueue::new();
         q.add_job(JobId(0), SimTime::ZERO, tasks(&[10, 11]), &lookup, &topo);
-        let mut s = FifoScheduler::new();
+        let mut s = Scheduler::new(SchedulerKind::Fifo);
         let a = s
-            .pick_map(&mut q, NodeId(2), &lookup, &topo, SimTime::ZERO)
+            .pick_map(&mut q, NodeId(2), &lookup, &topo)
             .expect("slot filled");
         assert_eq!(a.block, BlockId(11));
         assert_eq!(a.locality, Locality::NodeLocal);
@@ -104,10 +57,16 @@ mod tests {
         let lookup = TableLookup::from_pairs(&[(10, vec![0]), (11, vec![3])]);
         let mut q = JobQueue::new();
         q.add_job(JobId(0), SimTime::ZERO, tasks(&[10]), &lookup, &topo);
-        q.add_job(JobId(1), SimTime::from_secs(1), tasks(&[11]), &lookup, &topo);
-        let mut s = FifoScheduler::new();
+        q.add_job(
+            JobId(1),
+            SimTime::from_secs(1),
+            tasks(&[11]),
+            &lookup,
+            &topo,
+        );
+        let mut s = Scheduler::new(SchedulerKind::Fifo);
         let a = s
-            .pick_map(&mut q, NodeId(3), &lookup, &topo, SimTime::ZERO)
+            .pick_map(&mut q, NodeId(3), &lookup, &topo)
             .expect("slot filled");
         assert_eq!(a.job, JobId(0), "strict arrival order");
         // single rack: non-local means rack-local here
@@ -120,14 +79,20 @@ mod tests {
         let lookup = TableLookup::from_pairs(&[(10, vec![0]), (11, vec![1])]);
         let mut q = JobQueue::new();
         q.add_job(JobId(0), SimTime::ZERO, tasks(&[10]), &lookup, &topo);
-        q.add_job(JobId(1), SimTime::from_secs(1), tasks(&[11]), &lookup, &topo);
-        let mut s = FifoScheduler::new();
+        q.add_job(
+            JobId(1),
+            SimTime::from_secs(1),
+            tasks(&[11]),
+            &lookup,
+            &topo,
+        );
+        let mut s = Scheduler::new(SchedulerKind::Fifo);
         // Drain job 0's only task.
-        s.pick_map(&mut q, NodeId(0), &lookup, &topo, SimTime::ZERO)
+        s.pick_map(&mut q, NodeId(0), &lookup, &topo)
             .expect("job 0 task");
         // Job 0 still running but has nothing pending: job 1 gets the slot.
         let a = s
-            .pick_map(&mut q, NodeId(1), &lookup, &topo, SimTime::ZERO)
+            .pick_map(&mut q, NodeId(1), &lookup, &topo)
             .expect("job 1 task");
         assert_eq!(a.job, JobId(1));
         assert_eq!(a.locality, Locality::NodeLocal);
@@ -138,10 +103,8 @@ mod tests {
         let topo = Topology::single_rack(2);
         let lookup = TableLookup::new();
         let mut q = JobQueue::new();
-        let mut s = FifoScheduler::new();
-        assert!(s
-            .pick_map(&mut q, NodeId(0), &lookup, &topo, SimTime::ZERO)
-            .is_none());
+        let mut s = Scheduler::new(SchedulerKind::Fifo);
+        assert!(s.pick_map(&mut q, NodeId(0), &lookup, &topo).is_none());
     }
 
     #[test]
@@ -152,9 +115,9 @@ mod tests {
         let lookup = TableLookup::from_pairs(&[(10, vec![2]), (11, vec![1])]);
         let mut q = JobQueue::new();
         q.add_job(JobId(0), SimTime::ZERO, tasks(&[10, 11]), &lookup, &topo);
-        let mut s = FifoScheduler::new();
+        let mut s = Scheduler::new(SchedulerKind::Fifo);
         let a = s
-            .pick_map(&mut q, NodeId(0), &lookup, &topo, SimTime::ZERO)
+            .pick_map(&mut q, NodeId(0), &lookup, &topo)
             .expect("slot filled");
         assert_eq!(a.block, BlockId(11));
         assert_eq!(a.locality, Locality::RackLocal);

@@ -58,8 +58,7 @@ mod tests {
     fn classify_levels() {
         // racks: node0/node1 in rack0, node2/node3 in rack1
         let topo = Topology::explicit(vec![0, 0, 1, 1], 10);
-        let lookup =
-            crate::TableLookup::from_pairs(&[(0, vec![0]), (1, vec![1]), (2, vec![3])]);
+        let lookup = crate::TableLookup::from_pairs(&[(0, vec![0]), (1, vec![1]), (2, vec![3])]);
         assert_eq!(
             classify(BlockId(0), NodeId(0), &lookup, &topo),
             Locality::NodeLocal

@@ -149,7 +149,7 @@ fn remove_pos(list: &mut PosList, pos: u32) {
 }
 
 /// Per-job inverted locality index (see module docs).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct LocalityIndex {
     /// Task id → current position in the pending vector (`NONE` if the
     /// task is not pending). Its length is the job's task count; `nodes`
@@ -304,7 +304,7 @@ impl LocalityIndex {
 }
 
 /// Scheduler-visible state of one active job.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct JobEntry {
     /// Job identifier.
     pub id: JobId,
@@ -360,7 +360,7 @@ type DeficitKey = (u32, SimTime, JobId);
 /// Block → pending (job, task) pairs reading it; routes replica
 /// visibility changes to the per-job indexes. Emptied lists are kept for
 /// reuse.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct BlockWatchers {
     map: FxHashMap<u64, Vec<(JobId, TaskId)>>,
     spare: Vec<Vec<(JobId, TaskId)>>,
@@ -399,7 +399,7 @@ impl BlockWatchers {
 }
 
 /// Active jobs in arrival order, plus the locality index and deficit order.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct JobQueue {
     jobs: Vec<JobEntry>,
     /// Job id → position in `jobs` (`NONE` when not active).
@@ -754,18 +754,7 @@ impl JobQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TableLookup;
-
-    fn tasks(blocks: &[u64]) -> Vec<PendingTask> {
-        blocks
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| PendingTask {
-                task: TaskId(i as u32),
-                block: BlockId(b),
-            })
-            .collect()
-    }
+    use crate::{tasks, TableLookup};
 
     fn empty_lookup() -> TableLookup {
         TableLookup::new()

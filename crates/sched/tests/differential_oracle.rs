@@ -1,5 +1,6 @@
-//! Differential oracle: the indexed schedulers must be **bit-identical**
-//! to the retained naive-scan implementations in `dare_sched::oracle`.
+//! Differential oracle: the indexed scheduler must be **bit-identical**
+//! to the naive-scan reference scheduler (`Scheduler::naive`, the scans
+//! in `dare_sched::oracle`), for every kind.
 //!
 //! Each case generates a random topology, block layout, job mix, and a
 //! long interleaved event stream — slot offers, task completions,
@@ -9,20 +10,20 @@
 //! deep and retired jobs' recycled index storage gets reused), index
 //! rebuilds — and replays it
 //! against two queue+scheduler pairs: the indexed production scheduler
-//! and the O(tasks × replicas) scan oracle. Every single slot offer must
-//! return exactly the same `Option<Assignment>` (job, task, block, and
-//! locality class), and the queues must agree on pending counts at the
-//! end. Any divergence in selection order, tie-breaking, delay-scheduling
+//! and the O(tasks × replicas) scan oracle, both with skip tracing on.
+//! Every single slot offer must return exactly the same
+//! `Option<Assignment>` (job, task, block, and locality class) and drain
+//! the same delay-scheduling `SkipDecision`s, and the queues must agree
+//! on pending counts at the end. Any divergence in selection order, tie-breaking, delay-scheduling
 //! skip bookkeeping, or index maintenance shows up as a first-offer
 //! mismatch with a replayable case seed.
 
 use dare_dfs::BlockId;
 use dare_net::{NodeId, Topology};
 use dare_sched::fair::FairConfig;
-use dare_sched::oracle::{NaiveCapacityScheduler, NaiveFairScheduler, NaiveFifoScheduler};
 use dare_sched::{
-    Assignment, CapacityScheduler, FairScheduler, FifoScheduler, JobId, JobQueue, PendingTask,
-    Scheduler, TableLookup, TaskId,
+    Assignment, JobId, JobQueue, PendingTask, Scheduler, SchedulerKind, SkipDecision, TableLookup,
+    TaskId,
 };
 use dare_simcore::check::{env_cases, run_cases, Gen};
 use dare_simcore::SimTime;
@@ -91,27 +92,36 @@ fn run_stream(
     topo: &Topology,
     lookup: &mut TableLookup,
     pair: &mut Pair,
-    indexed: &mut dyn Scheduler,
-    naive: &mut dyn Scheduler,
+    indexed: &mut Scheduler,
+    naive: &mut Scheduler,
     blocks: u64,
     nodes: u32,
 ) {
     let mut running: Vec<Assignment> = Vec::new();
     let mut next_job = pair.indexed.len() as u32;
     let mut offers = 0usize;
+    let (mut skips_indexed, mut skips_naive): (Vec<SkipDecision>, Vec<SkipDecision>) =
+        Default::default();
     let steps = g.usize_in(60..240);
     for step in 0..steps {
         match g.usize_in(0..16) {
             // Slot offers dominate the stream.
             0..=6 => {
                 let node = NodeId(g.u32_in(0..nodes));
-                let now = SimTime::from_secs(step as u64);
-                let ai = indexed.pick_map(&mut pair.indexed, node, lookup, topo, now);
-                let an = naive.pick_map(&mut pair.naive, node, lookup, topo, now);
+                let ai = indexed.pick_map(&mut pair.indexed, node, lookup, topo);
+                let an = naive.pick_map(&mut pair.naive, node, lookup, topo);
                 assert_eq!(
                     ai, an,
                     "offer {offers} on node {node:?} diverged (indexed vs naive)"
                 );
+                indexed.drain_skips(&mut skips_indexed);
+                naive.drain_skips(&mut skips_naive);
+                assert_eq!(
+                    skips_indexed, skips_naive,
+                    "offer {offers} on node {node:?}: skip decisions diverged"
+                );
+                skips_indexed.clear();
+                skips_naive.clear();
                 if let Some(a) = ai {
                     running.push(a);
                 }
@@ -151,7 +161,8 @@ fn run_stream(
                     let a = running.swap_remove(i);
                     pair.indexed
                         .requeue_task(a.job, a.task, a.block, lookup, topo);
-                    pair.naive.requeue_task(a.job, a.task, a.block, lookup, topo);
+                    pair.naive
+                        .requeue_task(a.job, a.task, a.block, lookup, topo);
                 }
             }
             // A job fails under faults and is abandoned on both queues.
@@ -236,9 +247,7 @@ fn run_stream(
     }
 }
 
-type SchedPair = (Box<dyn Scheduler>, Box<dyn Scheduler>);
-
-fn check(seed: u64, mk: fn(&mut Gen) -> SchedPair) {
+fn check(seed: u64, kind: fn(&mut Gen) -> SchedulerKind) {
     run_cases(env_cases(40), seed, |g| {
         let topo = topology(g);
         let nodes = topo.nodes();
@@ -253,14 +262,18 @@ fn check(seed: u64, mk: fn(&mut Gen) -> SchedPair) {
             let tasks = job_tasks(g, blocks);
             pair.add_job(JobId(j as u32), SimTime::ZERO, tasks, &lookup, &topo);
         }
-        let (mut indexed, mut naive) = mk(g);
+        let kind = kind(g);
+        let mut indexed = Scheduler::new(kind);
+        let mut naive = Scheduler::naive(kind);
+        indexed.set_tracing(true);
+        naive.set_tracing(true);
         run_stream(
             g,
             &topo,
             &mut lookup,
             &mut pair,
-            indexed.as_mut(),
-            naive.as_mut(),
+            &mut indexed,
+            &mut naive,
             blocks,
             nodes,
         );
@@ -269,12 +282,7 @@ fn check(seed: u64, mk: fn(&mut Gen) -> SchedPair) {
 
 #[test]
 fn fifo_indexed_matches_naive_scan() {
-    check(0xD1FF_0001, |_| {
-        (
-            Box::new(FifoScheduler::new()),
-            Box::new(NaiveFifoScheduler::new()),
-        )
-    });
+    check(0xD1FF_0001, |_| SchedulerKind::Fifo);
 }
 
 #[test]
@@ -282,21 +290,11 @@ fn fair_indexed_matches_naive_scan() {
     check(0xD1FF_0002, |g| {
         let d1 = g.u32_in(0..5);
         let d2 = d1 + g.u32_in(0..5);
-        let cfg = FairConfig { d1, d2 };
-        (
-            Box::new(FairScheduler::with_config(cfg)),
-            Box::new(NaiveFairScheduler::with_config(cfg)),
-        )
+        SchedulerKind::Fair(FairConfig { d1, d2 })
     });
 }
 
 #[test]
 fn capacity_indexed_matches_naive_scan() {
-    check(0xD1FF_0003, |g| {
-        let queues = g.u32_in(1..4);
-        (
-            Box::new(CapacityScheduler::new(queues)),
-            Box::new(NaiveCapacityScheduler::new(queues)),
-        )
-    });
+    check(0xD1FF_0003, |g| SchedulerKind::Capacity(g.u32_in(1..4)));
 }

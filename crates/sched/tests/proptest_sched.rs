@@ -5,10 +5,7 @@
 use dare_dfs::BlockId;
 use dare_net::{NodeId, Topology};
 use dare_sched::locality::classify;
-use dare_sched::{
-    CapacityScheduler, FairScheduler, FifoScheduler, JobId, JobQueue, PendingTask, Scheduler,
-    TableLookup, TaskId,
-};
+use dare_sched::{JobId, JobQueue, PendingTask, Scheduler, SchedulerKind, TableLookup, TaskId};
 use dare_simcore::check::{env_cases, run_cases, Gen};
 use dare_simcore::SimTime;
 use std::collections::{HashMap, HashSet};
@@ -64,14 +61,20 @@ fn build_queue(jobs: &[JobSpec], lookup: &TableLookup, topo: &Topology) -> JobQu
                 block: BlockId(b),
             })
             .collect();
-        q.add_job(JobId(j as u32), SimTime::from_secs(j as u64), tasks, lookup, topo);
+        q.add_job(
+            JobId(j as u32),
+            SimTime::from_secs(j as u64),
+            tasks,
+            lookup,
+            topo,
+        );
     }
     q
 }
 
 /// Drain the queue by offering slots round-robin; returns assignments.
 fn drain(
-    sched: &mut dyn Scheduler,
+    sched: &mut Scheduler,
     q: &mut JobQueue,
     lookup: &TableLookup,
     topo: &Topology,
@@ -85,7 +88,7 @@ fn drain(
     while q.has_pending() && idle_rounds < 10_000 {
         let node = NodeId(offers[i % offers.len()]);
         i += 1;
-        match sched.pick_map(q, node, lookup, topo, SimTime::ZERO) {
+        match sched.pick_map(q, node, lookup, topo) {
             Some(a) => {
                 out.push((a.job, a.task, a.block, a.locality));
                 q.on_map_complete(a.job);
@@ -102,16 +105,16 @@ fn check_all(jobs: &[JobSpec], offers: &[u32]) {
     let lookup = locations();
     let total: usize = jobs.iter().map(|j| j.tasks.len()).sum();
 
-    type MkSched = fn() -> Box<dyn Scheduler>;
-    let schedulers: [(&str, MkSched); 3] = [
-        ("fifo", || Box::new(FifoScheduler::new())),
-        ("fair", || Box::new(FairScheduler::new())),
-        ("capacity", || Box::new(CapacityScheduler::new(3))),
+    let kinds = [
+        SchedulerKind::Fifo,
+        SchedulerKind::fair_default(),
+        SchedulerKind::Capacity(3),
     ];
-    for (name, mk) in schedulers {
+    for kind in kinds {
+        let name = kind.label();
         let mut q = build_queue(jobs, &lookup, &topo);
-        let mut sched = mk();
-        let out = drain(sched.as_mut(), &mut q, &lookup, &topo, offers);
+        let mut sched = Scheduler::new(kind);
+        let out = drain(&mut sched, &mut q, &lookup, &topo, offers);
 
         // Every task assigned exactly once.
         assert_eq!(out.len(), total, "{name}: task conservation");
@@ -157,12 +160,12 @@ fn reported_locality_matches_oracle() {
         let topo = Topology::explicit(vec![0, 0, 1, 1, 2, 2, 3, 3], 2);
         let lookup = locations();
         let mut q = build_queue(&jobs, &lookup, &topo);
-        let mut sched = FifoScheduler::new();
+        let mut sched = Scheduler::new(SchedulerKind::Fifo);
         let mut i = 0;
         while q.has_pending() {
             let node = NodeId(offers[i % offers.len()]);
             i += 1;
-            if let Some(a) = sched.pick_map(&mut q, node, &lookup, &topo, SimTime::ZERO) {
+            if let Some(a) = sched.pick_map(&mut q, node, &lookup, &topo) {
                 let want = classify(a.block, node, &lookup, &topo);
                 assert_eq!(a.locality, want, "locality class mismatch");
                 q.on_map_complete(a.job);

@@ -21,6 +21,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// One scheduled entry: payload `E` to be delivered at `time`.
+#[derive(Clone)]
 struct Scheduled<E> {
     time: SimTime,
     seq: u64,
@@ -82,6 +83,7 @@ fn bucket_of(time: SimTime) -> u64 {
 /// `b > cur_bucket` all have `time >= (cur_bucket + 1) << WIDTH_LOG2`,
 /// which is strictly later than every entry routed into `cur` (those have
 /// bucket `<= cur_bucket`), so draining `cur` first is exact.
+#[derive(Clone)]
 pub struct EventQueue<E> {
     /// Min-heap of the active bucket (plus any late/past-time pushes).
     cur: BinaryHeap<Scheduled<E>>,

@@ -89,6 +89,7 @@ impl Xoshiro256pp {
 /// let mut c = DetRng::new(42).substream("workload");
 /// assert_ne!(a.next_u64(), c.next_u64()); // different labels diverge
 /// ```
+#[derive(Clone)]
 pub struct DetRng {
     seed: u64,
     inner: Xoshiro256pp,

@@ -35,7 +35,7 @@ impl SlabKey {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Slot<T> {
     /// Occupied slot; generation of the current tenant.
     Full { gen: u32, value: T },
@@ -58,7 +58,7 @@ enum Slot<T> {
 /// assert_eq!(k2.index(), k.index());
 /// assert!(s.get(k).is_none());
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Slab<T> {
     slots: Vec<Slot<T>>,
     free_head: u32,

@@ -1,7 +1,7 @@
 //! Engine-level differential oracle: a full simulation driven by the
-//! indexed schedulers must be **bit-identical** to one driven by the
-//! retained naive-scan implementations in `dare_sched::oracle`, passed in
-//! through `Engine::with_scheduler`.
+//! indexed scheduler must be **bit-identical** to one driven by the
+//! naive-scan reference scheduler (`Scheduler::naive`, the scans in
+//! `dare_sched::oracle`), passed in through `Engine::with_scheduler`.
 //!
 //! The sched crate's differential test already replays randomized offer
 //! streams against both queue implementations; this test closes the loop
@@ -11,7 +11,6 @@
 
 use dare_core::PolicyKind;
 use dare_mapred::{Engine, SchedulerKind, SimConfig, SimResult};
-use dare_sched::oracle::{NaiveCapacityScheduler, NaiveFairScheduler, NaiveFifoScheduler};
 use dare_sched::Scheduler;
 use dare_workload::swim::{synthesize, SwimParams};
 use dare_workload::Workload;
@@ -63,14 +62,11 @@ fn assert_identical(a: &SimResult, b: &SimResult, label: &str) {
         "{label}: dynamic bytes"
     );
     assert_eq!(a.faults, b.faults, "{label}: fault counters");
+    assert_eq!(a.sched_offers, b.sched_offers, "{label}: slot offers");
 }
 
 fn run_pair(cfg: SimConfig, wl: &Workload, label: &str) {
-    let oracle: Box<dyn Scheduler> = match cfg.scheduler {
-        SchedulerKind::Fifo => Box::new(NaiveFifoScheduler::new()),
-        SchedulerKind::Fair(fc) => Box::new(NaiveFairScheduler::with_config(fc)),
-        SchedulerKind::Capacity(q) => Box::new(NaiveCapacityScheduler::new(q)),
-    };
+    let oracle = Scheduler::naive(cfg.scheduler);
     let indexed = dare_mapred::run(cfg.clone(), wl);
     let naive = Engine::with_scheduler(cfg, wl, oracle).run();
     assert_identical(&indexed, &naive, label);
