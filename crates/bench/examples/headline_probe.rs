@@ -63,11 +63,12 @@ fn main() {
     let r = engine.run();
     let wall = t1.elapsed().as_secs_f64();
     println!(
-        "[probe] setup {setup:.2}s, run {wall:.2}s, {} logical events = {:.0} ev/s, makespan {:.0}s, {} jobs done",
+        "[probe] setup {setup:.2}s, run {wall:.2}s, {} logical events = {:.0} ev/s, makespan {:.0}s, {} jobs done, {} flow re-rates",
         r.logical_events,
         r.logical_events as f64 / wall,
         r.run.makespan_secs,
-        r.run.jobs
+        r.run.jobs,
+        r.flow_rerates
     );
     if let Some(p) = &r.profile {
         println!("[probe] {}", p.summary());

@@ -1865,22 +1865,13 @@ impl Engine {
 
     fn on_net_check(&mut self) -> Result<(), crate::SimError> {
         self.next_netcheck = None;
-        let done = self.flows.collect_completed(self.now);
+        // The batch stays in the flow model's reusable buffer; the loop
+        // below starts and cancels flows but never collects again.
+        let done = self.flows.collect_completed(self.now).len();
         self.batch_cancelled.clear();
-        // Start times index-aligned with `done`; only materialized when
-        // tracing (flow durations for `flow_finished` events).
-        let starts: Vec<SimTime> = if self.tracer.is_some() {
-            self.flows
-                .completed_starts()
-                .iter()
-                .map(|&(_, t)| t)
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let flow_dur =
-            |starts: &[SimTime], i: usize, now: SimTime| now.saturating_since(starts[i]).as_micros();
-        for (i, fid) in done.into_iter().enumerate() {
+        for i in 0..done {
+            let (fid, started) = self.flows.completed_starts()[i];
+            let dur_us = self.now.saturating_since(started).as_micros();
             if let Some(pt) = self.proactive_flows.remove(&fid) {
                 if self.tracer.is_some() {
                     let bytes = self.dfs.namenode().block_size(pt.block);
@@ -1890,7 +1881,7 @@ impl Engine {
                         src: pt.src,
                         dst: pt.dst,
                         bytes,
-                        dur_us: flow_dur(&starts, i, self.now),
+                        dur_us,
                         ctx: FlowCtx::Block { block: pt.block.0 },
                     });
                 }
@@ -1906,7 +1897,7 @@ impl Engine {
                         src: rx.src,
                         dst: rx.dst,
                         bytes,
-                        dur_us: flow_dur(&starts, i, self.now),
+                        dur_us,
                         ctx: FlowCtx::Block { block: rx.block.0 },
                     });
                 }
@@ -1917,7 +1908,7 @@ impl Engine {
                 // A completion earlier in this batch may have torn the
                 // flow down (job failure aborting a sibling fetch,
                 // quarantine cancelling a tainted repair): its record is
-                // gone but the fid was already drained into `done`. Only
+                // gone but the fid was already drained into this batch. Only
                 // an untracked disappearance is bookkeeping drift.
                 if self.batch_cancelled.contains(&fid.0) {
                     continue;
@@ -1937,7 +1928,7 @@ impl Engine {
                     src: f.src,
                     dst: f.node,
                     bytes,
-                    dur_us: flow_dur(&starts, i, self.now),
+                    dur_us,
                     ctx: FlowCtx::Fetch {
                         job: f.job,
                         task: f.task,
@@ -3220,6 +3211,7 @@ impl Engine {
             logical_events: self.logical_events,
             sched_offers: self.sched_offers,
             sched_probes: self.queue.probes(),
+            flow_rerates: self.flows.rerates(),
             dfs_fingerprint,
         }
     }
@@ -3402,6 +3394,8 @@ mod tests {
             let b = run_cfg(PolicyKind::GreedyLru, sched, 11);
             assert_eq!(a.sched_offers, b.sched_offers, "{sched:?}: offers");
             assert_eq!(a.sched_probes, b.sched_probes, "{sched:?}: probes");
+            assert_eq!(a.flow_rerates, b.flow_rerates, "{sched:?}: flow re-rates");
+            assert!(a.flow_rerates > 0, "{sched:?}: remote reads re-rate flows");
             // Every launched map was one accepted offer and one probe.
             assert!(a.sched_offers >= a.run.maps, "{sched:?}");
             assert!(a.sched_probes >= a.run.maps, "{sched:?}");

@@ -63,6 +63,10 @@ pub struct SimResult {
     /// (`JobQueue::pick_best_for` on a job with pending work). Zero under
     /// the naive-scan reference scheduler, which does not use the index.
     pub sched_probes: u64,
+    /// Flows whose rate the network model recomputed
+    /// ([`dare_net::flow::FlowSim::rerates`]): only the flows sharing an
+    /// endpoint with each start, cancel, completion or NIC change.
+    pub flow_rerates: u64,
     /// FNV-1a fingerprint of the DFS's final physical replica map (every
     /// datanode's held blocks plus their dynamic/primary status). Two runs
     /// with identical placement end with identical fingerprints, which is

@@ -607,7 +607,7 @@ mod tests {
         assert_eq!(report.violations_total, 0);
         assert_eq!(report.states_explored, 4654);
         assert_eq!(report.paths_closed, 1881);
-        assert_eq!(report.fingerprint_digest, 0xcb06_2cdd_fccd_73af);
+        assert_eq!(report.fingerprint_digest, 0x2d68_dd26_d451_62a0);
     }
 
     /// Forking by clone reaches the state forking by replay does: along

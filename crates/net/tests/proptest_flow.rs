@@ -88,12 +88,12 @@ fn lone_flow_duration_is_exact() {
         let mut sim = FlowSim::new(vec![cap; 2], 1.0);
         sim.start(SimTime::ZERO, NodeId(0), NodeId(1), mb * MB, false);
         let (t, _) = sim.next_completion().expect("one flow");
-        let want = mb as f64 / cap;
+        // Due at the µs ceiling of the fluid completion time.
+        let want_us = mb as f64 / cap * 1e6;
+        let t_us = t.as_micros() as f64;
         assert!(
-            (t.as_secs_f64() - want).abs() < 1e-4,
-            "duration {} vs {}",
-            t.as_secs_f64(),
-            want
+            t_us >= want_us - 1e-6 && t_us < want_us + 1.0,
+            "due at {t_us} µs, fluid time {want_us} µs"
         );
     });
 }

@@ -1013,11 +1013,12 @@ fn run_sim(argv: &[String]) -> Result<(), i32> {
         if args.csv_header {
             println!(
                 "cluster,workload,scheduler,policy,p,budget,seed,job_locality,task_locality,\
-                 gmtt_s,slowdown,blocks_per_job,replicas,evictions,reexecuted,spec_launches"
+                 gmtt_s,slowdown,blocks_per_job,replicas,evictions,reexecuted,spec_launches,\
+                 sched_offers,sched_probes,flow_rerates"
             );
         }
         println!(
-            "{},{},{},{},{},{},{},{:.4},{:.4},{:.2},{:.3},{:.3},{},{},{},{}",
+            "{},{},{},{},{},{},{},{:.4},{:.4},{:.2},{:.3},{:.3},{},{},{},{},{},{},{}",
             args.cluster,
             args.workload,
             args.scheduler,
@@ -1034,6 +1035,9 @@ fn run_sim(argv: &[String]) -> Result<(), i32> {
             r.evictions,
             r.reexecuted_tasks,
             r.speculative_launches,
+            r.sched_offers,
+            r.sched_probes,
+            r.flow_rerates,
         );
         return Ok(());
     }
@@ -1059,6 +1063,9 @@ fn run_sim(argv: &[String]) -> Result<(), i32> {
         "placement cv        {:>8.2} -> {:.2}",
         r.cv_before, r.cv_after
     );
+    println!("scheduler offers    {:>8}", r.sched_offers);
+    println!("scheduler probes    {:>8}", r.sched_probes);
+    println!("flow re-rates       {:>8}", r.flow_rerates);
     if !args.failures.is_empty() {
         println!("re-executed tasks   {:>8}", r.reexecuted_tasks);
     }

@@ -75,6 +75,7 @@ fn assert_same_result(a: SimResult, b: SimResult, label: &str) {
     assert_eq!(a.faults, b.faults, "{label}: fault counters");
     assert_eq!(a.sched_offers, b.sched_offers, "{label}: slot offers");
     assert_eq!(a.sched_probes, b.sched_probes, "{label}: probes");
+    assert_eq!(a.flow_rerates, b.flow_rerates, "{label}: flow re-rates");
     assert_eq!(a.logical_events, b.logical_events, "{label}: events");
     assert_eq!(
         (a.replicas_created, a.evictions, a.speculative_launches),
