@@ -143,7 +143,11 @@ fn offer_replay(r: &mut Runner, topo: &Topology, lookup: &TableLookup) -> Vec<Pa
             let name = kind.label();
             let mut measure = |naive: bool| {
                 let label = if naive { "naive" } else { "indexed" };
-                let mk = if naive { Scheduler::naive } else { Scheduler::new };
+                let mk = if naive {
+                    Scheduler::naive
+                } else {
+                    Scheduler::new
+                };
                 r.bench_batched(
                     &format!("offer_replay/{name}/{label}"),
                     || (mk(kind), fill_queue(lookup, topo)),
@@ -348,8 +352,8 @@ fn main() {
     json.push_str(&format!(
         "  \"classify_allocs_per_probe\": {classify_allocs},\n  \"pick_probe_allocs_per_probe\": {probe_allocs},\n  \"lifecycle_allocs_per_map_task\": {task_allocs}\n}}\n"
     ));
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../results/BENCH_sched.json");
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/BENCH_sched.json");
     std::fs::write(&path, &json).expect("write BENCH_sched.json");
     println!("wrote {}", path.display());
 

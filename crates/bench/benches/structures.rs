@@ -37,7 +37,13 @@ fn policy_throughput(r: &mut Runner) {
     let kinds = [
         ("vanilla", PolicyKind::Vanilla),
         ("lru", PolicyKind::GreedyLru),
-        ("elephant", PolicyKind::ElephantTrap { p: 0.3, threshold: 1 }),
+        (
+            "elephant",
+            PolicyKind::ElephantTrap {
+                p: 0.3,
+                threshold: 1,
+            },
+        ),
         ("lfu", PolicyKind::Lfu),
     ];
     for (name, kind) in kinds {

@@ -5,9 +5,9 @@
 use dare_bench::microbench::{black_box, Runner};
 use dare_dfs::{BlockId, DefaultPlacement, Dfs, DfsConfig};
 use dare_mapred::DfsLookup;
+use dare_mapred::SchedulerKind;
 use dare_net::flow::FlowSim;
 use dare_net::{NodeId, Topology, MB};
-use dare_mapred::SchedulerKind;
 use dare_sched::{JobId, JobQueue, PendingTask, Scheduler, TaskId};
 use dare_simcore::{DetRng, SimTime};
 
@@ -60,12 +60,9 @@ fn scheduler_pick(r: &mut Runner) {
                 |(mut sched, mut q)| {
                     let lookup = DfsLookup(&dfs);
                     let mut node = 0u32;
-                    while let Some(a) = sched.pick_map(
-                        &mut q,
-                        NodeId(node % 19),
-                        &lookup,
-                        dfs.topology(),
-                    ) {
+                    while let Some(a) =
+                        sched.pick_map(&mut q, NodeId(node % 19), &lookup, dfs.topology())
+                    {
                         black_box(a);
                         node += 1;
                     }

@@ -45,12 +45,8 @@ fn main() {
         jobs: job_specs,
     };
 
-    let mut cfg = SimConfig::cct(
-        PolicyKind::Vanilla,
-        SchedulerKind::fair_default(),
-        20110926,
-    )
-    .with_batched_heartbeats();
+    let mut cfg = SimConfig::cct(PolicyKind::Vanilla, SchedulerKind::fair_default(), 20110926)
+        .with_batched_heartbeats();
     cfg.profile = ClusterProfile::scale(10_000);
     cfg.self_profile = true;
 

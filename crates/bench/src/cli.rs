@@ -104,9 +104,25 @@ fn run_one(which: &str, seed: u64, seeds: u32) -> i32 {
         }
         "all" => {
             for id in [
-                "table1", "table2", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7",
-                "fig8", "fig9", "fig10", "fig11", "ablation", "resilience", "durability",
-                "farm", "plots", "verify",
+                "table1",
+                "table2",
+                "fig1",
+                "fig2",
+                "fig3",
+                "fig4",
+                "fig5",
+                "fig6",
+                "fig7",
+                "fig8",
+                "fig9",
+                "fig10",
+                "fig11",
+                "ablation",
+                "resilience",
+                "durability",
+                "farm",
+                "plots",
+                "verify",
             ] {
                 eprintln!("[experiments] running {id} (seed {seed}, seeds {seeds})");
                 let code = run_one(id, seed, seeds);

@@ -96,16 +96,8 @@ pub fn lfu(seed: u64, seeds: u32) {
                 });
                 for (sched, policy, r) in &results {
                     rows.push((
-                        vec![
-                            wl.name.clone(),
-                            sched.label().to_string(),
-                            policy.label(),
-                        ],
-                        vec![
-                            r.run.job_locality,
-                            r.run.gmtt_secs,
-                            r.evictions as f64,
-                        ],
+                        vec![wl.name.clone(), sched.label().to_string(), policy.label()],
+                        vec![r.run.job_locality, r.run.gmtt_secs, r.evictions as f64],
                     ));
                 }
             }
@@ -255,11 +247,36 @@ pub fn resilience(seed: u64, seeds: u32) {
         speculation: bool,
     }
     let cases = vec![
-        Case { label: "vanilla", policy: PolicyKind::Vanilla, failures: false, speculation: false },
-        Case { label: "vanilla+fail", policy: PolicyKind::Vanilla, failures: true, speculation: false },
-        Case { label: "dare+fail", policy: PolicyKind::elephant_default(), failures: true, speculation: false },
-        Case { label: "vanilla+fail+spec", policy: PolicyKind::Vanilla, failures: true, speculation: true },
-        Case { label: "dare+fail+spec", policy: PolicyKind::elephant_default(), failures: true, speculation: true },
+        Case {
+            label: "vanilla",
+            policy: PolicyKind::Vanilla,
+            failures: false,
+            speculation: false,
+        },
+        Case {
+            label: "vanilla+fail",
+            policy: PolicyKind::Vanilla,
+            failures: true,
+            speculation: false,
+        },
+        Case {
+            label: "dare+fail",
+            policy: PolicyKind::elephant_default(),
+            failures: true,
+            speculation: false,
+        },
+        Case {
+            label: "vanilla+fail+spec",
+            policy: PolicyKind::Vanilla,
+            failures: true,
+            speculation: true,
+        },
+        Case {
+            label: "dare+fail+spec",
+            policy: PolicyKind::elephant_default(),
+            failures: true,
+            speculation: true,
+        },
     ];
     let st = replicate_experiment(
         "Ablation: resilience — 3 node failures mid-trace, optional speculation (wl2, FIFO)",

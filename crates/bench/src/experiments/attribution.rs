@@ -38,7 +38,12 @@ use dare_xray::{analyze, Bucket, XrayReport};
 fn grid() -> Vec<(&'static str, SchedulerKind, &'static str, PolicyKind)> {
     vec![
         ("fifo", SchedulerKind::Fifo, "vanilla", PolicyKind::Vanilla),
-        ("fifo", SchedulerKind::Fifo, "dare-lru", PolicyKind::GreedyLru),
+        (
+            "fifo",
+            SchedulerKind::Fifo,
+            "dare-lru",
+            PolicyKind::GreedyLru,
+        ),
         (
             "fair",
             SchedulerKind::fair_default(),
@@ -56,8 +61,7 @@ fn grid() -> Vec<(&'static str, SchedulerKind, &'static str, PolicyKind)> {
 
 /// The two workload shapes, resynthesized per replicate seed.
 fn workloads(seed: u64) -> Vec<Workload> {
-    let shapes: [(&str, SwimParams); 2] =
-        [("golden", golden_params()), ("yahoo", yahoo_params())];
+    let shapes: [(&str, SwimParams); 2] = [("golden", golden_params()), ("yahoo", yahoo_params())];
     shapes
         .into_iter()
         .map(|(name, params)| synthesize(name, &params, seed))
@@ -204,10 +208,20 @@ pub fn run(_seed: u64, seeds: u32) -> usize {
     // --- Gate: byte-stable exports. Simulate and analyze the busiest
     // cell twice; the rendered CSV and JSON must match byte for byte.
     let yahoo = workloads(GOLDEN_SEED).pop().expect("yahoo workload");
-    let a = run_cell(&yahoo, SchedulerKind::fair_default(), PolicyKind::GreedyLru, GOLDEN_SEED);
-    let b = run_cell(&yahoo, SchedulerKind::fair_default(), PolicyKind::GreedyLru, GOLDEN_SEED);
-    let byte_stable =
-        dare_xray::to_csv(&a) == dare_xray::to_csv(&b) && dare_xray::to_json(&a) == dare_xray::to_json(&b);
+    let a = run_cell(
+        &yahoo,
+        SchedulerKind::fair_default(),
+        PolicyKind::GreedyLru,
+        GOLDEN_SEED,
+    );
+    let b = run_cell(
+        &yahoo,
+        SchedulerKind::fair_default(),
+        PolicyKind::GreedyLru,
+        GOLDEN_SEED,
+    );
+    let byte_stable = dare_xray::to_csv(&a) == dare_xray::to_csv(&b)
+        && dare_xray::to_json(&a) == dare_xray::to_json(&b);
     if byte_stable {
         println!("[attribution] export stability ... ok (two runs, identical bytes)");
     } else {
@@ -265,7 +279,10 @@ pub fn run(_seed: u64, seeds: u32) -> usize {
     match std::fs::write(&report_path, &json) {
         Ok(()) => println!("[attribution] wrote {}", report_path.display()),
         Err(e) => {
-            eprintln!("[attribution] could not write {}: {e}", report_path.display());
+            eprintln!(
+                "[attribution] could not write {}: {e}",
+                report_path.display()
+            );
             failed += 1;
         }
     }

@@ -33,9 +33,18 @@ struct Level {
 }
 
 const LEVELS: [Level; 3] = [
-    Level { label: "pristine", rate: 0.0 },
-    Level { label: "rot-low", rate: 20.0 },
-    Level { label: "rot-high", rate: 120.0 },
+    Level {
+        label: "pristine",
+        rate: 0.0,
+    },
+    Level {
+        label: "rot-low",
+        rate: 20.0,
+    },
+    Level {
+        label: "rot-high",
+        rate: 120.0,
+    },
 ];
 
 const METRICS: [MetricCol; 13] = [
@@ -56,8 +65,19 @@ const METRICS: [MetricCol; 13] = [
 
 /// One seed's sweep: fresh workload, fresh corruption plans, all cells.
 fn collect(seed: u64, jobs: u32) -> Vec<(Vec<String>, Vec<f64>)> {
-    let wl = synthesize("wl1-durability", &SwimParams { jobs, ..SwimParams::wl1() }, seed);
-    let span = wl.jobs.last().map(|j| j.arrival.as_secs_f64()).unwrap_or(0.0) as u64;
+    let wl = synthesize(
+        "wl1-durability",
+        &SwimParams {
+            jobs,
+            ..SwimParams::wl1()
+        },
+        seed,
+    );
+    let span = wl
+        .jobs
+        .last()
+        .map(|j| j.arrival.as_secs_f64())
+        .unwrap_or(0.0) as u64;
     let horizon = span.max(30) * 3 / 4;
     let base = SimConfig::ec2(PolicyKind::Vanilla, SchedulerKind::fair_default(), seed);
     let topo = base.topology();

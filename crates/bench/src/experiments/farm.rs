@@ -104,8 +104,19 @@ fn fault_spec(level: &str, horizon_secs: u64) -> Option<FaultSpec> {
 pub fn run_cell(cell: &Cell, quick: bool) -> Vec<f64> {
     let seed = cell.seed;
     let jobs = jobs_per_cell(quick);
-    let wl = synthesize("wl1-farm", &SwimParams { jobs, ..SwimParams::wl1() }, seed);
-    let span = wl.jobs.last().map(|j| j.arrival.as_secs_f64()).unwrap_or(0.0) as u64;
+    let wl = synthesize(
+        "wl1-farm",
+        &SwimParams {
+            jobs,
+            ..SwimParams::wl1()
+        },
+        seed,
+    );
+    let span = wl
+        .jobs
+        .last()
+        .map(|j| j.arrival.as_secs_f64())
+        .unwrap_or(0.0) as u64;
     let horizon = span.max(30) * 3 / 4;
 
     let sched = match cell.coord("scheduler").expect("scheduler axis") {
@@ -124,7 +135,9 @@ pub fn run_cell(cell: &Cell, quick: bool) -> Vec<f64> {
         "ec2" => SimConfig::ec2(policy, sched, seed),
         other => panic!("unknown profile {other:?}"),
     };
-    cfg = cfg.with_speculation(Default::default()).with_invariant_checks();
+    cfg = cfg
+        .with_speculation(Default::default())
+        .with_invariant_checks();
 
     let level = cell.coord("faults").expect("faults axis");
     if let Some(mut fs) = fault_spec(level, horizon) {
@@ -179,7 +192,9 @@ pub fn run(seed: u64, seeds: u32) {
     );
 
     let t0 = std::time::Instant::now();
-    let single = run_sweep(&spec, &METRICS, RunOptions::quiet(1), |c| run_cell(c, quick));
+    let single = run_sweep(&spec, &METRICS, RunOptions::quiet(1), |c| {
+        run_cell(c, quick)
+    });
     let t_single = t0.elapsed().as_secs_f64();
 
     let t1 = std::time::Instant::now();
@@ -191,10 +206,25 @@ pub fn run(seed: u64, seeds: u32) {
     let cells_csv = per_cell_csv(&single);
     let agg_csv = aggregate_csv(&single);
     let json = merged_json(&single);
-    assert_eq!(cells_csv, per_cell_csv(&parallel), "per-cell CSV differs across thread counts");
-    assert_eq!(agg_csv, aggregate_csv(&parallel), "aggregate CSV differs across thread counts");
-    assert_eq!(json, merged_json(&parallel), "merged JSON differs across thread counts");
-    println!("[farm] merged outputs byte-identical at 1 vs {} threads", multi.threads);
+    assert_eq!(
+        cells_csv,
+        per_cell_csv(&parallel),
+        "per-cell CSV differs across thread counts"
+    );
+    assert_eq!(
+        agg_csv,
+        aggregate_csv(&parallel),
+        "aggregate CSV differs across thread counts"
+    );
+    assert_eq!(
+        json,
+        merged_json(&parallel),
+        "merged JSON differs across thread counts"
+    );
+    println!(
+        "[farm] merged outputs byte-identical at 1 vs {} threads",
+        multi.threads
+    );
 
     write("farm_cells", "csv", &cells_csv);
     write("farm_agg", "csv", &agg_csv);

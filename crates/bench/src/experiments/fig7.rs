@@ -85,11 +85,9 @@ pub fn run(seed: u64, seeds: u32) {
         seed,
         seeds,
         |s| {
-            collect_matrix(
-                s,
-                &[dare_workload::wl1(s), dare_workload::wl2(s)],
-                &|s| SimConfig::cct(PolicyKind::Vanilla, SchedulerKind::Fifo, s),
-            )
+            collect_matrix(s, &[dare_workload::wl1(s), dare_workload::wl2(s)], &|s| {
+                SimConfig::cct(PolicyKind::Vanilla, SchedulerKind::Fifo, s)
+            })
         },
     );
     st.emit("fig7");

@@ -55,11 +55,7 @@ fn sweep(policies: &[PolicyKind], title: &str, csv: &str, seed: u64, seeds: u32)
                     "telemetry-derived job locality drifted from the summarized metric"
                 );
                 (
-                    vec![
-                        policy.label(),
-                        sched.label().to_string(),
-                        format!("{b:.2}"),
-                    ],
+                    vec![policy.label(), sched.label().to_string(), format!("{b:.2}")],
                     vec![derived, r.blocks_per_job],
                 )
             })

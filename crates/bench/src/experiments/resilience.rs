@@ -83,11 +83,22 @@ const METRICS: [MetricCol; 13] = [
 
 /// One seed's sweep: fresh workload, fresh fault plans, all cells.
 fn collect(seed: u64, jobs: u32) -> Vec<(Vec<String>, Vec<f64>)> {
-    let wl = synthesize("wl1-resilience", &SwimParams { jobs, ..SwimParams::wl1() }, seed);
+    let wl = synthesize(
+        "wl1-resilience",
+        &SwimParams {
+            jobs,
+            ..SwimParams::wl1()
+        },
+        seed,
+    );
     // Draw fault times from the window the cluster is actually busy, so
     // the sweep stresses the run instead of scheduling faults after the
     // last job has finished.
-    let span = wl.jobs.last().map(|j| j.arrival.as_secs_f64()).unwrap_or(0.0) as u64;
+    let span = wl
+        .jobs
+        .last()
+        .map(|j| j.arrival.as_secs_f64())
+        .unwrap_or(0.0) as u64;
     let horizon = span.max(30) * 3 / 4;
     let base = SimConfig::ec2(PolicyKind::Vanilla, SchedulerKind::fair_default(), seed);
     // Fault plans are validated against the topology the engine will

@@ -67,7 +67,10 @@ pub fn run(_seed: u64) -> usize {
             t.ticks()
         ),
         Err(e) => {
-            eprintln!("[telemetry-smoke] could not write {}: {e}", csv_out.display());
+            eprintln!(
+                "[telemetry-smoke] could not write {}: {e}",
+                csv_out.display()
+            );
             failed += 1;
         }
     }

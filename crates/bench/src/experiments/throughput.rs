@@ -85,11 +85,7 @@ fn scale_workload(
 /// machinery — the things this benchmark exists to compare — rather
 /// than by remote-fetch flow recomputation.
 fn scale_cfg(nodes: u32) -> SimConfig {
-    let mut cfg = SimConfig::cct(
-        PolicyKind::Vanilla,
-        SchedulerKind::fair_default(),
-        20110926,
-    );
+    let mut cfg = SimConfig::cct(PolicyKind::Vanilla, SchedulerKind::fair_default(), 20110926);
     cfg.profile = ClusterProfile::scale(nodes);
     cfg
 }
@@ -285,7 +281,10 @@ pub fn run(_seed: u64) -> usize {
     match std::fs::write(&report_path, &json) {
         Ok(()) => println!("[throughput] wrote {}", report_path.display()),
         Err(e) => {
-            eprintln!("[throughput] could not write {}: {e}", report_path.display());
+            eprintln!(
+                "[throughput] could not write {}: {e}",
+                report_path.display()
+            );
             failed += 1;
         }
     }

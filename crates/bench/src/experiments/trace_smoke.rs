@@ -47,7 +47,10 @@ pub fn run(_seed: u64) -> usize {
             Ok(golden) => {
                 if let Some(d) = diff_golden(&golden, &jsonl) {
                     println!("GOLDEN DRIFT");
-                    eprintln!("[trace-smoke] {name}: trace drifted from {}:\n{d}", path.display());
+                    eprintln!(
+                        "[trace-smoke] {name}: trace drifted from {}:\n{d}",
+                        path.display()
+                    );
                     failed += 1;
                 } else {
                     println!("ok");

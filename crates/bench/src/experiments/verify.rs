@@ -16,7 +16,12 @@ struct Claim {
     pass: bool,
 }
 
-fn run(policy: PolicyKind, sched: SchedulerKind, wl: &dare_workload::Workload, seed: u64) -> SimResult {
+fn run(
+    policy: PolicyKind,
+    sched: SchedulerKind,
+    wl: &dare_workload::Workload,
+    seed: u64,
+) -> SimResult {
     dare_mapred::run(SimConfig::cct(policy, sched, seed), wl)
 }
 
@@ -29,14 +34,44 @@ pub fn run_all(seed: u64) -> usize {
     let configs = [
         ("v-fifo-1", PolicyKind::Vanilla, SchedulerKind::Fifo, 1u8),
         ("l-fifo-1", PolicyKind::GreedyLru, SchedulerKind::Fifo, 1),
-        ("e-fifo-1", PolicyKind::elephant_default(), SchedulerKind::Fifo, 1),
-        ("v-fair-1", PolicyKind::Vanilla, SchedulerKind::fair_default(), 1),
+        (
+            "e-fifo-1",
+            PolicyKind::elephant_default(),
+            SchedulerKind::Fifo,
+            1,
+        ),
+        (
+            "v-fair-1",
+            PolicyKind::Vanilla,
+            SchedulerKind::fair_default(),
+            1,
+        ),
         ("v-fifo-2", PolicyKind::Vanilla, SchedulerKind::Fifo, 2),
         ("l-fifo-2", PolicyKind::GreedyLru, SchedulerKind::Fifo, 2),
-        ("e-fifo-2", PolicyKind::elephant_default(), SchedulerKind::Fifo, 2),
-        ("v-fair-2", PolicyKind::Vanilla, SchedulerKind::fair_default(), 2),
-        ("l-fair-2", PolicyKind::GreedyLru, SchedulerKind::fair_default(), 2),
-        ("e-fair-2", PolicyKind::elephant_default(), SchedulerKind::fair_default(), 2),
+        (
+            "e-fifo-2",
+            PolicyKind::elephant_default(),
+            SchedulerKind::Fifo,
+            2,
+        ),
+        (
+            "v-fair-2",
+            PolicyKind::Vanilla,
+            SchedulerKind::fair_default(),
+            2,
+        ),
+        (
+            "l-fair-2",
+            PolicyKind::GreedyLru,
+            SchedulerKind::fair_default(),
+            2,
+        ),
+        (
+            "e-fair-2",
+            PolicyKind::elephant_default(),
+            SchedulerKind::fair_default(),
+            2,
+        ),
     ];
     let results = parallel_map(configs.to_vec(), |(key, policy, sched, which)| {
         let wl = if which == 1 { &wl1 } else { &wl2 };

@@ -48,7 +48,10 @@ impl Table {
             println!("{}", s.trim_end());
         };
         line(&self.header);
-        println!("{}", "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
+        println!(
+            "{}",
+            "-".repeat(widths.iter().sum::<usize>() + 2 * widths.len())
+        );
         for r in &self.rows {
             line(r);
         }
@@ -185,8 +188,7 @@ where
     let seeds = seeds.max(1);
     // label-key -> (first-appearance index, per-metric samples)
     let mut merged: Vec<(Vec<String>, Vec<Vec<f64>>)> = Vec::new();
-    let mut index: std::collections::HashMap<Vec<String>, usize> =
-        std::collections::HashMap::new();
+    let mut index: std::collections::HashMap<Vec<String>, usize> = std::collections::HashMap::new();
     for rep in 0..seeds {
         let seed = dare_farm::cell_seed(base_seed, "", rep);
         for (row_labels, values) in collect(seed) {
@@ -314,7 +316,7 @@ pub fn run_matrix(
             cells.push((s, p));
         }
     }
-    
+
     dare_simcore::parallel::parallel_map(cells, |(s, p)| {
         let mut cfg = base.clone();
         cfg.scheduler = s;

@@ -169,7 +169,9 @@ mod tests {
     #[test]
     fn bench_measures_something() {
         let mut r = Runner::new(true);
-        let res = r.bench("noop_add", || black_box(2u64) + black_box(3u64)).clone();
+        let res = r
+            .bench("noop_add", || black_box(2u64) + black_box(3u64))
+            .clone();
         assert!(res.median_ns >= 0.0);
         assert!(res.iters > 0);
         assert!(res.min_ns <= res.median_ns && res.median_ns <= res.max_ns);
@@ -181,11 +183,7 @@ mod tests {
         let mut r = Runner::new(true);
         // Setup builds a vector; the timed body only reads one element.
         let res = r
-            .bench_batched(
-                "read_first",
-                || vec![1u64; 64],
-                |v| v[0],
-            )
+            .bench_batched("read_first", || vec![1u64; 64], |v| v[0])
             .clone();
         assert!(res.iters > 0);
     }

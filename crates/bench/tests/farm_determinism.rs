@@ -46,7 +46,8 @@ fn quick_farm_matrix_is_byte_stable_across_thread_counts() {
         assert_eq!(run.values.len(), farm::METRICS.len());
         if run.cell.coord("faults") == Some("calm") {
             assert_eq!(
-                run.values[jobs_failed], 0.0,
+                run.values[jobs_failed],
+                0.0,
                 "calm cell {} failed jobs",
                 run.cell.key()
             );
