@@ -309,7 +309,7 @@ pub fn resilience(seed: u64, seeds: u32) {
                         r.run.job_locality,
                         r.run.gmtt_secs,
                         r.run.mean_slowdown,
-                        r.reexecuted_tasks as f64,
+                        r.faults.tasks_retried as f64,
                         r.speculative_launches as f64,
                         r.speculative_wins as f64,
                     ],

@@ -1,16 +1,16 @@
-//! The factorial experiment farm — the `dare-farm` harness driven by the
-//! real engine.
+//! The factorial experiment farm: the paper's evaluation matrix driven
+//! through the real engine.
 //!
-//! Declares one [`SweepSpec`]: schedulers × replication policies ×
-//! cluster profiles × fault levels × N replicate seeds, where scheduler
-//! and policy are *treatment* axes (they share seeds within a replicate,
-//! giving paired comparisons on common random numbers) and profile/fault
-//! level are *seeded* environment axes (they enter the per-cell seed
-//! hash). Every cell is a pure function of its coordinates and derived
-//! seed: workload synthesis, fault-plan generation, and the engine run
-//! all draw from `cell.seed`.
+//! Four axes — schedulers × replication policies × cluster profiles ×
+//! fault levels — times N replicate seeds. Scheduler and policy are
+//! *treatment* axes: they share one seed per replicate, giving paired
+//! comparisons on common random numbers. Profile and fault level are
+//! *environment* axes: they enter the seed (see [`cell_seed`]), so each
+//! draws its own workload and fault plan. Every cell is a pure function of its
+//! coordinates and seed: workload synthesis, fault-plan generation, and
+//! the engine run all draw from `cell.seed`.
 //!
-//! The sweep runs twice — single-threaded and on all cores — and the
+//! The matrix runs twice — single-threaded and on all cores — and the
 //! merged outputs are asserted byte-identical before anything is
 //! written, so the files below are certified thread-count independent on
 //! every invocation:
@@ -25,11 +25,13 @@
 //! thread count and the scaling efficiency `(t1/tN)/N`. Set
 //! `BENCH_QUICK=1` for the CI smoke matrix (2×2×2 cells, fewer jobs).
 
-use crate::harness::csv_path;
+use crate::harness::{cell_seed, csv_path};
 use dare_core::PolicyKind;
-use dare_farm::{aggregate_csv, merged_json, per_cell_csv, run_sweep, Cell, RunOptions, SweepSpec};
 use dare_mapred::{FaultPlan, FaultSpec, SchedulerKind, SimConfig};
+use dare_simcore::parallel::parallel_map_threads;
+use dare_simcore::stats::{summarize, Summary};
 use dare_workload::swim::{synthesize, SwimParams};
+use std::collections::BTreeMap;
 
 /// Metric columns every cell reports, in order.
 pub const METRICS: [&str; 6] = [
@@ -41,23 +43,82 @@ pub const METRICS: [&str; 6] = [
     "re_replicated",
 ];
 
-/// The farm's sweep matrix. `quick` is the CI smoke shape: two levels
-/// per axis on the CCT profile only. The full matrix is
-/// 2 schedulers × 3 policies × 2 profiles × 3 fault levels.
-pub fn spec(base_seed: u64, seeds: u32, quick: bool) -> SweepSpec {
-    let s = SweepSpec::new("dare-farm", base_seed);
-    let s = if quick {
-        s.axis("scheduler", &["fifo", "fair"])
-            .axis("policy", &["vanilla", "lru"])
-            .seeded_axis("profile", &["cct"])
-            .seeded_axis("faults", &["calm", "heavy"])
+/// One cell's metric values, aligned with [`METRICS`].
+pub type Metrics = [f64; METRICS.len()];
+
+/// The axes in declared (column) order, and whether each enters the seed.
+pub const AXES: [(&str, bool); 4] = [
+    ("scheduler", false),
+    ("policy", false),
+    ("profile", true),
+    ("faults", true),
+];
+
+/// The levels of each axis, in [`AXES`] order. `quick` is the CI smoke
+/// shape: two levels per axis on the CCT profile only. The full matrix
+/// is 2 schedulers × 3 policies × 2 profiles × 3 fault levels.
+fn levels(quick: bool) -> [&'static [&'static str]; 4] {
+    if quick {
+        [
+            &["fifo", "fair"],
+            &["vanilla", "lru"],
+            &["cct"],
+            &["calm", "heavy"],
+        ]
     } else {
-        s.axis("scheduler", &["fifo", "fair"])
-            .axis("policy", &["vanilla", "lru", "et"])
-            .seeded_axis("profile", &["cct", "ec2"])
-            .seeded_axis("faults", &["calm", "light", "heavy"])
-    };
-    s.seeds(seeds)
+        [
+            &["fifo", "fair"],
+            &["vanilla", "lru", "et"],
+            &["cct", "ec2"],
+            &["calm", "light", "heavy"],
+        ]
+    }
+}
+
+/// One run of the matrix: a coordinate plus a replicate index, carrying
+/// its derived seed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Cell {
+    /// Levels in [`AXES`] order: scheduler, policy, profile, faults.
+    pub coords: [&'static str; 4],
+    /// Replicate number, `0..seeds`.
+    pub replicate: u32,
+    /// Seed for this run, from [`cell_seed`].
+    pub seed: u64,
+}
+
+impl Cell {
+    /// Canonical coordinate key: `axis=level` over all four axes, sorted
+    /// by axis name. Rows group and sort by it.
+    pub fn key(&self) -> String {
+        let [scheduler, policy, profile, faults] = self.coords;
+        format!("faults={faults};policy={policy};profile={profile};scheduler={scheduler}")
+    }
+}
+
+/// The full run matrix: axes nested in declared order, replicates
+/// innermost.
+pub fn cells(base_seed: u64, seeds: u32, quick: bool) -> Vec<Cell> {
+    let [schedulers, policies, profiles, faults] = levels(quick);
+    let mut out = Vec::new();
+    for &scheduler in schedulers {
+        for &policy in policies {
+            for &profile in profiles {
+                for &fault in faults {
+                    // Only the environment axes enter the seed.
+                    let env = format!("faults={fault};profile={profile}");
+                    for replicate in 0..seeds {
+                        out.push(Cell {
+                            coords: [scheduler, policy, profile, fault],
+                            replicate,
+                            seed: cell_seed(base_seed, &env, replicate),
+                        });
+                    }
+                }
+            }
+        }
+    }
+    out
 }
 
 /// Jobs per synthesized workload for one cell.
@@ -101,8 +162,9 @@ fn fault_spec(level: &str, horizon_secs: u64) -> Option<FaultSpec> {
 /// makes the merged outputs byte-stable across thread counts, and the
 /// determinism test in `tests/farm_determinism.rs` holds this module to
 /// it.
-pub fn run_cell(cell: &Cell, quick: bool) -> Vec<f64> {
+pub fn run_cell(cell: &Cell, quick: bool) -> Metrics {
     let seed = cell.seed;
+    let [scheduler, policy, profile, level] = cell.coords;
     let jobs = jobs_per_cell(quick);
     let wl = synthesize(
         "wl1-farm",
@@ -119,18 +181,18 @@ pub fn run_cell(cell: &Cell, quick: bool) -> Vec<f64> {
         .unwrap_or(0.0) as u64;
     let horizon = span.max(30) * 3 / 4;
 
-    let sched = match cell.coord("scheduler").expect("scheduler axis") {
+    let sched = match scheduler {
         "fifo" => SchedulerKind::Fifo,
         "fair" => SchedulerKind::fair_default(),
         other => panic!("unknown scheduler {other:?}"),
     };
-    let policy = match cell.coord("policy").expect("policy axis") {
+    let policy = match policy {
         "vanilla" => PolicyKind::Vanilla,
         "lru" => PolicyKind::GreedyLru,
         "et" => PolicyKind::elephant_default(),
         other => panic!("unknown policy {other:?}"),
     };
-    let mut cfg = match cell.coord("profile").expect("profile axis") {
+    let mut cfg = match profile {
         "cct" => SimConfig::cct(policy, sched, seed),
         "ec2" => SimConfig::ec2(policy, sched, seed),
         other => panic!("unknown profile {other:?}"),
@@ -139,7 +201,6 @@ pub fn run_cell(cell: &Cell, quick: bool) -> Vec<f64> {
         .with_speculation(Default::default())
         .with_invariant_checks();
 
-    let level = cell.coord("faults").expect("faults axis");
     if let Some(mut fs) = fault_spec(level, horizon) {
         let topo = cfg.topology();
         // On a single-rack cluster a rack outage takes every node down,
@@ -156,7 +217,7 @@ pub fn run_cell(cell: &Cell, quick: bool) -> Vec<f64> {
     }
 
     let r = dare_mapred::run(cfg, &wl);
-    vec![
+    [
         r.run.job_locality,
         r.run.locality,
         r.run.gmtt_secs,
@@ -164,6 +225,175 @@ pub fn run_cell(cell: &Cell, quick: bool) -> Vec<f64> {
         r.run.failed_jobs as f64,
         r.faults.blocks_re_replicated as f64,
     ]
+}
+
+/// A completed matrix: every cell's metrics, in [`cells`] order
+/// (independent of thread count).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Sweep {
+    /// Root seed every cell seed is derived from.
+    pub base_seed: u64,
+    /// Replicates per coordinate.
+    pub seeds: u32,
+    /// Whether this is the CI smoke matrix.
+    pub quick: bool,
+    /// Per-cell results.
+    pub runs: Vec<(Cell, Metrics)>,
+}
+
+/// Run the matrix with `f` per cell on `threads` workers.
+pub fn sweep<F>(base_seed: u64, seeds: u32, quick: bool, threads: usize, f: F) -> Sweep
+where
+    F: Fn(&Cell) -> Metrics + Sync,
+{
+    let runs = parallel_map_threads(cells(base_seed, seeds, quick), threads, |c| {
+        let m = f(&c);
+        (c, m)
+    });
+    Sweep {
+        base_seed,
+        seeds,
+        quick,
+        runs,
+    }
+}
+
+/// Fixed-precision float formatting shared by all merged outputs.
+fn fmt(v: f64) -> String {
+    format!("{v:.6}")
+}
+
+/// The CSV header cells naming the axes.
+fn axis_names() -> String {
+    AXES.map(|(name, _)| name).join(",")
+}
+
+impl Sweep {
+    /// One row per coordinate, sorted by coordinate key: a cell standing
+    /// for the coordinate, the replicate count and one [`Summary`] per
+    /// metric.
+    fn aggregate(&self) -> Vec<(&Cell, usize, Vec<Summary>)> {
+        let mut groups: BTreeMap<String, (&Cell, Vec<Vec<f64>>)> = BTreeMap::new();
+        for (cell, values) in &self.runs {
+            let entry = groups
+                .entry(cell.key())
+                .or_insert_with(|| (cell, vec![Vec::new(); METRICS.len()]));
+            for (m, &v) in entry.1.iter_mut().zip(values) {
+                m.push(v);
+            }
+        }
+        groups
+            .into_values()
+            .map(|(cell, per_metric)| {
+                let n = per_metric[0].len();
+                (cell, n, per_metric.iter().map(|m| summarize(m)).collect())
+            })
+            .collect()
+    }
+
+    /// Per-cell CSV: one row per run, sorted by `(coordinate key,
+    /// replicate)`. Columns: the axes, `replicate`, `seed`, the metrics.
+    pub fn cells_csv(&self) -> String {
+        let mut out = format!("{},replicate,seed,{}\n", axis_names(), METRICS.join(","));
+        let mut rows: Vec<&(Cell, Metrics)> = self.runs.iter().collect();
+        rows.sort_by_key(|(c, _)| (c.key(), c.replicate));
+        for (cell, values) in rows {
+            let levels = cell.coords.join(",");
+            out.push_str(&format!("{levels},{},{}", cell.replicate, cell.seed));
+            for v in values {
+                out.push(',');
+                out.push_str(&fmt(*v));
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Aggregate CSV: one row per coordinate, sorted by coordinate key.
+    /// Columns: the axes, `n`, then per metric
+    /// `<m>_mean,<m>_std,<m>_ci95`. With a single replicate the spread
+    /// columns are empty strings — never `NaN`.
+    pub fn agg_csv(&self) -> String {
+        let mut out = format!("{},n", axis_names());
+        for m in METRICS {
+            out.push_str(&format!(",{m}_mean,{m}_std,{m}_ci95"));
+        }
+        out.push('\n');
+
+        for (cell, n, stats) in self.aggregate() {
+            out.push_str(&format!("{},{n}", cell.coords.join(",")));
+            for s in &stats {
+                out.push(',');
+                out.push_str(&fmt(s.mean));
+                if s.has_spread() {
+                    out.push_str(&format!(",{},{}", fmt(s.std), fmt(s.ci95)));
+                } else {
+                    out.push_str(",,");
+                }
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Machine-readable merge: the matrix, the metric names, and the
+    /// aggregate rows as JSON. Spread fields are `null` with a single
+    /// replicate. Contains no timing, so two runs of the same matrix
+    /// produce identical bytes at any thread count.
+    pub fn merged_json(&self) -> String {
+        let quoted = |xs: &[&str]| {
+            let q: Vec<String> = xs.iter().map(|x| format!("\"{x}\"")).collect();
+            q.join(", ")
+        };
+        let mut out = String::from("{\n");
+        out.push_str(&format!(
+            "  \"sweep\": \"dare-farm\",\n  \"base_seed\": {},\n  \"seeds\": {},\n  \"cells\": {},\n",
+            self.base_seed,
+            self.seeds,
+            self.runs.len()
+        ));
+        let axes: Vec<String> = AXES
+            .iter()
+            .zip(levels(self.quick))
+            .map(|((name, seeded), levels)| {
+                format!(
+                    "{{\"name\": \"{name}\", \"seeded\": {seeded}, \"levels\": [{}]}}",
+                    quoted(levels)
+                )
+            })
+            .collect();
+        out.push_str(&format!(
+            "  \"axes\": [{}],\n  \"metrics\": [{}],\n  \"aggregate\": [\n",
+            axes.join(", "),
+            quoted(&METRICS)
+        ));
+        let rows = self.aggregate();
+        for (i, (cell, n, stats)) in rows.iter().enumerate() {
+            let [scheduler, policy, profile, faults] = cell.coords;
+            out.push_str(&format!(
+                "    {{\"coords\": {{\"faults\": \"{faults}\", \"policy\": \"{policy}\", \
+                 \"profile\": \"{profile}\", \"scheduler\": \"{scheduler}\"}}, \"n\": {n}"
+            ));
+            for (m, s) in METRICS.iter().zip(stats) {
+                let (std, ci) = if s.has_spread() {
+                    (fmt(s.std), fmt(s.ci95))
+                } else {
+                    ("null".to_string(), "null".to_string())
+                };
+                out.push_str(&format!(
+                    ", \"{m}\": {{\"mean\": {}, \"std\": {std}, \"ci95\": {ci}}}",
+                    fmt(s.mean)
+                ));
+            }
+            out.push('}');
+            if i + 1 < rows.len() {
+                out.push(',');
+            }
+            out.push('\n');
+        }
+        out.push_str("  ]\n}\n");
+        out
+    }
 }
 
 fn write(name: &str, ext: &str, contents: &str) {
@@ -175,56 +405,52 @@ fn write(name: &str, ext: &str, contents: &str) {
     }
 }
 
-/// Execute the farm: the sweep at 1 thread and at all cores, a runtime
+/// Execute the farm: the matrix at 1 thread and at all cores, a runtime
 /// byte-stability assertion over the merged outputs, the three merged
 /// files, and the `BENCH_farm.json` throughput report.
 pub fn run(seed: u64, seeds: u32) {
     let quick = std::env::var_os("BENCH_QUICK").is_some_and(|v| v != "0");
-    let spec = spec(seed, seeds, quick);
-    let cells = spec.cell_count();
-    let multi = RunOptions::all_cores();
+    let threads = std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1);
+    let cells = cells(seed, seeds, quick).len();
     println!(
         "[farm] {} cells ({} coordinates x {} seeds), single-threaded pass then {} threads",
         cells,
         cells / seeds as usize,
         seeds,
-        multi.threads
+        threads
     );
 
     let t0 = std::time::Instant::now();
-    let single = run_sweep(&spec, &METRICS, RunOptions::quiet(1), |c| {
-        run_cell(c, quick)
-    });
+    let single = sweep(seed, seeds, quick, 1, |c| run_cell(c, quick));
     let t_single = t0.elapsed().as_secs_f64();
 
     let t1 = std::time::Instant::now();
-    let parallel = run_sweep(&spec, &METRICS, multi, |c| run_cell(c, quick));
+    let parallel = sweep(seed, seeds, quick, threads, |c| run_cell(c, quick));
     let t_multi = t1.elapsed().as_secs_f64();
 
-    // The whole point of the harness: merged bytes must not depend on
+    // The whole point of the farm: merged bytes must not depend on
     // thread count. Enforced on every run, not just in the test suite.
-    let cells_csv = per_cell_csv(&single);
-    let agg_csv = aggregate_csv(&single);
-    let json = merged_json(&single);
+    let cells_csv = single.cells_csv();
+    let agg_csv = single.agg_csv();
+    let json = single.merged_json();
     assert_eq!(
         cells_csv,
-        per_cell_csv(&parallel),
+        parallel.cells_csv(),
         "per-cell CSV differs across thread counts"
     );
     assert_eq!(
         agg_csv,
-        aggregate_csv(&parallel),
+        parallel.agg_csv(),
         "aggregate CSV differs across thread counts"
     );
     assert_eq!(
         json,
-        merged_json(&parallel),
+        parallel.merged_json(),
         "merged JSON differs across thread counts"
     );
-    println!(
-        "[farm] merged outputs byte-identical at 1 vs {} threads",
-        multi.threads
-    );
+    println!("[farm] merged outputs byte-identical at 1 vs {threads} threads");
 
     write("farm_cells", "csv", &cells_csv);
     write("farm_agg", "csv", &agg_csv);
@@ -232,11 +458,10 @@ pub fn run(seed: u64, seeds: u32) {
 
     let cps_single = cells as f64 / t_single.max(1e-9);
     let cps_multi = cells as f64 / t_multi.max(1e-9);
-    let efficiency = (t_single / t_multi.max(1e-9)) / multi.threads as f64;
+    let efficiency = (t_single / t_multi.max(1e-9)) / threads as f64;
     println!(
         "[farm] {cells} cells: {t_single:.2}s at 1 thread ({cps_single:.2} cells/s), \
-         {t_multi:.2}s at {} threads ({cps_multi:.2} cells/s, {:.0}% scaling efficiency)",
-        multi.threads,
+         {t_multi:.2}s at {threads} threads ({cps_multi:.2} cells/s, {:.0}% scaling efficiency)",
         efficiency * 100.0
     );
 
@@ -244,10 +469,92 @@ pub fn run(seed: u64, seeds: u32) {
         "{{\n  \"config\": {{\"quick\": {quick}, \"base_seed\": {seed}, \"seeds\": {seeds}, \
          \"cells\": {cells}, \"jobs_per_cell\": {}}},\n\
          \"single\": {{\"threads\": 1, \"secs\": {t_single:.3}, \"cells_per_sec\": {cps_single:.3}}},\n\
-         \"parallel\": {{\"threads\": {}, \"secs\": {t_multi:.3}, \"cells_per_sec\": {cps_multi:.3}}},\n\
+         \"parallel\": {{\"threads\": {threads}, \"secs\": {t_multi:.3}, \"cells_per_sec\": {cps_multi:.3}}},\n\
          \"scaling_efficiency\": {efficiency:.3},\n  \"byte_stable\": true\n}}\n",
         jobs_per_cell(quick),
-        multi.threads
     );
     write("BENCH_farm", "json", &bench);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The quick matrix with deterministic pseudo-metrics in place of
+    /// engine runs.
+    fn fake(seeds: u32) -> Sweep {
+        sweep(99, seeds, true, 1, |c| {
+            let base = (c.seed % 1000) as f64;
+            let bump = if c.coords[1] == "lru" { 0.5 } else { 0.0 };
+            [base + bump, base / 2.0, 0.0, 0.0, 0.0, c.replicate as f64]
+        })
+    }
+
+    #[test]
+    fn treatment_axes_share_seeds_within_replicate() {
+        // Common random numbers: same environment + replicate ⇒ same seed
+        // across all scheduler × policy combinations; environments and
+        // replicates draw distinct seeds.
+        let cells = cells(42, 3, false);
+        assert_eq!(cells.len(), 2 * 3 * 2 * 3 * 3);
+        for a in &cells {
+            for b in &cells {
+                let same_env = a.coords[2..] == b.coords[2..] && a.replicate == b.replicate;
+                assert_eq!(same_env, a.seed == b.seed, "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn aggregate_rows_equal_mean_of_their_cell_rows() {
+        let sw = fake(5);
+        for (cell, n, stats) in sw.aggregate() {
+            let members: Vec<&Metrics> = sw
+                .runs
+                .iter()
+                .filter(|(c, _)| c.coords == cell.coords)
+                .map(|(_, m)| m)
+                .collect();
+            assert_eq!(members.len(), n);
+            for (mi, s) in stats.iter().enumerate() {
+                let mean = members.iter().map(|m| m[mi]).sum::<f64>() / n as f64;
+                assert!((s.mean - mean).abs() < 1e-12);
+            }
+        }
+    }
+
+    #[test]
+    fn csv_shapes_and_sorting() {
+        let sw = fake(2);
+        let cells_csv = sw.cells_csv();
+        assert_eq!(
+            cells_csv.lines().next().unwrap(),
+            "scheduler,policy,profile,faults,replicate,seed,\
+             job_locality,task_locality,gmtt_s,p95_slowdown,jobs_failed,re_replicated"
+        );
+        assert_eq!(cells_csv.lines().count(), 1 + 8 * 2);
+        // Sorted by coordinate key (all four axes, by axis name) then
+        // replicate.
+        assert_eq!(
+            sw.runs[0].0.key(),
+            "faults=calm;policy=vanilla;profile=cct;scheduler=fifo"
+        );
+        let first = cells_csv.lines().nth(1).unwrap();
+        assert!(first.starts_with("fair,lru,cct,calm,0,"));
+        let agg = sw.agg_csv();
+        assert!(agg.starts_with("scheduler,policy,profile,faults,n,job_locality_mean,"));
+        assert_eq!(agg.lines().count(), 1 + 8);
+    }
+
+    #[test]
+    fn single_replicate_emits_empty_spread_fields() {
+        let sw = fake(1);
+        let agg = sw.agg_csv();
+        let cells: Vec<&str> = agg.lines().nth(1).unwrap().split(',').collect();
+        assert_eq!(cells[4], "1", "n column");
+        assert_eq!((cells[6], cells[7]), ("", ""), "spread empty at n=1");
+        let json = sw.merged_json();
+        assert!(json.contains("\"std\": null"));
+        assert!(!agg.contains("NaN") && !json.contains("NaN"));
+    }
 }

@@ -139,7 +139,7 @@ fn collect(seed: u64, jobs: u32) -> Vec<(Vec<String>, Vec<f64>)> {
                 r.run.job_locality,
                 r.run.gmtt_secs,
                 r.run.p95_slowdown,
-                r.reexecuted_tasks as f64,
+                r.faults.tasks_retried as f64,
                 r.faults.tasks_retried as f64,
                 r.faults.tasks_failed as f64,
                 r.faults.nodes_declared_dead as f64,

@@ -1,7 +1,9 @@
-//! Console tables, CSV output, and the shared run matrix.
+//! Console tables, CSV output, the replicate-seed rule, and the shared
+//! run matrix.
 
 use dare_core::PolicyKind;
 use dare_mapred::{SchedulerKind, SimConfig, SimResult};
+use dare_simcore::rng::DetRng;
 use dare_simcore::stats::{summarize, Summary};
 use dare_workload::Workload;
 use std::io::Write as _;
@@ -124,6 +126,29 @@ pub fn write_csv(name: &str, table: &Table) {
 /// The paper's default seed for experiment runs; change with `--seed`.
 pub const DEFAULT_SEED: u64 = 20110926;
 
+/// Derive the seed of one replicate of one experiment cell.
+///
+/// `seeded_key` names the cell's *seeded* (environment) coordinates —
+/// cluster profile, fault level — as `axis=level` pairs sorted and
+/// joined with `;`. Treatment coordinates (scheduler, policy) stay out
+/// of it, so every system compared in one replicate sees the same draws.
+/// The rule:
+///
+/// - empty `seeded_key` and `replicate == 0` → `base_seed` unchanged, so
+///   a `--seeds 1` run reproduces the repo's historical single-seed runs
+///   bit-for-bit;
+/// - otherwise, a `DetRng` substream labelled `farm:<seeded_key>` at
+///   index `replicate`. The label is part of every replicate seed ≥ 1 in
+///   the committed `results/`: renaming it moves all of them.
+pub fn cell_seed(base_seed: u64, seeded_key: &str, replicate: u32) -> u64 {
+    if seeded_key.is_empty() && replicate == 0 {
+        return base_seed;
+    }
+    DetRng::new(base_seed)
+        .substream_idx(&format!("farm:{seeded_key}"), replicate as u64)
+        .seed()
+}
+
 /// One numeric column of a replicated experiment table.
 #[derive(Debug, Clone, Copy)]
 pub struct MetricCol {
@@ -165,11 +190,10 @@ pub struct SeedTable {
 /// Run `collect` once per replicate seed and merge the rows into means
 /// with appended `<metric>_std` / `<metric>_ci95` columns.
 ///
-/// Replicate seeds follow the farm's derivation rule
-/// ([`dare_farm::cell_seed`] with no seeded coordinates), so replicate 0
-/// *is* `base_seed` — a `--seeds 1` run reproduces the repo's historical
-/// single-seed tables byte-for-byte except for the appended (empty)
-/// spread columns. Rows are matched across replicates by their label
+/// Replicate seeds follow [`cell_seed`] with no seeded coordinates, so
+/// replicate 0 *is* `base_seed` — a `--seeds 1` run reproduces the repo's
+/// historical single-seed tables byte-for-byte except for the appended
+/// (empty) spread columns. Rows are matched across replicates by their label
 /// columns; spread columns are empty strings when a row has fewer than
 /// two replicates. Mean columns keep their legacy positions so the
 /// committed gnuplot scripts' 1-based column indices stay valid.
@@ -190,7 +214,7 @@ where
     let mut merged: Vec<(Vec<String>, Vec<Vec<f64>>)> = Vec::new();
     let mut index: std::collections::HashMap<Vec<String>, usize> = std::collections::HashMap::new();
     for rep in 0..seeds {
-        let seed = dare_farm::cell_seed(base_seed, "", rep);
+        let seed = cell_seed(base_seed, "", rep);
         for (row_labels, values) in collect(seed) {
             assert_eq!(row_labels.len(), labels.len(), "label arity in {title}");
             assert_eq!(values.len(), metrics.len(), "metric arity in {title}");
@@ -383,6 +407,19 @@ mod tests {
     fn csv_path_resolves() {
         let p = csv_path("zzz");
         assert!(p.to_string_lossy().ends_with("zzz.csv"));
+    }
+
+    #[test]
+    fn cell_seed_rule_is_pinned() {
+        // Literal values: every replicate seed in the committed results
+        // derives from this rule, so a drift must fail here, not only in
+        // a figure diff.
+        assert_eq!(cell_seed(20110926, "", 0), 20110926);
+        assert_eq!(cell_seed(20110926, "", 1), 9869054555245199038);
+        assert_eq!(
+            cell_seed(20110926, "faults=heavy;profile=ec2", 2),
+            1823312696039065281
+        );
     }
 
     #[test]

@@ -1,55 +1,49 @@
 //! End-to-end determinism of the experiment farm through the *real*
 //! engine: the quick farm matrix, run single-threaded and with eight
-//! workers, must merge to byte-identical CSV and JSON. This is the
-//! acceptance criterion of the sweep harness — per-cell results are a
-//! pure function of (coordinates, derived seed), never of thread count
-//! or completion order.
+//! workers, must merge to byte-identical CSV and JSON. Per-cell results
+//! are a pure function of (coordinates, derived seed), never of thread
+//! count or completion order.
 
 use dare_bench::experiments::farm;
-use dare_farm::{aggregate_csv, cell_seed, merged_json, per_cell_csv, run_sweep, RunOptions};
+use dare_bench::harness::cell_seed;
 
 #[test]
 fn quick_farm_matrix_is_byte_stable_across_thread_counts() {
     // 2 schedulers x 2 policies x 1 profile x 2 fault levels x 2 seeds
     // = 16 engine runs per pass; quick cells use 6-job workloads.
-    let spec = farm::spec(20110926, 2, true);
-    let one = run_sweep(&spec, &farm::METRICS, RunOptions::quiet(1), |c| {
-        farm::run_cell(c, true)
-    });
-    let eight = run_sweep(&spec, &farm::METRICS, RunOptions::quiet(8), |c| {
-        farm::run_cell(c, true)
-    });
+    let run = |threads| farm::sweep(20110926, 2, true, threads, |c| farm::run_cell(c, true));
+    let one = run(1);
+    let eight = run(8);
 
     assert_eq!(
-        per_cell_csv(&one),
-        per_cell_csv(&eight),
+        one.cells_csv(),
+        eight.cells_csv(),
         "per-cell CSV depends on thread count"
     );
     assert_eq!(
-        aggregate_csv(&one),
-        aggregate_csv(&eight),
+        one.agg_csv(),
+        eight.agg_csv(),
         "aggregate CSV depends on thread count"
     );
     assert_eq!(
-        merged_json(&one),
-        merged_json(&eight),
+        one.merged_json(),
+        eight.merged_json(),
         "merged JSON depends on thread count"
     );
 
-    // Sanity on the content itself: every cell produced the full metric
-    // vector and the calm cells completed all jobs without failures.
+    // Sanity on the content itself: the calm cells completed all jobs
+    // without failures.
     let jobs_failed = farm::METRICS
         .iter()
         .position(|m| *m == "jobs_failed")
         .unwrap();
-    for run in &one.runs {
-        assert_eq!(run.values.len(), farm::METRICS.len());
-        if run.cell.coord("faults") == Some("calm") {
+    for (cell, values) in &one.runs {
+        if cell.coords[3] == "calm" {
             assert_eq!(
-                run.values[jobs_failed],
+                values[jobs_failed],
                 0.0,
                 "calm cell {} failed jobs",
-                run.cell.key()
+                cell.key()
             );
         }
     }
@@ -57,18 +51,18 @@ fn quick_farm_matrix_is_byte_stable_across_thread_counts() {
 
 #[test]
 fn farm_seeds_anchor_to_the_legacy_single_seed_runs() {
-    // Replicate 0 of an all-treatment coordinate must reuse the base
-    // seed verbatim — that is what keeps `--seeds 1` output aligned
-    // with the historical single-seed tables.
+    // Replicate 0 of an all-treatment coordinate reuses the base seed
+    // verbatim, which keeps `--seeds 1` output aligned with the
+    // historical single-seed tables.
     assert_eq!(cell_seed(20110926, "", 0), 20110926);
-    // The farm spec has seeded axes (profile, faults), so its cells hash
-    // them in: same coordinate, different replicate → different seeds.
-    let spec = farm::spec(7, 3, true);
-    let cells = spec.expand();
-    let first_key = cells[0].key();
+    // The farm's cells hash their seeded axes (profile, faults) in, so
+    // even replicate 0 leaves the base seed; the same coordinate at
+    // different replicates draws different seeds.
+    let cells = farm::cells(7, 3, true);
+    assert!(cells.iter().all(|c| c.seed != 7));
     let seeds: Vec<u64> = cells
         .iter()
-        .filter(|c| c.key() == first_key)
+        .filter(|c| c.coords == cells[0].coords)
         .map(|c| c.seed)
         .collect();
     assert_eq!(seeds.len(), 3);

@@ -329,8 +329,6 @@ pub struct Engine {
     /// Per-node gray-failure NIC derating, mirrored into
     /// [`FlowSim::set_node_factor`] (kept here for the fingerprint).
     gray_nic: Vec<f64>,
-    /// Map-task attempts that had to be re-executed due to failures.
-    pub reexecuted_tasks: u64,
     /// Speculative backup attempts launched.
     pub speculative_launches: u64,
     /// Races resolved while a duplicate attempt was still running (the
@@ -791,7 +789,6 @@ impl Engine {
             slow_factor: vec![1.0; n],
             gray_disk: vec![1.0; n],
             gray_nic: vec![1.0; n],
-            reexecuted_tasks: 0,
             speculative_launches: 0,
             speculative_wins: 0,
             tracer: cfg.record_trace.then(Trace::default),
@@ -2403,27 +2400,7 @@ impl Engine {
         self.nodes.index_reduce_free(ni, false);
 
         // The JobTracker re-queues everything that was running there.
-        let victims: Vec<(u32, u32)> = std::mem::take(self.nodes.running_on_mut(ni));
-        for (job, task) in victims {
-            // The dead node's own registration is already out of
-            // `running_on`, so `kill_attempt` can't see it: record the
-            // abort of this zombie here.
-            self.emit(TraceEvent::TaskAborted {
-                job,
-                task,
-                attempt: self.jobs[job as usize].attempts[task as usize],
-                node,
-            });
-            let js = &self.jobs[job as usize];
-            if js.failed || js.done[task as usize] {
-                // Committed elsewhere (a backup won) or the job is gone:
-                // drop the zombie registration without a retry.
-                let live = &mut self.jobs[job as usize].live_attempts[task as usize];
-                *live = live.saturating_sub(1);
-                continue;
-            }
-            self.abort_attempt(job, task, false);
-        }
+        self.abort_zombies(node);
 
         // The namenode drops the node's replicas; re-replication is real,
         // prioritized work, not an instant fix-up.
@@ -2442,6 +2419,32 @@ impl Engine {
         self.pump_recovery();
     }
 
+    /// Abort every attempt still registered on a crashed `node`: each is
+    /// traced as aborted, and its task retried unless it already
+    /// committed elsewhere or its job failed.
+    fn abort_zombies(&mut self, node: u32) {
+        let zombies: Vec<(u32, u32)> = std::mem::take(self.nodes.running_on_mut(node as usize));
+        for (job, task) in zombies {
+            // The node's own registration is already out of `running_on`,
+            // so `kill_attempt` can't see it: record the abort here.
+            self.emit(TraceEvent::TaskAborted {
+                job,
+                task,
+                attempt: self.jobs[job as usize].attempts[task as usize],
+                node,
+            });
+            let js = &self.jobs[job as usize];
+            if js.failed || js.done[task as usize] {
+                // Committed elsewhere (a backup won) or the job is gone:
+                // drop the zombie registration without a retry.
+                let live = &mut self.jobs[job as usize].live_attempts[task as usize];
+                *live = live.saturating_sub(1);
+                continue;
+            }
+            self.abort_attempt(job, task, false);
+        }
+    }
+
     /// A transiently crashed node comes back: fresh epoch, full slots, a
     /// block report reconciling its surviving replicas, and heartbeats
     /// resume. Whatever ran there when it went down was lost.
@@ -2456,24 +2459,7 @@ impl Engine {
         self.stats.nodes_rejoined += 1;
 
         // The tracker restarts the node's interrupted attempts elsewhere.
-        let zombies: Vec<(u32, u32)> = std::mem::take(self.nodes.running_on_mut(ni));
-        for (job, task) in zombies {
-            // As in `on_declare_dead`: this node's registration is already
-            // gone from `running_on`, so record the zombie's abort here.
-            self.emit(TraceEvent::TaskAborted {
-                job,
-                task,
-                attempt: self.jobs[job as usize].attempts[task as usize],
-                node,
-            });
-            let js = &self.jobs[job as usize];
-            if js.failed || js.done[task as usize] {
-                let live = &mut self.jobs[job as usize].live_attempts[task as usize];
-                *live = live.saturating_sub(1);
-                continue;
-            }
-            self.abort_attempt(job, task, false);
-        }
+        self.abort_zombies(node);
         *self.nodes.free_map_mut(ni) = self.cfg.profile.map_slots_per_node;
         *self.nodes.free_reduce_mut(ni) = self
             .cfg
@@ -2599,7 +2585,6 @@ impl Engine {
         if js.failed {
             return;
         }
-        self.reexecuted_tasks += 1;
         self.stats.tasks_retried += 1;
         let tries = js.attempts[task as usize];
         if tries >= self.cfg.faults.max_task_attempts {
@@ -3201,7 +3186,6 @@ impl Engine {
             final_dynamic_bytes: self.dfs.total_dynamic_bytes(),
             remote_bytes_fetched: self.remote_bytes_fetched,
             proactive,
-            reexecuted_tasks: self.reexecuted_tasks,
             speculative_launches: self.speculative_launches,
             speculative_wins: self.speculative_wins,
             faults: self.stats,
@@ -3502,7 +3486,7 @@ mod tests {
                 "declared-dead node must hold no attempts: {s:?} ends after {declare_at:?}"
             );
         }
-        assert!(r.reexecuted_tasks <= wl.jobs.len() as u64 * 3);
+        assert!(r.faults.tasks_retried <= wl.jobs.len() as u64 * 3);
     }
 
     #[test]
@@ -3717,7 +3701,6 @@ mod tests {
         assert_eq!(a.run.gmtt_secs, b.run.gmtt_secs);
         assert_eq!(a.run.jobs, b.run.jobs);
         assert_eq!(a.faults, b.faults);
-        assert_eq!(a.reexecuted_tasks, b.reexecuted_tasks);
     }
 
     #[test]
@@ -3933,10 +3916,10 @@ mod tests {
         );
         let uncommitted = spans.iter().filter(|s| !s.committed).count() as u64;
         assert!(
-            uncommitted <= r.reexecuted_tasks + r.speculative_launches,
+            uncommitted <= r.faults.tasks_retried + r.speculative_launches,
             "uncommitted spans only from aborts/races"
         );
-        if r.reexecuted_tasks > 0 {
+        if r.faults.tasks_retried > 0 {
             assert!(spans.iter().any(|s| !s.committed), "failed attempts appear");
         }
         if r.speculative_launches > 0 {

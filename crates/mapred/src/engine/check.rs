@@ -13,8 +13,9 @@
 //! that can newly fail, so the first violation comes out exactly as a
 //! full scan reports it: category by category, each in ascending node,
 //! `(block, dst)` or block order. The full scan survives as a test
-//! oracle ([`Engine::full_scan`], built for tests and the `oracle`
-//! feature), which then cross-checks every armed step.
+//! oracle ([`Engine::full_scan`], built for tests and for every build
+//! with debug assertions), which then cross-checks every armed step;
+//! release builds carry only the incremental check.
 
 use super::{Engine, RecoveryXfer};
 use dare_dfs::BlockId;
@@ -80,7 +81,7 @@ impl Engine {
     /// model checker all report violations under the same names.
     pub(super) fn check_invariants(&mut self) -> Result<(), crate::SimError> {
         let verdict = self.check_touched();
-        #[cfg(any(test, feature = "oracle"))]
+        #[cfg(any(test, debug_assertions))]
         assert_eq!(
             verdict,
             self.full_scan(),
@@ -136,7 +137,7 @@ impl Engine {
 
     /// The full scan the incremental check replaces: every node, every
     /// in-flight transfer, every lost block and every block.
-    #[cfg(any(test, feature = "oracle"))]
+    #[cfg(any(test, debug_assertions))]
     pub(super) fn full_scan(&self) -> Result<(), crate::SimError> {
         let mut inv = Invariants::new();
         for i in 0..self.nodes.len() {
@@ -163,7 +164,7 @@ impl Engine {
 
     /// The DFS's running copy counts and usage totals equal a scan of its
     /// data nodes.
-    #[cfg(any(test, feature = "oracle"))]
+    #[cfg(any(test, debug_assertions))]
     fn assert_disk_counts(&self) {
         let mut copies = vec![0u32; self.dfs.namenode().num_blocks()];
         let dns = self.dfs.datanodes();

@@ -32,8 +32,6 @@ pub struct SimResult {
     pub remote_bytes_fetched: u64,
     /// Stats of the proactive (Scarlett) baseline, when enabled.
     pub proactive: Option<ProactiveStats>,
-    /// Map attempts re-executed because their node (or fetch source) died.
-    pub reexecuted_tasks: u64,
     /// Speculative backup attempts launched.
     pub speculative_launches: u64,
     /// Task races resolved while a duplicate attempt was still running.

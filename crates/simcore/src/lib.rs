@@ -29,8 +29,8 @@
 //!   cases with replayable failure seeds), standing in for `proptest`
 //!   in the offline build.
 //! * [`stats`] — descriptive statistics used by the evaluation: streaming
-//!   mean/variance/min/max, percentiles, histograms and CDFs, geometric
-//!   mean, and the coefficient of variation used by Fig. 11.
+//!   mean/variance/min/max, percentiles and CDFs, geometric mean, and the
+//!   coefficient of variation used by Fig. 11.
 //! * [`quantile`] — the P² streaming quantile estimator (O(1) memory
 //!   percentiles for long runs).
 //! * [`parallel`] — a crossbeam-free scoped-threads `parallel_map` used to

@@ -288,65 +288,6 @@ impl Ecdf {
     }
 }
 
-/// A fixed-width histogram over `[lo, hi)` with `bins` buckets plus
-/// underflow/overflow counters. Used for Fig. 1 (hop counts) and diagnostic
-/// distributions.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// Create a histogram spanning `[lo, hi)` with `bins` equal buckets.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(hi > lo && bins > 0);
-        Histogram {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-            total: 0,
-        }
-    }
-
-    /// Record one sample.
-    pub fn push(&mut self, x: f64) {
-        self.total += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let w = (self.hi - self.lo) / self.counts.len() as f64;
-            let idx = ((x - self.lo) / w) as usize;
-            // Floating-point rounding can nudge the index to len on x ≈ hi.
-            let idx = idx.min(self.counts.len() - 1);
-            self.counts[idx] += 1;
-        }
-    }
-
-    /// Total samples recorded (including under/overflow).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Raw bucket counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Samples below `lo` / at-or-above `hi`.
-    pub fn out_of_range(&self) -> (u64, u64) {
-        (self.underflow, self.overflow)
-    }
-}
-
 /// Count / sum / min / max plus streaming p50, p95 and p99 for one class
 /// of samples (latencies, utilizations, ...), backed by the
 /// [`P2Quantile`](crate::quantile::P2Quantile) estimator so a multi-hour
@@ -662,19 +603,6 @@ mod tests {
         let e = Ecdf::new(vec![]);
         assert!(e.is_empty());
         assert_eq!(e.fraction_leq(1.0), 0.0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for x in [0.5, 1.5, 1.7, 9.99, -1.0, 10.0, 42.0] {
-            h.push(x);
-        }
-        assert_eq!(h.total(), 7);
-        assert_eq!(h.counts()[0], 1);
-        assert_eq!(h.counts()[1], 2);
-        assert_eq!(h.counts()[9], 1);
-        assert_eq!(h.out_of_range(), (1, 2));
     }
 
     #[test]

@@ -38,7 +38,7 @@ fn main() {
             "locality {:.1}%  gmtt {:.1}s  re-executed {}",
             r.run.job_locality * 100.0,
             r.run.gmtt_secs,
-            r.reexecuted_tasks
+            r.faults.tasks_retried
         );
         print!("{}", gantt::render(&spans, 100));
         println!();

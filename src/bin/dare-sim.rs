@@ -1033,7 +1033,7 @@ fn run_sim(argv: &[String]) -> Result<(), i32> {
             r.blocks_per_job,
             r.replicas_created,
             r.evictions,
-            r.reexecuted_tasks,
+            r.faults.tasks_retried,
             r.speculative_launches,
             r.sched_offers,
             r.sched_probes,
@@ -1067,7 +1067,7 @@ fn run_sim(argv: &[String]) -> Result<(), i32> {
     println!("scheduler probes    {:>8}", r.sched_probes);
     println!("flow re-rates       {:>8}", r.flow_rerates);
     if !args.failures.is_empty() {
-        println!("re-executed tasks   {:>8}", r.reexecuted_tasks);
+        println!("re-executed tasks   {:>8}", r.faults.tasks_retried);
     }
     if args.speculation {
         println!(
