@@ -5,7 +5,7 @@
 //! fault levels — times N replicate seeds. Scheduler and policy are
 //! *treatment* axes: they share one seed per replicate, giving paired
 //! comparisons on common random numbers. Profile and fault level are
-//! *environment* axes: they enter the seed (see [`cell_seed`]), so each
+//! *environment* axes: they enter the seed (see [`crate::harness::cell_seed`]), so each
 //! draws its own workload and fault plan. Every cell is a pure function of its
 //! coordinates and seed: workload synthesis, fault-plan generation, and
 //! the engine run all draw from `cell.seed`.
@@ -25,376 +25,13 @@
 //! thread count and the scaling efficiency `(t1/tN)/N`. Set
 //! `BENCH_QUICK=1` for the CI smoke matrix (2×2×2 cells, fewer jobs).
 
-use crate::harness::{cell_seed, csv_path};
-use dare_core::PolicyKind;
-use dare_mapred::{FaultPlan, FaultSpec, SchedulerKind, SimConfig};
-use dare_simcore::parallel::parallel_map_threads;
-use dare_simcore::stats::{summarize, Summary};
-use dare_workload::swim::{synthesize, SwimParams};
-use std::collections::BTreeMap;
+//!
+//! The matrix lives in [`crate::spec`], the engine runs in
+//! [`crate::run`] and the writers in [`crate::merge`].
 
-/// Metric columns every cell reports, in order.
-pub const METRICS: [&str; 6] = [
-    "job_locality",
-    "task_locality",
-    "gmtt_s",
-    "p95_slowdown",
-    "jobs_failed",
-    "re_replicated",
-];
-
-/// One cell's metric values, aligned with [`METRICS`].
-pub type Metrics = [f64; METRICS.len()];
-
-/// The axes in declared (column) order, and whether each enters the seed.
-pub const AXES: [(&str, bool); 4] = [
-    ("scheduler", false),
-    ("policy", false),
-    ("profile", true),
-    ("faults", true),
-];
-
-/// The levels of each axis, in [`AXES`] order. `quick` is the CI smoke
-/// shape: two levels per axis on the CCT profile only. The full matrix
-/// is 2 schedulers × 3 policies × 2 profiles × 3 fault levels.
-fn levels(quick: bool) -> [&'static [&'static str]; 4] {
-    if quick {
-        [
-            &["fifo", "fair"],
-            &["vanilla", "lru"],
-            &["cct"],
-            &["calm", "heavy"],
-        ]
-    } else {
-        [
-            &["fifo", "fair"],
-            &["vanilla", "lru", "et"],
-            &["cct", "ec2"],
-            &["calm", "light", "heavy"],
-        ]
-    }
-}
-
-/// One run of the matrix: a coordinate plus a replicate index, carrying
-/// its derived seed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Cell {
-    /// Levels in [`AXES`] order: scheduler, policy, profile, faults.
-    pub coords: [&'static str; 4],
-    /// Replicate number, `0..seeds`.
-    pub replicate: u32,
-    /// Seed for this run, from [`cell_seed`].
-    pub seed: u64,
-}
-
-impl Cell {
-    /// Canonical coordinate key: `axis=level` over all four axes, sorted
-    /// by axis name. Rows group and sort by it.
-    pub fn key(&self) -> String {
-        let [scheduler, policy, profile, faults] = self.coords;
-        format!("faults={faults};policy={policy};profile={profile};scheduler={scheduler}")
-    }
-}
-
-/// The full run matrix: axes nested in declared order, replicates
-/// innermost.
-pub fn cells(base_seed: u64, seeds: u32, quick: bool) -> Vec<Cell> {
-    let [schedulers, policies, profiles, faults] = levels(quick);
-    let mut out = Vec::new();
-    for &scheduler in schedulers {
-        for &policy in policies {
-            for &profile in profiles {
-                for &fault in faults {
-                    // Only the environment axes enter the seed.
-                    let env = format!("faults={fault};profile={profile}");
-                    for replicate in 0..seeds {
-                        out.push(Cell {
-                            coords: [scheduler, policy, profile, fault],
-                            replicate,
-                            seed: cell_seed(base_seed, &env, replicate),
-                        });
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Jobs per synthesized workload for one cell.
-pub fn jobs_per_cell(quick: bool) -> u32 {
-    if quick {
-        6
-    } else {
-        20
-    }
-}
-
-fn fault_spec(level: &str, horizon_secs: u64) -> Option<FaultSpec> {
-    match level {
-        "calm" => None,
-        "light" => Some(FaultSpec {
-            horizon_secs,
-            kills: 1,
-            crashes: 3,
-            mean_down_secs: 60,
-            rack_outages: 0,
-            stragglers: 2,
-            straggler_factor: 3.0,
-            corruption_rate_per_node_hour: 0.0,
-        }),
-        "heavy" => Some(FaultSpec {
-            horizon_secs,
-            kills: 3,
-            crashes: 8,
-            mean_down_secs: 90,
-            rack_outages: 2,
-            stragglers: 4,
-            straggler_factor: 5.0,
-            corruption_rate_per_node_hour: 0.0,
-        }),
-        other => panic!("unknown fault level {other:?}"),
-    }
-}
-
-/// Run one cell of the matrix through the real engine. Pure function of
-/// the cell (coordinates + derived seed) and `quick` — this is what
-/// makes the merged outputs byte-stable across thread counts, and the
-/// determinism test in `tests/farm_determinism.rs` holds this module to
-/// it.
-pub fn run_cell(cell: &Cell, quick: bool) -> Metrics {
-    let seed = cell.seed;
-    let [scheduler, policy, profile, level] = cell.coords;
-    let jobs = jobs_per_cell(quick);
-    let wl = synthesize(
-        "wl1-farm",
-        &SwimParams {
-            jobs,
-            ..SwimParams::wl1()
-        },
-        seed,
-    );
-    let span = wl
-        .jobs
-        .last()
-        .map(|j| j.arrival.as_secs_f64())
-        .unwrap_or(0.0) as u64;
-    let horizon = span.max(30) * 3 / 4;
-
-    let sched = match scheduler {
-        "fifo" => SchedulerKind::Fifo,
-        "fair" => SchedulerKind::fair_default(),
-        other => panic!("unknown scheduler {other:?}"),
-    };
-    let policy = match policy {
-        "vanilla" => PolicyKind::Vanilla,
-        "lru" => PolicyKind::GreedyLru,
-        "et" => PolicyKind::elephant_default(),
-        other => panic!("unknown policy {other:?}"),
-    };
-    let mut cfg = match profile {
-        "cct" => SimConfig::cct(policy, sched, seed),
-        "ec2" => SimConfig::ec2(policy, sched, seed),
-        other => panic!("unknown profile {other:?}"),
-    };
-    cfg = cfg
-        .with_speculation(Default::default())
-        .with_invariant_checks();
-
-    if let Some(mut fs) = fault_spec(level, horizon) {
-        let topo = cfg.topology();
-        // On a single-rack cluster a rack outage takes every node down,
-        // so it overlaps any other crash or kill before it ends and no
-        // valid plan has both: the cluster-wide outage is left out.
-        if topo.racks() == 1 {
-            fs.rack_outages = 0;
-        }
-        // Distinct plan stream per level tag, mirroring the resilience
-        // sweep's `seed ^ (level << 32)` idiom.
-        let tag = if level == "light" { 1u64 } else { 2u64 };
-        let plan = FaultPlan::generate_valid(&fs, &topo, 0, seed ^ (tag << 32));
-        cfg = cfg.with_faults(plan);
-    }
-
-    let r = dare_mapred::run(cfg, &wl);
-    [
-        r.run.job_locality,
-        r.run.locality,
-        r.run.gmtt_secs,
-        r.run.p95_slowdown,
-        r.run.failed_jobs as f64,
-        r.faults.blocks_re_replicated as f64,
-    ]
-}
-
-/// A completed matrix: every cell's metrics, in [`cells`] order
-/// (independent of thread count).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Sweep {
-    /// Root seed every cell seed is derived from.
-    pub base_seed: u64,
-    /// Replicates per coordinate.
-    pub seeds: u32,
-    /// Whether this is the CI smoke matrix.
-    pub quick: bool,
-    /// Per-cell results.
-    pub runs: Vec<(Cell, Metrics)>,
-}
-
-/// Run the matrix with `f` per cell on `threads` workers.
-pub fn sweep<F>(base_seed: u64, seeds: u32, quick: bool, threads: usize, f: F) -> Sweep
-where
-    F: Fn(&Cell) -> Metrics + Sync,
-{
-    let runs = parallel_map_threads(cells(base_seed, seeds, quick), threads, |c| {
-        let m = f(&c);
-        (c, m)
-    });
-    Sweep {
-        base_seed,
-        seeds,
-        quick,
-        runs,
-    }
-}
-
-/// Fixed-precision float formatting shared by all merged outputs.
-fn fmt(v: f64) -> String {
-    format!("{v:.6}")
-}
-
-/// The CSV header cells naming the axes.
-fn axis_names() -> String {
-    AXES.map(|(name, _)| name).join(",")
-}
-
-impl Sweep {
-    /// One row per coordinate, sorted by coordinate key: a cell standing
-    /// for the coordinate, the replicate count and one [`Summary`] per
-    /// metric.
-    fn aggregate(&self) -> Vec<(&Cell, usize, Vec<Summary>)> {
-        let mut groups: BTreeMap<String, (&Cell, Vec<Vec<f64>>)> = BTreeMap::new();
-        for (cell, values) in &self.runs {
-            let entry = groups
-                .entry(cell.key())
-                .or_insert_with(|| (cell, vec![Vec::new(); METRICS.len()]));
-            for (m, &v) in entry.1.iter_mut().zip(values) {
-                m.push(v);
-            }
-        }
-        groups
-            .into_values()
-            .map(|(cell, per_metric)| {
-                let n = per_metric[0].len();
-                (cell, n, per_metric.iter().map(|m| summarize(m)).collect())
-            })
-            .collect()
-    }
-
-    /// Per-cell CSV: one row per run, sorted by `(coordinate key,
-    /// replicate)`. Columns: the axes, `replicate`, `seed`, the metrics.
-    pub fn cells_csv(&self) -> String {
-        let mut out = format!("{},replicate,seed,{}\n", axis_names(), METRICS.join(","));
-        let mut rows: Vec<&(Cell, Metrics)> = self.runs.iter().collect();
-        rows.sort_by_key(|(c, _)| (c.key(), c.replicate));
-        for (cell, values) in rows {
-            let levels = cell.coords.join(",");
-            out.push_str(&format!("{levels},{},{}", cell.replicate, cell.seed));
-            for v in values {
-                out.push(',');
-                out.push_str(&fmt(*v));
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Aggregate CSV: one row per coordinate, sorted by coordinate key.
-    /// Columns: the axes, `n`, then per metric
-    /// `<m>_mean,<m>_std,<m>_ci95`. With a single replicate the spread
-    /// columns are empty strings — never `NaN`.
-    pub fn agg_csv(&self) -> String {
-        let mut out = format!("{},n", axis_names());
-        for m in METRICS {
-            out.push_str(&format!(",{m}_mean,{m}_std,{m}_ci95"));
-        }
-        out.push('\n');
-
-        for (cell, n, stats) in self.aggregate() {
-            out.push_str(&format!("{},{n}", cell.coords.join(",")));
-            for s in &stats {
-                out.push(',');
-                out.push_str(&fmt(s.mean));
-                if s.has_spread() {
-                    out.push_str(&format!(",{},{}", fmt(s.std), fmt(s.ci95)));
-                } else {
-                    out.push_str(",,");
-                }
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Machine-readable merge: the matrix, the metric names, and the
-    /// aggregate rows as JSON. Spread fields are `null` with a single
-    /// replicate. Contains no timing, so two runs of the same matrix
-    /// produce identical bytes at any thread count.
-    pub fn merged_json(&self) -> String {
-        let quoted = |xs: &[&str]| {
-            let q: Vec<String> = xs.iter().map(|x| format!("\"{x}\"")).collect();
-            q.join(", ")
-        };
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"sweep\": \"dare-farm\",\n  \"base_seed\": {},\n  \"seeds\": {},\n  \"cells\": {},\n",
-            self.base_seed,
-            self.seeds,
-            self.runs.len()
-        ));
-        let axes: Vec<String> = AXES
-            .iter()
-            .zip(levels(self.quick))
-            .map(|((name, seeded), levels)| {
-                format!(
-                    "{{\"name\": \"{name}\", \"seeded\": {seeded}, \"levels\": [{}]}}",
-                    quoted(levels)
-                )
-            })
-            .collect();
-        out.push_str(&format!(
-            "  \"axes\": [{}],\n  \"metrics\": [{}],\n  \"aggregate\": [\n",
-            axes.join(", "),
-            quoted(&METRICS)
-        ));
-        let rows = self.aggregate();
-        for (i, (cell, n, stats)) in rows.iter().enumerate() {
-            let [scheduler, policy, profile, faults] = cell.coords;
-            out.push_str(&format!(
-                "    {{\"coords\": {{\"faults\": \"{faults}\", \"policy\": \"{policy}\", \
-                 \"profile\": \"{profile}\", \"scheduler\": \"{scheduler}\"}}, \"n\": {n}"
-            ));
-            for (m, s) in METRICS.iter().zip(stats) {
-                let (std, ci) = if s.has_spread() {
-                    (fmt(s.std), fmt(s.ci95))
-                } else {
-                    ("null".to_string(), "null".to_string())
-                };
-                out.push_str(&format!(
-                    ", \"{m}\": {{\"mean\": {}, \"std\": {std}, \"ci95\": {ci}}}",
-                    fmt(s.mean)
-                ));
-            }
-            out.push('}');
-            if i + 1 < rows.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
-}
+use crate::harness::csv_path;
+use crate::run::{run_cell, sweep};
+use crate::spec::{cells, jobs_per_cell};
 
 fn write(name: &str, ext: &str, contents: &str) {
     let mut path = csv_path(name);
@@ -474,87 +111,4 @@ pub fn run(seed: u64, seeds: u32) {
         jobs_per_cell(quick),
     );
     write("BENCH_farm", "json", &bench);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The quick matrix with deterministic pseudo-metrics in place of
-    /// engine runs.
-    fn fake(seeds: u32) -> Sweep {
-        sweep(99, seeds, true, 1, |c| {
-            let base = (c.seed % 1000) as f64;
-            let bump = if c.coords[1] == "lru" { 0.5 } else { 0.0 };
-            [base + bump, base / 2.0, 0.0, 0.0, 0.0, c.replicate as f64]
-        })
-    }
-
-    #[test]
-    fn treatment_axes_share_seeds_within_replicate() {
-        // Common random numbers: same environment + replicate ⇒ same seed
-        // across all scheduler × policy combinations; environments and
-        // replicates draw distinct seeds.
-        let cells = cells(42, 3, false);
-        assert_eq!(cells.len(), 2 * 3 * 2 * 3 * 3);
-        for a in &cells {
-            for b in &cells {
-                let same_env = a.coords[2..] == b.coords[2..] && a.replicate == b.replicate;
-                assert_eq!(same_env, a.seed == b.seed, "{a:?} vs {b:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn aggregate_rows_equal_mean_of_their_cell_rows() {
-        let sw = fake(5);
-        for (cell, n, stats) in sw.aggregate() {
-            let members: Vec<&Metrics> = sw
-                .runs
-                .iter()
-                .filter(|(c, _)| c.coords == cell.coords)
-                .map(|(_, m)| m)
-                .collect();
-            assert_eq!(members.len(), n);
-            for (mi, s) in stats.iter().enumerate() {
-                let mean = members.iter().map(|m| m[mi]).sum::<f64>() / n as f64;
-                assert!((s.mean - mean).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn csv_shapes_and_sorting() {
-        let sw = fake(2);
-        let cells_csv = sw.cells_csv();
-        assert_eq!(
-            cells_csv.lines().next().unwrap(),
-            "scheduler,policy,profile,faults,replicate,seed,\
-             job_locality,task_locality,gmtt_s,p95_slowdown,jobs_failed,re_replicated"
-        );
-        assert_eq!(cells_csv.lines().count(), 1 + 8 * 2);
-        // Sorted by coordinate key (all four axes, by axis name) then
-        // replicate.
-        assert_eq!(
-            sw.runs[0].0.key(),
-            "faults=calm;policy=vanilla;profile=cct;scheduler=fifo"
-        );
-        let first = cells_csv.lines().nth(1).unwrap();
-        assert!(first.starts_with("fair,lru,cct,calm,0,"));
-        let agg = sw.agg_csv();
-        assert!(agg.starts_with("scheduler,policy,profile,faults,n,job_locality_mean,"));
-        assert_eq!(agg.lines().count(), 1 + 8);
-    }
-
-    #[test]
-    fn single_replicate_emits_empty_spread_fields() {
-        let sw = fake(1);
-        let agg = sw.agg_csv();
-        let cells: Vec<&str> = agg.lines().nth(1).unwrap().split(',').collect();
-        assert_eq!(cells[4], "1", "n column");
-        assert_eq!((cells[6], cells[7]), ("", ""), "spread empty at n=1");
-        let json = sw.merged_json();
-        assert!(json.contains("\"std\": null"));
-        assert!(!agg.contains("NaN") && !json.contains("NaN"));
-    }
 }

@@ -4,14 +4,19 @@
 //! paper (see DESIGN.md's per-experiment index). This library holds the
 //! pieces the experiment modules share: console table rendering, CSV
 //! output under `results/`, and the standard run matrix
-//! (policy × scheduler × workload) used by Figs. 7 and 10.
+//! (policy × scheduler × workload) used by Figs. 7 and 10. The farm
+//! experiment's fixed matrix, engine runs and merged outputs are
+//! [`spec`], [`run`] and [`merge`].
 
 #![warn(missing_docs)]
 
 pub mod cli;
 pub mod harness;
+pub mod merge;
 pub mod microbench;
 pub mod plot;
+pub mod run;
+pub mod spec;
 
 pub mod experiments {
     //! One module per paper artifact.

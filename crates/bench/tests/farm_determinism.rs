@@ -4,14 +4,15 @@
 //! are a pure function of (coordinates, derived seed), never of thread
 //! count or completion order.
 
-use dare_bench::experiments::farm;
 use dare_bench::harness::cell_seed;
+use dare_bench::run::{run_cell, sweep};
+use dare_bench::spec::{cells, METRICS};
 
 #[test]
 fn quick_farm_matrix_is_byte_stable_across_thread_counts() {
     // 2 schedulers x 2 policies x 1 profile x 2 fault levels x 2 seeds
     // = 16 engine runs per pass; quick cells use 6-job workloads.
-    let run = |threads| farm::sweep(20110926, 2, true, threads, |c| farm::run_cell(c, true));
+    let run = |threads| sweep(20110926, 2, true, threads, |c| run_cell(c, true));
     let one = run(1);
     let eight = run(8);
 
@@ -33,10 +34,7 @@ fn quick_farm_matrix_is_byte_stable_across_thread_counts() {
 
     // Sanity on the content itself: the calm cells completed all jobs
     // without failures.
-    let jobs_failed = farm::METRICS
-        .iter()
-        .position(|m| *m == "jobs_failed")
-        .unwrap();
+    let jobs_failed = METRICS.iter().position(|m| *m == "jobs_failed").unwrap();
     for (cell, values) in &one.runs {
         if cell.coords[3] == "calm" {
             assert_eq!(
@@ -58,7 +56,7 @@ fn farm_seeds_anchor_to_the_legacy_single_seed_runs() {
     // The farm's cells hash their seeded axes (profile, faults) in, so
     // even replicate 0 leaves the base seed; the same coordinate at
     // different replicates draws different seeds.
-    let cells = farm::cells(7, 3, true);
+    let cells = cells(7, 3, true);
     assert!(cells.iter().all(|c| c.seed != 7));
     let seeds: Vec<u64> = cells
         .iter()
