@@ -89,7 +89,9 @@ impl ChaosReplay {
 
 fn resolve_threads(cfg: &ChaosConfig) -> usize {
     if cfg.threads == 0 {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
     } else {
         cfg.threads
     }
@@ -146,7 +148,11 @@ pub fn fuzz(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
     }
 
     let wall_secs = start.elapsed().as_secs_f64();
-    let events_per_sec = if wall_secs > 0.0 { steps as f64 / wall_secs } else { 0.0 };
+    let events_per_sec = if wall_secs > 0.0 {
+        steps as f64 / wall_secs
+    } else {
+        0.0
+    };
     Ok(ChaosReport {
         runs,
         steps,
@@ -176,7 +182,11 @@ fn build_violation(
         let n = plan.events.len();
         (
             plan.clone(),
-            ShrinkStats { original_events: n, minimal_events: n, probes: 0 },
+            ShrinkStats {
+                original_events: n,
+                minimal_events: n,
+                probes: 0,
+            },
         )
     };
 
@@ -191,10 +201,8 @@ fn build_violation(
     };
 
     let plan_json = minimal_plan.to_json();
-    let headers: Vec<(&str, String)> = vec![
-        ("key", key.clone()),
-        ("plan", plan_json.replace('\n', " ")),
-    ];
+    let headers: Vec<(&str, String)> =
+        vec![("key", key.clone()), ("plan", plan_json.replace('\n', " "))];
     let counterexample = render_counterexample(
         "dare-chaos",
         &config_line(cfg),
@@ -274,7 +282,11 @@ pub fn bench_json(cfg: &ChaosConfig, report: &ChaosReport) -> String {
     let _ = writeln!(s, "  \"invariant_cells\": {},", report.invariant_cells);
     let _ = writeln!(s, "  \"wall_secs\": {:.3},", report.wall_secs);
     let _ = writeln!(s, "  \"events_per_sec\": {:.1},", report.events_per_sec);
-    let _ = writeln!(s, "  \"stopped_on_budget_secs\": {},", report.stopped_on_budget_secs);
+    let _ = writeln!(
+        s,
+        "  \"stopped_on_budget_secs\": {},",
+        report.stopped_on_budget_secs
+    );
     let _ = writeln!(
         s,
         "  \"violations\": {},",
@@ -330,8 +342,16 @@ mod tests {
 
     #[test]
     fn verdicts_are_thread_count_invariant() {
-        let one = fuzz(&ChaosConfig { threads: 1, ..quick(false) }).unwrap();
-        let many = fuzz(&ChaosConfig { threads: 4, ..quick(false) }).unwrap();
+        let one = fuzz(&ChaosConfig {
+            threads: 1,
+            ..quick(false)
+        })
+        .unwrap();
+        let many = fuzz(&ChaosConfig {
+            threads: 4,
+            ..quick(false)
+        })
+        .unwrap();
         assert_eq!(one.runs, many.runs);
         assert_eq!(one.steps, many.steps);
         assert_eq!(one.invariant_cells, many.invariant_cells);
@@ -348,9 +368,21 @@ mod tests {
             budget_runs: BATCH,
             ..ChaosConfig::default()
         };
-        let one = fuzz(&ChaosConfig { threads: 1, ..cfg.clone() }).unwrap();
-        let two = fuzz(&ChaosConfig { threads: 2, ..cfg.clone() }).unwrap();
-        let again = fuzz(&ChaosConfig { threads: 2, ..cfg.clone() }).unwrap();
+        let one = fuzz(&ChaosConfig {
+            threads: 1,
+            ..cfg.clone()
+        })
+        .unwrap();
+        let two = fuzz(&ChaosConfig {
+            threads: 2,
+            ..cfg.clone()
+        })
+        .unwrap();
+        let again = fuzz(&ChaosConfig {
+            threads: 2,
+            ..cfg.clone()
+        })
+        .unwrap();
         assert!(one.invariant_cells > 0);
         assert_eq!(one.invariant_cells, two.invariant_cells);
         assert_eq!(two.invariant_cells, again.invariant_cells);

@@ -285,10 +285,35 @@ mod tests {
     #[test]
     fn config_bounds_validated() {
         assert!(ChaosConfig::default().validate().is_ok());
-        assert!(ChaosConfig { nodes: 4, ..ChaosConfig::default() }.validate().is_err());
-        assert!(ChaosConfig { nodes: 2000, ..ChaosConfig::default() }.validate().is_err());
-        assert!(ChaosConfig { horizon_secs: 5, ..ChaosConfig::default() }.validate().is_err());
-        assert!(ChaosConfig { density: 0.0, ..ChaosConfig::default() }.validate().is_err());
-        assert!(ChaosConfig { budget_runs: 0, ..ChaosConfig::default() }.validate().is_err());
+        assert!(ChaosConfig {
+            nodes: 4,
+            ..ChaosConfig::default()
+        }
+        .validate()
+        .is_err());
+        assert!(ChaosConfig {
+            nodes: 2000,
+            ..ChaosConfig::default()
+        }
+        .validate()
+        .is_err());
+        assert!(ChaosConfig {
+            horizon_secs: 5,
+            ..ChaosConfig::default()
+        }
+        .validate()
+        .is_err());
+        assert!(ChaosConfig {
+            density: 0.0,
+            ..ChaosConfig::default()
+        }
+        .validate()
+        .is_err());
+        assert!(ChaosConfig {
+            budget_runs: 0,
+            ..ChaosConfig::default()
+        }
+        .validate()
+        .is_err());
     }
 }

@@ -38,18 +38,34 @@ impl ChaosEnv {
         let sim = sim_config(cfg, &FaultPlan::default(), false);
         let topology = sim.topology();
         let racks: Vec<Vec<u32>> = (0..topology.racks())
-            .map(|r| topology.rack_members(RackId(r)).iter().map(|n| n.0).collect())
+            .map(|r| {
+                topology
+                    .rack_members(RackId(r))
+                    .iter()
+                    .map(|n| n.0)
+                    .collect()
+            })
             .collect();
         // Enough jobs that the cluster stays busy across the fault
         // horizon; trailing faults still dispatch after the last job
         // (quiescence waits for pending fault transitions).
         let jobs = cfg.nodes.clamp(24, 96);
-        let workload = synthesize("chaos", &SwimParams { jobs, ..SwimParams::wl1() }, cfg.seed);
+        let workload = synthesize(
+            "chaos",
+            &SwimParams {
+                jobs,
+                ..SwimParams::wl1()
+            },
+            cfg.seed,
+        );
         let bs = sim.dfs.block_size;
-        let blocks = workload.files.iter().map(|f| f.size_bytes.div_ceil(bs)).sum();
-        let timeout_secs = (sim.heartbeat.as_secs_f64()
-            * sim.faults.detect_heartbeats as f64)
-            .ceil() as u64;
+        let blocks = workload
+            .files
+            .iter()
+            .map(|f| f.size_bytes.div_ceil(bs))
+            .sum();
+        let timeout_secs =
+            (sim.heartbeat.as_secs_f64() * sim.faults.detect_heartbeats as f64).ceil() as u64;
         ChaosEnv {
             racks,
             workload,
@@ -124,8 +140,13 @@ impl Verdict {
     pub fn failure_key(&self) -> Option<String> {
         match self {
             Verdict::Clean => None,
-            Verdict::Violation { invariant: Some(inv), .. } => Some(inv.clone()),
-            Verdict::Violation { invariant: None, .. } => Some("engine-error".into()),
+            Verdict::Violation {
+                invariant: Some(inv),
+                ..
+            } => Some(inv.clone()),
+            Verdict::Violation {
+                invariant: None, ..
+            } => Some("engine-error".into()),
             Verdict::Panic { .. } => Some("panic".into()),
             Verdict::Invalid { .. } => Some("invalid-plan".into()),
         }
@@ -140,7 +161,11 @@ pub fn invariant_of(error: &str) -> Option<String> {
     let rest = &error[start + 1..];
     let end = rest.find(']')?;
     let name = &rest[..end];
-    if name.is_empty() || !name.bytes().all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'-') {
+    if name.is_empty()
+        || !name
+            .bytes()
+            .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'-')
+    {
         return None;
     }
     Some(name.to_string())
@@ -300,7 +325,10 @@ mod tests {
             invariant_of("3 violation(s): [slot-conservation] node 2 over"),
             Some("slot-conservation".into())
         );
-        assert_eq!(invariant_of("invariant violation: [no-loss-below-rf] x"), Some("no-loss-below-rf".into()));
+        assert_eq!(
+            invariant_of("invariant violation: [no-loss-below-rf] x"),
+            Some("no-loss-below-rf".into())
+        );
         assert_eq!(invariant_of("stalled at t=4"), None);
         assert_eq!(invariant_of("weird [Not Kebab] text"), None);
     }

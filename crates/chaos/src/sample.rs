@@ -79,7 +79,10 @@ fn sample_event(
     match kind {
         Kind::Kill => {
             let node = claim_node(rng, avail_used)?;
-            Some(FaultEvent::Kill { at_secs: at(rng, cfg), node })
+            Some(FaultEvent::Kill {
+                at_secs: at(rng, cfg),
+                node,
+            })
         }
         Kind::Crash => {
             let node = claim_node(rng, avail_used)?;
@@ -164,7 +167,9 @@ fn outage_secs(rng: &mut DetRng, env: &ChaosEnv) -> u64 {
 
 /// Claim a random unclaimed node, if any remain.
 fn claim_node(rng: &mut DetRng, used: &mut [bool]) -> Option<u32> {
-    let free: Vec<u32> = (0..used.len() as u32).filter(|&n| !used[n as usize]).collect();
+    let free: Vec<u32> = (0..used.len() as u32)
+        .filter(|&n| !used[n as usize])
+        .collect();
     if free.is_empty() {
         return None;
     }
@@ -235,7 +240,10 @@ mod tests {
 
     #[test]
     fn full_alphabet_appears_across_a_campaign() {
-        let cfg = ChaosConfig { density: 8.0, ..cfg() };
+        let cfg = ChaosConfig {
+            density: 8.0,
+            ..cfg()
+        };
         let env = ChaosEnv::new(&cfg);
         let mut seen = [false; 7];
         for run in 0..300 {

@@ -102,8 +102,7 @@ fn ddmin_events(
             candidate_events.extend_from_slice(&events[..start]);
             candidate_events.extend_from_slice(&events[end..]);
             let candidate = with_events(plan, candidate_events);
-            if !candidate.events.is_empty()
-                && reproduces(cfg, env, &candidate, target_key, probes)
+            if !candidate.events.is_empty() && reproduces(cfg, env, &candidate, target_key, probes)
             {
                 events = candidate.events;
                 granularity = granularity.max(2).min(events.len().max(2));
@@ -201,26 +200,58 @@ fn simpler_variants(ev: &FaultEvent, env: &ChaosEnv) -> Vec<FaultEvent> {
     match ev {
         FaultEvent::Kill { at_secs, node } => {
             for at in simpler_times(*at_secs) {
-                out.push(FaultEvent::Kill { at_secs: at, node: *node });
+                out.push(FaultEvent::Kill {
+                    at_secs: at,
+                    node: *node,
+                });
             }
         }
-        FaultEvent::Crash { at_secs, node, down_secs } => {
+        FaultEvent::Crash {
+            at_secs,
+            node,
+            down_secs,
+        } => {
             for at in simpler_times(*at_secs) {
-                out.push(FaultEvent::Crash { at_secs: at, node: *node, down_secs: *down_secs });
+                out.push(FaultEvent::Crash {
+                    at_secs: at,
+                    node: *node,
+                    down_secs: *down_secs,
+                });
             }
             for d in simpler_durations(*down_secs, t) {
-                out.push(FaultEvent::Crash { at_secs: *at_secs, node: *node, down_secs: d });
+                out.push(FaultEvent::Crash {
+                    at_secs: *at_secs,
+                    node: *node,
+                    down_secs: d,
+                });
             }
         }
-        FaultEvent::RackOutage { at_secs, rack, down_secs } => {
+        FaultEvent::RackOutage {
+            at_secs,
+            rack,
+            down_secs,
+        } => {
             for at in simpler_times(*at_secs) {
-                out.push(FaultEvent::RackOutage { at_secs: at, rack: *rack, down_secs: *down_secs });
+                out.push(FaultEvent::RackOutage {
+                    at_secs: at,
+                    rack: *rack,
+                    down_secs: *down_secs,
+                });
             }
             for d in simpler_durations(*down_secs, t) {
-                out.push(FaultEvent::RackOutage { at_secs: *at_secs, rack: *rack, down_secs: d });
+                out.push(FaultEvent::RackOutage {
+                    at_secs: *at_secs,
+                    rack: *rack,
+                    down_secs: d,
+                });
             }
         }
-        FaultEvent::Slowdown { at_secs, node, factor, duration_secs } => {
+        FaultEvent::Slowdown {
+            at_secs,
+            node,
+            factor,
+            duration_secs,
+        } => {
             for at in simpler_times(*at_secs) {
                 out.push(FaultEvent::Slowdown {
                     at_secs: at,
@@ -240,12 +271,25 @@ fn simpler_variants(ev: &FaultEvent, env: &ChaosEnv) -> Vec<FaultEvent> {
                 }
             }
         }
-        FaultEvent::CorruptReplica { at_secs, node, block } => {
+        FaultEvent::CorruptReplica {
+            at_secs,
+            node,
+            block,
+        } => {
             for at in simpler_times(*at_secs) {
-                out.push(FaultEvent::CorruptReplica { at_secs: at, node: *node, block: *block });
+                out.push(FaultEvent::CorruptReplica {
+                    at_secs: at,
+                    node: *node,
+                    block: *block,
+                });
             }
         }
-        FaultEvent::Partition { at_secs, racks_a, racks_b, heal_secs } => {
+        FaultEvent::Partition {
+            at_secs,
+            racks_a,
+            racks_b,
+            heal_secs,
+        } => {
             for at in simpler_times(*at_secs) {
                 out.push(FaultEvent::Partition {
                     at_secs: at,
@@ -263,7 +307,13 @@ fn simpler_variants(ev: &FaultEvent, env: &ChaosEnv) -> Vec<FaultEvent> {
                 });
             }
         }
-        FaultEvent::GrayNode { at_secs, node, secs, disk_factor, nic_factor } => {
+        FaultEvent::GrayNode {
+            at_secs,
+            node,
+            secs,
+            disk_factor,
+            nic_factor,
+        } => {
             for at in simpler_times(*at_secs) {
                 out.push(FaultEvent::GrayNode {
                     at_secs: at,

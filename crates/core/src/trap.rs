@@ -146,11 +146,7 @@ impl<K: Eq + Hash + Copy> CircularTrap<K> {
     /// Keys sorted by descending access count (heavy hitters first). Ties
     /// broken by ring position for determinism.
     pub fn heavy_hitters(&self) -> Vec<(K, u64)> {
-        let mut v: Vec<(K, u64)> = self
-            .ring
-            .iter()
-            .map(|&k| (k, self.counts[&k]))
-            .collect();
+        let mut v: Vec<(K, u64)> = self.ring.iter().map(|&k| (k, self.counts[&k])).collect();
         v.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
         v
     }
@@ -191,8 +187,7 @@ mod tests {
         let v = t.find_victim(1, |_| true).expect("cold key exists");
         assert_eq!(v, 30, "the zero-count key is the victim");
         // Passed keys were halved exactly once.
-        let h: std::collections::HashMap<u32, u64> =
-            t.heavy_hitters().into_iter().collect();
+        let h: std::collections::HashMap<u32, u64> = t.heavy_hitters().into_iter().collect();
         let halved: u64 = h[&10] + h[&20];
         assert!(
             halved == 6 || halved == 8 || halved == 10 || halved == 12,
@@ -270,9 +265,7 @@ mod tests {
         t.insert(3);
         // The most recent insert comes LAST: the sweep reaches older
         // entries first.
-        let victims: Vec<u32> = (0..3)
-            .filter_map(|_| t.find_victim(1, |_| true))
-            .collect();
+        let victims: Vec<u32> = (0..3).filter_map(|_| t.find_victim(1, |_| true)).collect();
         assert_eq!(victims, vec![1, 2, 3]);
     }
 

@@ -50,9 +50,18 @@ fn kinds() -> Vec<PolicyKind> {
     vec![
         PolicyKind::GreedyLru,
         PolicyKind::Lfu,
-        PolicyKind::ElephantTrap { p: 1.0, threshold: 1 },
-        PolicyKind::ElephantTrap { p: 0.4, threshold: 2 },
-        PolicyKind::ElephantTrap { p: 1.0, threshold: 4 },
+        PolicyKind::ElephantTrap {
+            p: 1.0,
+            threshold: 1,
+        },
+        PolicyKind::ElephantTrap {
+            p: 0.4,
+            threshold: 2,
+        },
+        PolicyKind::ElephantTrap {
+            p: 1.0,
+            threshold: 4,
+        },
     ]
 }
 
@@ -103,8 +112,15 @@ fn run_policy(kind: PolicyKind, ops: &[Op], budget_blocks: u64, seed: u64) {
         );
         let tracked: HashSet<u64> = policy.tracked_blocks().map(|b| b.0).collect();
         let expected: HashSet<u64> = live.keys().copied().collect();
-        assert_eq!(tracked, expected, "step {step}: {kind:?} tracked set != live set");
-        assert_eq!(policy.used_bytes(), live_bytes, "step {step}: {kind:?} used bytes");
+        assert_eq!(
+            tracked, expected,
+            "step {step}: {kind:?} tracked set != live set"
+        );
+        assert_eq!(
+            policy.used_bytes(),
+            live_bytes,
+            "step {step}: {kind:?} used bytes"
+        );
     }
 }
 

@@ -184,7 +184,12 @@ impl DataNode {
 
     /// All resident blocks (primary then dynamic; deterministic order).
     pub fn all_blocks(&self) -> Vec<BlockId> {
-        let mut v: Vec<BlockId> = self.primary.iter().chain(self.dynamic.iter()).copied().collect();
+        let mut v: Vec<BlockId> = self
+            .primary
+            .iter()
+            .chain(self.dynamic.iter())
+            .copied()
+            .collect();
         v.sort_unstable();
         v
     }

@@ -109,7 +109,9 @@ pub struct Dfs {
 impl Dfs {
     /// Build an empty file system over `topo`.
     pub fn new(cfg: DfsConfig, topo: Topology) -> Self {
-        let dns = (0..topo.nodes()).map(|i| DataNode::new(NodeId(i))).collect();
+        let dns = (0..topo.nodes())
+            .map(|i| DataNode::new(NodeId(i)))
+            .collect();
         Dfs {
             cfg,
             nn: NameNode::new(),
@@ -245,7 +247,8 @@ impl Dfs {
             self.touch(b);
             locs.push(nodes);
         }
-        self.nn.register_file(name, size_bytes, sizes, locs, now, is_system)
+        self.nn
+            .register_file(name, size_bytes, sizes, locs, now, is_system)
     }
 
     /// True when a replica of `b` is physically on `node` — including a
@@ -595,7 +598,10 @@ mod tests {
             &mut rng,
             false,
         );
-        let (b0, b1) = (dfs.namenode().file(f).blocks[0], dfs.namenode().file(f).blocks[1]);
+        let (b0, b1) = (
+            dfs.namenode().file(f).blocks[0],
+            dfs.namenode().file(f).blocks[1],
+        );
         assert_eq!(dfs.drain_touched().count(), 0, "logging is off by default");
 
         dfs.log_touches(true);
@@ -731,7 +737,10 @@ mod tests {
         let blocks = dfs.namenode().file(f).blocks.clone();
         let live: Vec<NodeId> = (0..10).map(NodeId).collect();
         let fixed = dfs.fail_node(NodeId(1), &live, &mut rng);
-        assert!(fixed.re_replicated >= 1, "node 1 held writer-local replicas");
+        assert!(
+            fixed.re_replicated >= 1,
+            "node 1 held writer-local replicas"
+        );
         assert!(fixed.lost.is_empty(), "rf=3: one death loses nothing");
         for &b in &blocks {
             let locs = dfs.visible_locations(b);
@@ -919,7 +928,11 @@ mod tests {
         assert_eq!(q, Some(Quarantined::Primary { was_visible: true }));
         assert!(!dfs.visible_locations(b).contains(&victim));
         assert!(!dfs.is_physically_present(victim, b));
-        assert_eq!(dfs.total_corrupt_replicas(), 0, "bit dropped with the bytes");
+        assert_eq!(
+            dfs.total_corrupt_replicas(),
+            0,
+            "bit dropped with the bytes"
+        );
         assert_eq!(dfs.visible_locations(b).len(), 2, "block under-replicated");
         assert!(dfs.quarantine_replica(victim, b).is_none(), "already gone");
     }
@@ -961,7 +974,10 @@ mod tests {
         let q = dfs.quarantine_replica(other, b);
         assert_eq!(q, Some(Quarantined::Dynamic { was_visible: false }));
         dfs.process_reports(SimTime::from_secs(20));
-        assert!(!dfs.visible_locations(b).contains(&other), "report cancelled");
+        assert!(
+            !dfs.visible_locations(b).contains(&other),
+            "report cancelled"
+        );
     }
 
     #[test]

@@ -248,8 +248,7 @@ impl NameNode {
     pub fn fail_node(&mut self, node: NodeId, target_replicas: u32) -> Vec<BlockId> {
         let mut under = Vec::new();
         for idx in 0..self.blocks.len() {
-            let had = self.primary[idx].contains(&node)
-                || self.dynamic[idx].contains(&node);
+            let had = self.primary[idx].contains(&node) || self.dynamic[idx].contains(&node);
             self.primary[idx].retain(|&n| n != node);
             self.dynamic[idx].retain(|&n| n != node);
             if had {
@@ -410,7 +409,11 @@ mod tests {
                     want.push(n);
                 }
             }
-            assert_eq!(nn.locations(b), want.as_slice(), "block {b} merged list diverged");
+            assert_eq!(
+                nn.locations(b),
+                want.as_slice(),
+                "block {b} merged list diverged"
+            );
         }
     }
 
@@ -434,7 +437,10 @@ mod tests {
         // Removing that primary re-exposes the dynamic copy.
         nn.remove_primary_location(b, NodeId(5));
         assert_merged_consistent(&nn);
-        assert!(nn.locations(b).contains(&NodeId(5)), "dynamic copy resurfaces");
+        assert!(
+            nn.locations(b).contains(&NodeId(5)),
+            "dynamic copy resurfaces"
+        );
 
         // Eviction of a visible dynamic replica reports visibility change.
         assert!(nn.remove_dynamic(b, NodeId(5)));

@@ -207,14 +207,16 @@ impl SimConfig {
     pub fn with_degradations(mut self, degradations: Vec<(u64, u32, f64)>) -> Self {
         self.faults
             .events
-            .extend(degradations.into_iter().map(|(at_secs, node, factor)| {
-                FaultEvent::Slowdown {
-                    at_secs,
-                    node,
-                    factor,
-                    duration_secs: None,
-                }
-            }));
+            .extend(
+                degradations
+                    .into_iter()
+                    .map(|(at_secs, node, factor)| FaultEvent::Slowdown {
+                        at_secs,
+                        node,
+                        factor,
+                        duration_secs: None,
+                    }),
+            );
         self
     }
 
@@ -230,12 +232,11 @@ impl SimConfig {
     /// fault plan; [`SimConfig::validate`] rejects an out-of-range node
     /// index or a duplicate kill of the same node.
     pub fn with_failures(mut self, failures: Vec<(u64, u32)>) -> Self {
-        self.faults
-            .events
-            .extend(failures.into_iter().map(|(at_secs, node)| FaultEvent::Kill {
-                at_secs,
-                node,
-            }));
+        self.faults.events.extend(
+            failures
+                .into_iter()
+                .map(|(at_secs, node)| FaultEvent::Kill { at_secs, node }),
+        );
         self
     }
 

@@ -68,9 +68,6 @@ pub fn run(cfg: SimConfig, workload: &dare_workload::Workload) -> SimResult {
 /// Like [`run`], but invalid input and engine-level faults (a stalled
 /// event queue, an orphaned flow, a violated invariant) come back as a
 /// [`SimError`] instead of a panic.
-pub fn try_run(
-    cfg: SimConfig,
-    workload: &dare_workload::Workload,
-) -> Result<SimResult, SimError> {
+pub fn try_run(cfg: SimConfig, workload: &dare_workload::Workload) -> Result<SimResult, SimError> {
     Engine::try_new(cfg, workload)?.try_run()
 }

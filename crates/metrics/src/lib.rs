@@ -244,10 +244,7 @@ pub fn normalized_gmtt(run: &RunMetrics, vanilla: &RunMetrics) -> f64 {
 /// `PI_i = Σ_j blockSize_j × blockPopularity_j` over the blocks `j`
 /// resident on node `i` (Section V-A).
 pub fn popularity_index(blocks: &[(u64, f64)]) -> f64 {
-    blocks
-        .iter()
-        .map(|&(bytes, pop)| bytes as f64 * pop)
-        .sum()
+    blocks.iter().map(|&(bytes, pop)| bytes as f64 * pop).sum()
 }
 
 /// Coefficient of variation of the per-node popularity indices — Fig. 11's
@@ -302,7 +299,11 @@ mod tests {
         assert!((m.gmtt_secs - 20.0).abs() < 1e-9, "gm(10,40)=20");
         assert!((m.mean_slowdown - 2.5).abs() < 1e-12);
         assert!(m.p50_slowdown <= m.p95_slowdown);
-        assert!((m.p95_slowdown - 3.85).abs() < 1e-9, "p95 {}", m.p95_slowdown);
+        assert!(
+            (m.p95_slowdown - 3.85).abs() < 1e-9,
+            "p95 {}",
+            m.p95_slowdown
+        );
         assert_eq!(m.makespan_secs, 40.0);
     }
 

@@ -36,7 +36,11 @@ fn all_flows_complete_in_monotone_order() {
         let mut completed = 0u64;
         for s in &specs {
             now += SimDuration::from_millis(s.gap_ms);
-            let dst = if s.src == s.dst { (s.dst + 1) % 6 } else { s.dst };
+            let dst = if s.src == s.dst {
+                (s.dst + 1) % 6
+            } else {
+                s.dst
+            };
             sim.start(now, NodeId(s.src), NodeId(dst), s.mb * MB, s.cross);
             started += 1;
             // Opportunistically drain anything already done.
@@ -68,7 +72,11 @@ fn rates_never_exceed_nic_capacity() {
         let mut ids = Vec::new();
         for s in &specs {
             now += SimDuration::from_millis(s.gap_ms);
-            let dst = if s.src == s.dst { (s.dst + 1) % 4 } else { s.dst };
+            let dst = if s.src == s.dst {
+                (s.dst + 1) % 4
+            } else {
+                s.dst
+            };
             ids.push(sim.start(now, NodeId(s.src), NodeId(dst), s.mb * MB, false));
             for &id in &ids {
                 if let Some(r) = sim.rate_of(id) {
@@ -108,7 +116,11 @@ fn cancel_is_always_safe() {
         let mut live = Vec::new();
         for (i, s) in specs.iter().enumerate() {
             now += SimDuration::from_millis(s.gap_ms);
-            let dst = if s.src == s.dst { (s.dst + 1) % 5 } else { s.dst };
+            let dst = if s.src == s.dst {
+                (s.dst + 1) % 5
+            } else {
+                s.dst
+            };
             let id = sim.start(now, NodeId(s.src), NodeId(dst), s.mb * MB, s.cross);
             live.push(id);
             if *cancel_mask.get(i).unwrap_or(&false) {

@@ -277,7 +277,11 @@ impl Invariants {
         if self.total == 0 {
             Ok(())
         } else {
-            let mut msg = format!("{} violation(s): {}", self.total, self.violations.join("; "));
+            let mut msg = format!(
+                "{} violation(s): {}",
+                self.total,
+                self.violations.join("; ")
+            );
             let dropped = self.total - self.violations.len() as u64;
             if dropped > 0 {
                 msg.push_str(&format!(" (+{dropped} more not stored)"));

@@ -213,7 +213,9 @@ impl<E> EventQueue<E> {
         // Earliest occupied wheel slot, as a delta in (0, WHEEL) from the
         // current bucket's slot position.
         let base = (self.cur_bucket & WHEEL_MASK) as usize;
-        let wheel_bucket = self.next_occupied_after(base).map(|delta| self.cur_bucket + delta as u64);
+        let wheel_bucket = self
+            .next_occupied_after(base)
+            .map(|delta| self.cur_bucket + delta as u64);
         let overflow_bucket = self.overflow.peek().map(|s| bucket_of(s.time));
         let target = match (wheel_bucket, overflow_bucket) {
             (Some(w), Some(o)) => w.min(o),
@@ -324,7 +326,8 @@ mod tests {
         /// The calendar's visited schedule, sorted, equals the oracle's.
         fn assert_same_schedule(&self) {
             let mut seen = Vec::new();
-            self.cal.for_each_scheduled(|t, seq, &e| seen.push((t, seq, e)));
+            self.cal
+                .for_each_scheduled(|t, seq, &e| seen.push((t, seq, e)));
             seen.sort_unstable();
             let mut want: Vec<_> = self.heap.iter().map(|s| (s.time, s.seq, s.event)).collect();
             want.sort_unstable();

@@ -109,13 +109,12 @@ impl P2Quantile {
             if (d >= 1.0 && right_gap > 1.0) || (d <= -1.0 && left_gap < -1.0) {
                 let sign = d.signum();
                 let candidate = self.parabolic(i, sign);
-                self.heights[i] = if self.heights[i - 1] < candidate
-                    && candidate < self.heights[i + 1]
-                {
-                    candidate
-                } else {
-                    self.linear(i, sign)
-                };
+                self.heights[i] =
+                    if self.heights[i - 1] < candidate && candidate < self.heights[i + 1] {
+                        candidate
+                    } else {
+                        self.linear(i, sign)
+                    };
                 self.positions[i] += sign;
             }
         }
@@ -137,8 +136,7 @@ impl P2Quantile {
     fn linear(&self, i: usize, sign: f64) -> f64 {
         let j = (i as f64 + sign) as usize;
         self.heights[i]
-            + sign * (self.heights[j] - self.heights[i])
-                / (self.positions[j] - self.positions[i])
+            + sign * (self.heights[j] - self.heights[i]) / (self.positions[j] - self.positions[i])
     }
 
     /// Current estimate. For fewer than five samples, the exact quantile of
@@ -222,7 +220,10 @@ mod tests {
             est.push(i as f64);
         }
         let e = est.estimate();
-        assert!((e - 9000.0).abs() < 200.0, "p90 of 0..10000 ≈ 9000, got {e}");
+        assert!(
+            (e - 9000.0).abs() < 200.0,
+            "p90 of 0..10000 ≈ 9000, got {e}"
+        );
     }
 
     #[test]

@@ -59,10 +59,7 @@ impl Xoshiro256pp {
     #[inline]
     fn next(&mut self) -> u64 {
         let s = &mut self.s;
-        let result = s[0]
-            .wrapping_add(s[3])
-            .rotate_left(23)
-            .wrapping_add(s[0]);
+        let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
         let t = s[1] << 17;
         s[2] ^= s[0];
         s[3] ^= s[1];
@@ -118,9 +115,8 @@ impl DetRng {
     /// Derive an independent substream identified by a numeric index
     /// (e.g. per-node streams).
     pub fn substream_idx(&self, label: &str, idx: u64) -> DetRng {
-        let mut s = self.seed
-            ^ hash_label(label).rotate_left(17)
-            ^ idx.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut s =
+            self.seed ^ hash_label(label).rotate_left(17) ^ idx.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let derived = splitmix64(&mut s);
         DetRng::new(derived)
     }

@@ -203,16 +203,19 @@ impl<T> Slab<T> {
 
     /// Iterate live `(key, &mut value)` pairs in slot order.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (SlabKey, &mut T)> {
-        self.slots.iter_mut().enumerate().filter_map(|(i, s)| match s {
-            Slot::Full { gen, value } => Some((
-                SlabKey {
-                    idx: i as u32,
-                    gen: *gen,
-                },
-                value,
-            )),
-            Slot::Free { .. } => None,
-        })
+        self.slots
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(i, s)| match s {
+                Slot::Full { gen, value } => Some((
+                    SlabKey {
+                        idx: i as u32,
+                        gen: *gen,
+                    },
+                    value,
+                )),
+                Slot::Free { .. } => None,
+            })
     }
 
     /// Drop every value and reset the free list (generations advance so

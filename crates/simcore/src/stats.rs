@@ -200,10 +200,7 @@ pub fn geometric_mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
-    let log_sum: f64 = xs
-        .iter()
-        .map(|&x| x.max(f64::MIN_POSITIVE).ln())
-        .sum();
+    let log_sum: f64 = xs.iter().map(|&x| x.max(f64::MIN_POSITIVE).ln()).sum();
     (log_sum / xs.len() as f64).exp()
 }
 

@@ -117,7 +117,10 @@ fn p2_estimate_within_sample_range() {
         let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         let e = est.estimate();
-        assert!(e >= min - 1e-9 && e <= max + 1e-9, "estimate {e} outside [{min},{max}]");
+        assert!(
+            e >= min - 1e-9 && e <= max + 1e-9,
+            "estimate {e} outside [{min},{max}]"
+        );
     });
 }
 

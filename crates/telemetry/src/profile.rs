@@ -195,9 +195,19 @@ pub fn validate_profile_json(s: &str) -> Result<(), String> {
     let int_after = |s: &str, key: &str| -> Option<u64> {
         let pat = format!("\"{key}\": ");
         let rest = &s[s.find(&pat)? + pat.len()..];
-        rest[..rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len())].parse().ok()
+        rest[..rest
+            .find(|c: char| !c.is_ascii_digit())
+            .unwrap_or(rest.len())]
+            .parse()
+            .ok()
     };
-    for key in ["total_events", "total_wall_ns", "events_per_sec", "peak_slab_occupancy", "peak_queue_len"] {
+    for key in [
+        "total_events",
+        "total_wall_ns",
+        "events_per_sec",
+        "peak_slab_occupancy",
+        "peak_queue_len",
+    ] {
         int_after(s, key).ok_or_else(|| format!("missing or non-integer {key:?}"))?;
     }
     for sub in Subsystem::ALL {
@@ -243,7 +253,10 @@ mod tests {
         let good = r.to_json("x");
         validate_profile_json(&good).expect("valid");
         assert!(validate_profile_json(&good.replace("dare-profile-v1", "v0")).is_err());
-        assert!(validate_profile_json(&good.replace("\"name\": \"net\"", "\"name\": \"nyet\"")).is_err());
+        assert!(
+            validate_profile_json(&good.replace("\"name\": \"net\"", "\"name\": \"nyet\""))
+                .is_err()
+        );
         assert!(
             validate_profile_json(&good.replace("\"total_events\": 0", "\"total_events\": x"))
                 .is_err()

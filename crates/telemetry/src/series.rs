@@ -267,10 +267,15 @@ impl Telemetry {
     /// column order through [`Telemetry::put`] and [`Telemetry::put_window`].
     pub fn push_row(&mut self, t_us: u64) {
         debug_assert!(
-            self.cluster.last().is_none_or(|r| r.cells.len() == self.columns.len()),
+            self.cluster
+                .last()
+                .is_none_or(|r| r.cells.len() == self.columns.len()),
             "cluster row at t_us {t_us}: the previous row missed columns"
         );
-        self.cluster.push(Row { t_us, cells: Vec::with_capacity(self.columns.len()) });
+        self.cluster.push(Row {
+            t_us,
+            cells: Vec::with_capacity(self.columns.len()),
+        });
     }
 
     /// Append column `name` to the open cluster row. The first row records
@@ -284,7 +289,11 @@ impl Telemetry {
     /// next tick.
     pub fn put_window(&mut self, name: &str, w: &mut Window) {
         let w = std::mem::take(w);
-        let (p50, max) = if w.n == 0 { (0.0, 0.0) } else { (w.p50.estimate(), w.max) };
+        let (p50, max) = if w.n == 0 {
+            (0.0, 0.0)
+        } else {
+            (w.p50.estimate(), w.max)
+        };
         self.cell(name, "_p50", Value::F64(p50));
         self.cell(name, "_max", Value::F64(max));
         self.cell(name, "_n", Value::U64(w.n));
@@ -292,10 +301,16 @@ impl Telemetry {
 
     fn cell(&mut self, name: &str, suffix: &str, v: Value) {
         let first = self.cluster.len() == 1;
-        let row = self.cluster.last_mut().expect("push_row opens a cluster row");
+        let row = self
+            .cluster
+            .last_mut()
+            .expect("push_row opens a cluster row");
         if first {
             let col = format!("{name}{suffix}");
-            debug_assert!(!self.columns.contains(&col), "cluster column {col} written twice");
+            debug_assert!(
+                !self.columns.contains(&col),
+                "cluster column {col} written twice"
+            );
             self.columns.push(col);
         } else {
             let expect = self.columns.get(row.cells.len());
@@ -334,7 +349,10 @@ impl Telemetry {
     /// The cluster-level series as CSV (header + one row per tick).
     pub fn cluster_csv(&self) -> String {
         let keys = std::iter::once(T_US).chain(self.columns.iter().map(String::as_str));
-        csv(keys, self.cluster.iter().map(|row| self.cluster_fields(row)))
+        csv(
+            keys,
+            self.cluster.iter().map(|row| self.cluster_fields(row)),
+        )
     }
 
     /// The per-node breakdown as CSV.
@@ -473,7 +491,9 @@ pub fn validate_jsonl(jsonl: &str) -> Result<(), String> {
             keys.push(key.to_string());
         }
         let t = t_us.ok_or_else(|| at("missing t_us"))?;
-        let (expect, last_t) = seen.entry(kind.clone()).or_insert_with(|| (keys.clone(), t));
+        let (expect, last_t) = seen
+            .entry(kind.clone())
+            .or_insert_with(|| (keys.clone(), t));
         if t < *last_t {
             return Err(at(&format!("t_us went backwards for kind {kind:?}")));
         }
@@ -540,7 +560,10 @@ mod tests {
         t.put("done", Value::U64(5));
         t.put("rate", Value::F64(0.25));
         t.put_window("util", &mut w);
-        assert_eq!(t.columns, ["done", "rate", "util_p50", "util_max", "util_n"]);
+        assert_eq!(
+            t.columns,
+            ["done", "rate", "util_p50", "util_max", "util_n"]
+        );
         assert_eq!(t.cluster[0].t_us, 3_000_000);
         assert_eq!(t.cluster[0].cells[..2], [Value::U64(5), Value::F64(0.25)]);
         assert_eq!(t.cluster[0].cells[3], Value::F64(1.5), "window max");

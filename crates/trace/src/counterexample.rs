@@ -110,7 +110,11 @@ mod tests {
             "t",
             "c",
             "err",
-            &[("fault", "a".into()), ("other", "x".into()), ("fault", "b".into())],
+            &[
+                ("fault", "a".into()),
+                ("other", "x".into()),
+                ("fault", "b".into()),
+            ],
             None,
         );
         assert_eq!(header_values(&s, "fault"), vec!["a", "b"]);

@@ -42,12 +42,7 @@ pub fn diff_golden(golden: &str, actual: &str) -> Option<String> {
         first_diff + 1
     ));
     let ctx_from = first_diff.saturating_sub(2);
-    for (i, line) in g
-        .iter()
-        .enumerate()
-        .take(first_diff)
-        .skip(ctx_from)
-    {
+    for (i, line) in g.iter().enumerate().take(first_diff).skip(ctx_from) {
         report.push_str(&format!("  {:>5} | {line}\n", i + 1));
     }
     match (g.get(first_diff), a.get(first_diff)) {
@@ -73,7 +68,10 @@ pub fn diff_golden(golden: &str, actual: &str) -> Option<String> {
     }
     let tail = g.len().max(a.len()) - first_diff;
     if tail > 1 {
-        report.push_str(&format!("  ... {} more line(s) may differ after this\n", tail - 1));
+        report.push_str(&format!(
+            "  ... {} more line(s) may differ after this\n",
+            tail - 1
+        ));
     }
     report.push_str(
         "  If the behaviour change is intentional, refresh the goldens with:\n  \

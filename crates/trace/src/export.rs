@@ -238,7 +238,13 @@ pub fn to_chrome(trace: &Trace) -> String {
                 dur_us,
             } => {
                 let start = ts.saturating_sub(dur_us);
-                out.span(2, node, &format!("j{job}/t{task}#a{attempt}"), start, dur_us);
+                out.span(
+                    2,
+                    node,
+                    &format!("j{job}/t{task}#a{attempt}"),
+                    start,
+                    dur_us,
+                );
                 task_start.remove(&(job, task, attempt));
             }
             TraceEvent::TaskAborted {
@@ -270,7 +276,9 @@ pub fn to_chrome(trace: &Trace) -> String {
                     (ts, format!("{} {src}->{dst} {bytes}B", kind.name()), dst),
                 );
             }
-            TraceEvent::FlowFinished { flow, dst, dur_us, .. } => {
+            TraceEvent::FlowFinished {
+                flow, dst, dur_us, ..
+            } => {
                 if let Some((start, name, _)) = flow_start.remove(&flow) {
                     let start = start.min(ts.saturating_sub(dur_us));
                     out.span(3, dst, &name, start, ts.saturating_sub(start));

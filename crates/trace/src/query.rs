@@ -107,20 +107,14 @@ pub fn task_spans(trace: &Trace) -> Vec<TaskSpan> {
                 committed: false,
             }),
             TraceEvent::TaskReadDone {
-                job,
-                task,
-                attempt,
-                ..
+                job, task, attempt, ..
             } => {
                 if let Some(s) = find_open(&mut spans, job, task, attempt) {
                     s.read_done = Some(r.time);
                 }
             }
             TraceEvent::TaskCommitted {
-                job,
-                task,
-                attempt,
-                ..
+                job, task, attempt, ..
             } => {
                 if let Some(s) = find_open(&mut spans, job, task, attempt) {
                     s.end = Some(r.time);
@@ -128,10 +122,7 @@ pub fn task_spans(trace: &Trace) -> Vec<TaskSpan> {
                 }
             }
             TraceEvent::TaskAborted {
-                job,
-                task,
-                attempt,
-                ..
+                job, task, attempt, ..
             } => {
                 if let Some(s) = find_open(&mut spans, job, task, attempt) {
                     s.end = Some(r.time);
@@ -143,12 +134,7 @@ pub fn task_spans(trace: &Trace) -> Vec<TaskSpan> {
     spans
 }
 
-fn find_open(
-    spans: &mut [TaskSpan],
-    job: u32,
-    task: u32,
-    attempt: u32,
-) -> Option<&mut TaskSpan> {
+fn find_open(spans: &mut [TaskSpan], job: u32, task: u32, attempt: u32) -> Option<&mut TaskSpan> {
     spans
         .iter_mut()
         .find(|s| s.job == job && s.task == task && s.attempt == attempt && s.end.is_none())
@@ -318,10 +304,8 @@ impl Trace {
             }
         }
         // Report the earliest-opened orphan, if any.
-        let first_task = open_tasks
-            .iter()
-            .min_by_key(|(_, &seq)| seq)
-            .map(|(&(job, task, attempt, node), &seq)| {
+        let first_task = open_tasks.iter().min_by_key(|(_, &seq)| seq).map(
+            |(&(job, task, attempt, node), &seq)| {
                 (
                     seq,
                     format!(
@@ -329,11 +313,17 @@ impl Trace {
                          (opened at event #{seq}) never closed"
                     ),
                 )
-            });
+            },
+        );
         let first_flow = open_flows
             .iter()
             .min_by_key(|(_, &seq)| seq)
-            .map(|(&flow, &seq)| (seq, format!("flow {flow} (opened at event #{seq}) never closed")));
+            .map(|(&flow, &seq)| {
+                (
+                    seq,
+                    format!("flow {flow} (opened at event #{seq}) never closed"),
+                )
+            });
         match (first_task, first_flow) {
             (Some((ts, tmsg)), Some((fs, fmsg))) => {
                 return Err(if ts <= fs { tmsg } else { fmsg });
@@ -346,10 +336,7 @@ impl Trace {
 }
 
 /// First record matching `pred`, if any.
-pub fn find_first(
-    trace: &Trace,
-    pred: impl Fn(&TraceRecord) -> bool,
-) -> Option<&TraceRecord> {
+pub fn find_first(trace: &Trace, pred: impl Fn(&TraceRecord) -> bool) -> Option<&TraceRecord> {
     trace.records().iter().find(|r| pred(r))
 }
 

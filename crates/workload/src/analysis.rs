@@ -129,8 +129,7 @@ pub fn burst_window_distribution(
     }
 
     // "Big files": most-accessed files covering >= 80% of total accesses.
-    let mut by_count: Vec<(&u32, usize)> =
-        per_file.iter().map(|(f, v)| (f, v.len())).collect();
+    let mut by_count: Vec<(&u32, usize)> = per_file.iter().map(|(f, v)| (f, v.len())).collect();
     by_count.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
     let total: usize = by_count.iter().map(|(_, c)| c).sum();
     let mut acc = 0usize;
@@ -279,7 +278,10 @@ mod tests {
             .filter(|p| p.window_hours <= 2)
             .map(|p| p.fraction)
             .sum();
-        assert!(frac_small > 0.5, "within-day windows are small: {frac_small}");
+        assert!(
+            frac_small > 0.5,
+            "within-day windows are small: {frac_small}"
+        );
     }
 
     #[test]

@@ -81,9 +81,7 @@ mod tests {
         let p = FilePopularity::experiment();
         let mut rng = DetRng::new(8);
         let n = 100_000;
-        let hits_top20 = (0..n)
-            .filter(|_| p.sample_rank(&mut rng) <= 20)
-            .count();
+        let hits_top20 = (0..n).filter(|_| p.sample_rank(&mut rng) <= 20).count();
         let frac = hits_top20 as f64 / n as f64;
         assert!((frac - p.cdf(20)).abs() < 0.01, "frac {frac}");
     }

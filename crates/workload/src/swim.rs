@@ -122,7 +122,10 @@ pub fn synthesize(name: &str, params: &SwimParams, seed: u64) -> Workload {
     } else {
         // ranks 4, 4+stride, ... (1-based ranks)
         let stride = params.files.checked_div(num_big).unwrap_or(0).max(1);
-        (0..num_big).map(|i| 4 + i * stride).map(|r| r.min(params.files)).collect()
+        (0..num_big)
+            .map(|i| 4 + i * stride)
+            .map(|r| r.min(params.files))
+            .collect()
     };
 
     let small_size = LogNormal::from_median(params.small_blocks_median, params.small_blocks_sigma);
@@ -132,8 +135,7 @@ pub fn synthesize(name: &str, params: &SwimParams, seed: u64) -> Workload {
                 let (lo, hi) = params.big_blocks;
                 lo + (size_rng.uniform() * (hi - lo + 1) as f64) as u64
             } else {
-                (small_size.sample(&mut size_rng).round() as u64)
-                    .clamp(1, params.small_blocks_max)
+                (small_size.sample(&mut size_rng).round() as u64).clamp(1, params.small_blocks_max)
             };
             FileSpec {
                 name: format!("data/f{rank:04}"),
@@ -170,7 +172,9 @@ pub fn synthesize(name: &str, params: &SwimParams, seed: u64) -> Workload {
                 focal.push(fresh_small(&mut pick_rng));
             }
         }
-        let is_big = params.big_every > 0 && !big_ranks.is_empty() && id % params.big_every == params.big_every - 1;
+        let is_big = params.big_every > 0
+            && !big_ranks.is_empty()
+            && id % params.big_every == params.big_every - 1;
         let file_rank = if is_big {
             big_ranks[pick_rng.index(big_ranks.len())]
         } else if !focal.is_empty() && pick_rng.coin(params.focal_prob) {
@@ -181,7 +185,8 @@ pub fn synthesize(name: &str, params: &SwimParams, seed: u64) -> Workload {
         let file = file_rank - 1; // rank is 1-based, index 0-based
         let input_bytes = files[file].size_bytes;
         let maps = input_bytes.div_ceil(params.block_size);
-        let map_compute = SimDuration::from_secs_f64(compute.sample(&mut job_rng).clamp(1.0, 300.0));
+        let map_compute =
+            SimDuration::from_secs_f64(compute.sample(&mut job_rng).clamp(1.0, 300.0));
         let ratio = out_ratio.sample(&mut job_rng).min(2.0);
         let output_bytes = ((input_bytes as f64) * ratio) as u64;
         let reduces = (maps.div_ceil(8) as u32).clamp(1, 10);

@@ -341,8 +341,7 @@ mod tests {
         }
         ages_h.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
         let median = ages_h[ages_h.len() / 2];
-        let frac_day = ages_h.iter().filter(|&&a| a <= 24.0).count() as f64
-            / ages_h.len() as f64;
+        let frac_day = ages_h.iter().filter(|&&a| a <= 24.0).count() as f64 / ages_h.len() as f64;
         assert!((4.0..18.0).contains(&median), "median age {median}h");
         assert!(frac_day > 0.55, "fraction within a day {frac_day}");
     }

@@ -310,10 +310,7 @@ impl XrayReport {
                     ));
                 }
             }
-            let cp: u64 = COMPONENT_BUCKETS
-                .iter()
-                .map(|b| j.cp_bucket_us(*b))
-                .sum();
+            let cp: u64 = COMPONENT_BUCKETS.iter().map(|b| j.cp_bucket_us(*b)).sum();
             if cp + j.reduce_us != j.turnaround_us {
                 return Err(format!(
                     "job {}: critical path {}us + reduce {}us != turnaround {}us",
@@ -454,10 +451,7 @@ pub fn analyze(trace: &Trace) -> XrayReport {
     let mut recovery_spans: Vec<(u64, u64)> = Vec::new();
     let mut open_recovery: HashMap<u64, u64> = HashMap::new();
     let mut report = XrayReport::default();
-    let trace_end = trace
-        .records()
-        .last()
-        .map_or(0, |r| r.time.as_micros());
+    let trace_end = trace.records().last().map_or(0, |r| r.time.as_micros());
 
     for rec in trace.records() {
         let now = rec.time.as_micros();
@@ -669,8 +663,7 @@ pub fn analyze(trace: &Trace) -> XrayReport {
                 None => {
                     // The chain never relaunched (e.g. a backup resolved
                     // the task); attribute the tail wait to the queue.
-                    let (q, sd) =
-                        split_queue(ts.entry_us.min(commit_us), commit_us, &js.skips);
+                    let (q, sd) = split_queue(ts.entry_us.min(commit_us), commit_us, &js.skips);
                     b.queue_us += q;
                     b.sched_delay_us += sd;
                 }
@@ -775,7 +768,11 @@ fn critical_edges(crit: &TaskBreakdown, js: &JobState, complete_us: u64) -> Vec<
             let launch = a.launch_us.min(commit);
             queue_edges(a.entry_us, launch, &mut push);
             let read_end = a.read_done_us.unwrap_or(commit).min(commit);
-            let read_bucket = if a.fetch { Bucket::Fetch } else { Bucket::Compute };
+            let read_bucket = if a.fetch {
+                Bucket::Fetch
+            } else {
+                Bucket::Compute
+            };
             push(read_bucket, launch, read_end);
             push(Bucket::Compute, read_end, commit);
         }
@@ -903,10 +900,7 @@ mod tests {
         // Task 0: queue 10 (no skip inside [0,10)... the skip at 12 is
         // after launch), local read 10..15 compute, 15..40 compute.
         let t0 = &j.tasks[0];
-        assert_eq!(
-            (t0.queue_us, t0.sched_delay_us, t0.compute_us),
-            (10, 0, 30)
-        );
+        assert_eq!((t0.queue_us, t0.sched_delay_us, t0.compute_us), (10, 0, 30));
         assert_eq!((t0.fetch_us, t0.recovery_us, t0.retry_us), (0, 0, 0));
         assert!(!t0.remote);
 

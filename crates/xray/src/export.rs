@@ -158,7 +158,15 @@ pub fn table(report: &XrayReport, top: usize) -> String {
     }
     out.push_str(&format!(
         "{:>6} {:>5} {:>12} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
-        "job", "maps", "turnaround", "queue", "sched", "fetch", "recovery", "compute", "retry",
+        "job",
+        "maps",
+        "turnaround",
+        "queue",
+        "sched",
+        "fetch",
+        "recovery",
+        "compute",
+        "retry",
         "reduce"
     ));
     let mut order: Vec<&JobXray> = report.jobs.iter().collect();

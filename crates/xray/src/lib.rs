@@ -35,7 +35,5 @@
 pub mod analyze;
 pub mod export;
 
-pub use analyze::{
-    analyze, Bucket, CpEdge, JobXray, TaskBreakdown, Totals, XrayReport,
-};
+pub use analyze::{analyze, Bucket, CpEdge, JobXray, TaskBreakdown, Totals, XrayReport};
 pub use export::{secs, table, to_csv, to_json, CSV_HEADER};

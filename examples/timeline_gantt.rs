@@ -28,8 +28,8 @@ fn main() {
         ("vanilla Hadoop", PolicyKind::Vanilla),
         ("DARE (ElephantTrap p=0.3)", PolicyKind::elephant_default()),
     ] {
-        let mut cfg = SimConfig::cct(policy, SchedulerKind::Fifo, seed)
-            .with_failures(vec![(45, 7)]);
+        let mut cfg =
+            SimConfig::cct(policy, SchedulerKind::Fifo, seed).with_failures(vec![(45, 7)]);
         cfg.record_trace = true;
         let r = mapred::run(cfg, &wl);
         let spans = task_spans(r.trace.as_ref().expect("tracing was on"));

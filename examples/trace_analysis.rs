@@ -33,12 +33,18 @@ fn main() {
     }
     let top = ranked[0].1;
     let p90 = ranked[(ranked.len() * 9 / 10).min(ranked.len() - 1)].1;
-    println!("  rank-1 : p90-rank ratio = {:.0}x (heavy tail)", top / p90.max(1.0));
+    println!(
+        "  rank-1 : p90-rank ratio = {:.0}x (heavy tail)",
+        top / p90.max(1.0)
+    );
 
     // Fig. 3: age at access.
     let cdf = age_at_access_cdf(&log, true);
     println!("\nfile age at access (Fig. 3 analysis):");
-    println!("  median access age : {:>6.2}h (paper: 9.75h)", cdf.inverse(0.5));
+    println!(
+        "  median access age : {:>6.2}h (paper: 9.75h)",
+        cdf.inverse(0.5)
+    );
     println!(
         "  within first day  : {:>6.1}% (paper: ~80%)",
         cdf.fraction_leq(24.0) * 100.0

@@ -125,8 +125,11 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 if parts.len() != 3 {
                     return Err(format!("--degrade expects SECS:NODE:FACTOR, got {v}"));
                 }
-                a.degradations
-                    .push((parse_num(parts[0])?, parse_num(parts[1])?, parse_num(parts[2])?));
+                a.degradations.push((
+                    parse_num(parts[0])?,
+                    parse_num(parts[1])?,
+                    parse_num(parts[2])?,
+                ));
             }
             "--fault-plan" => a.fault_plan = Some(value("--fault-plan")?.clone()),
             "--scanner" => {
@@ -141,7 +144,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 }
                 a.scanner = Some((period, mbps));
             }
-            "--capacity-queues" => a.capacity_queues = Some(parse_num(value("--capacity-queues")?)?),
+            "--capacity-queues" => {
+                a.capacity_queues = Some(parse_num(value("--capacity-queues")?)?)
+            }
             "--speculation" => a.speculation = true,
             "--scarlett-epoch" => a.scarlett_epoch = Some(parse_num(value("--scarlett-epoch")?)?),
             "--replay" => a.workload_in = Some(value("--replay")?.clone()),
@@ -185,9 +190,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         }
     }
     if a.fault_plan.is_some() && !(a.failures.is_empty() && a.degradations.is_empty()) {
-        return Err(
-            "--fault-plan replaces the whole fault schedule; drop --fail/--degrade".into(),
-        );
+        return Err("--fault-plan replaces the whole fault schedule; drop --fail/--degrade".into());
     }
     if a.jobs == Some(0) {
         return Err("--jobs must be positive".into());
@@ -298,8 +301,8 @@ fn build_config(a: &Args) -> Result<SimConfig, String> {
 fn load_fault_plan(path: &str, cfg: &SimConfig, wl: &Workload) -> Result<FaultPlan, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("could not read fault plan {path}: {e}"))?;
-    let plan = FaultPlan::from_json(&text)
-        .map_err(|e| format!("invalid fault plan {path}: {e}"))?;
+    let plan =
+        FaultPlan::from_json(&text).map_err(|e| format!("invalid fault plan {path}: {e}"))?;
     Engine::try_new(cfg.clone().with_faults(plan.clone()), wl)
         .map_err(|e| format!("{path}: {e}"))?;
     Ok(plan)
@@ -457,7 +460,13 @@ fn run_xray(argv: &[String]) -> i32 {
             Err(e) => eprintln!("warning: span check failed: {e}"),
         }
     }
-    match export_xray(&parsed, args.csv.as_deref(), args.json.as_deref(), args.top, 1) {
+    match export_xray(
+        &parsed,
+        args.csv.as_deref(),
+        args.json.as_deref(),
+        args.top,
+        1,
+    ) {
         Ok(table) => {
             print!("{table}");
             0
@@ -885,7 +894,10 @@ fn run_chaos(argv: &[String]) -> i32 {
             0
         }
         Some(v) => {
-            println!("\nVIOLATION (run {}, failure key {}): {}", v.run, v.key, v.error);
+            println!(
+                "\nVIOLATION (run {}, failure key {}): {}",
+                v.run, v.key, v.error
+            );
             println!(
                 "shrunk {} -> {} fault event(s) in {} probe(s); replay {}",
                 v.shrink.original_events,
@@ -1270,8 +1282,8 @@ mod tests {
             SimDuration::from_secs(30)
         );
 
-        let a = parse_args(&argv("--telemetry-csv t.csv --telemetry-jsonl t.jsonl"))
-            .expect("valid");
+        let a =
+            parse_args(&argv("--telemetry-csv t.csv --telemetry-jsonl t.jsonl")).expect("valid");
         assert!(a.telemetry, "output flags imply --telemetry");
         assert_eq!(a.telemetry_csv.as_deref(), Some("t.csv"));
         assert_eq!(a.telemetry_jsonl.as_deref(), Some("t.jsonl"));
@@ -1318,8 +1330,7 @@ mod tests {
         });
         let good = dir.join("dare-sim-test-plan-good.json");
         std::fs::write(&good, plan.to_json()).expect("write plan");
-        let loaded =
-            load_fault_plan(good.to_str().unwrap(), &cfg, &wl).expect("valid plan loads");
+        let loaded = load_fault_plan(good.to_str().unwrap(), &cfg, &wl).expect("valid plan loads");
         assert_eq!(loaded, plan, "JSON round-trip is exact");
 
         // Structural, topology, and namespace failures all become errors.
@@ -1437,7 +1448,10 @@ mod tests {
         assert!(d.cfg.shrink);
         assert!(d.replay.is_none());
 
-        assert!(parse_chaos_args(&argv("--nodes 4")).is_err(), "bounds checked");
+        assert!(
+            parse_chaos_args(&argv("--nodes 4")).is_err(),
+            "bounds checked"
+        );
         assert!(parse_chaos_args(&argv("--alphabet warp")).is_err());
         assert!(parse_chaos_args(&argv("--bogus 1")).is_err());
         assert!(parse_chaos_args(&argv("--density 0")).is_err());

@@ -12,8 +12,8 @@
 use dare_core::PolicyKind;
 use dare_mapred::config::SpeculationConfig;
 use dare_mapred::{
-    Engine, FaultEvent, FaultPlan, ScannerConfig, SchedulerKind, SimConfig, SimResult,
-    StepOutcome, TelemetryConfig,
+    Engine, FaultEvent, FaultPlan, ScannerConfig, SchedulerKind, SimConfig, SimResult, StepOutcome,
+    TelemetryConfig,
 };
 use dare_net::MB;
 use dare_simcore::{SimDuration, SimTime};
@@ -21,7 +21,10 @@ use dare_workload::{FileSpec, JobSpec, Workload};
 
 /// Four files of four blocks; sixteen jobs, one every five seconds.
 fn workload() -> Workload {
-    let file = |i| FileSpec { name: format!("f{i}"), size_bytes: 4 * 128 * MB };
+    let file = |i| FileSpec {
+        name: format!("f{i}"),
+        size_bytes: 4 * 128 * MB,
+    };
     let job = |id: u32| JobSpec {
         id,
         arrival: SimTime::from_secs(id as u64 * 5),
@@ -31,14 +34,24 @@ fn workload() -> Workload {
         output_bytes: 10 * MB,
     };
     let (files, jobs) = ((0..4).map(file).collect(), (0..16).map(job).collect());
-    Workload { name: "clone".into(), files, jobs }
+    Workload {
+        name: "clone".into(),
+        files,
+        jobs,
+    }
 }
 
 fn config(faults: FaultPlan) -> SimConfig {
     let mut cfg = SimConfig::cct(PolicyKind::GreedyLru, SchedulerKind::fair_default(), 11)
         .with_faults(faults)
-        .with_scanner(ScannerConfig { period: SimDuration::from_secs(15), bytes_per_sec: 32 << 20 })
-        .with_speculation(SpeculationConfig { slowdown_factor: 1.2, min_elapsed_secs: 2.0 })
+        .with_scanner(ScannerConfig {
+            period: SimDuration::from_secs(15),
+            bytes_per_sec: 32 << 20,
+        })
+        .with_speculation(SpeculationConfig {
+            slowdown_factor: 1.2,
+            min_elapsed_secs: 2.0,
+        })
         .with_invariant_checks()
         .with_trace()
         .with_telemetry(TelemetryConfig::default());
@@ -51,14 +64,32 @@ fn engine() -> Engine {
     // Rot a replica block 0 really has, so a read or the scrubber finds it.
     let holder = {
         let probe = Engine::new(config(FaultPlan::default()), &wl);
-        (0..19).find(|&n| probe.block_present(n, 0)).expect("block 0 is stored")
+        (0..19)
+            .find(|&n| probe.block_present(n, 0))
+            .expect("block 0 is stored")
     };
     let faults = FaultPlan {
         events: vec![
-            FaultEvent::CorruptReplica { at_secs: 5, node: holder, block: 0 },
-            FaultEvent::Slowdown { at_secs: 10, node: 4, factor: 8.0, duration_secs: None },
-            FaultEvent::Crash { at_secs: 20, node: 7, down_secs: 60 },
-            FaultEvent::Kill { at_secs: 40, node: 2 },
+            FaultEvent::CorruptReplica {
+                at_secs: 5,
+                node: holder,
+                block: 0,
+            },
+            FaultEvent::Slowdown {
+                at_secs: 10,
+                node: 4,
+                factor: 8.0,
+                duration_secs: None,
+            },
+            FaultEvent::Crash {
+                at_secs: 20,
+                node: 7,
+                down_secs: 60,
+            },
+            FaultEvent::Kill {
+                at_secs: 40,
+                node: 2,
+            },
         ],
         ..FaultPlan::default()
     };
@@ -96,7 +127,10 @@ fn clones_step_in_lockstep_with_their_original() {
     while step(&mut probe) == StepOutcome::Progressed {
         total += 1;
     }
-    assert!(total > 1_000, "a run long enough to fork in: {total} events");
+    assert!(
+        total > 1_000,
+        "a run long enough to fork in: {total} events"
+    );
     let forks = [0, total / 5, total / 2, total - 10];
 
     let mut original = engine();
@@ -111,8 +145,16 @@ fn clones_step_in_lockstep_with_their_original() {
         let outcome = step(&mut original);
         let fp = original.state_fingerprint();
         for (at, clone) in &mut clones {
-            assert_eq!(step(clone), outcome, "clone from event {at}: outcome at {k}");
-            assert_eq!(clone.state_fingerprint(), fp, "clone from event {at}: state at {k}");
+            assert_eq!(
+                step(clone),
+                outcome,
+                "clone from event {at}: outcome at {k}"
+            );
+            assert_eq!(
+                clone.state_fingerprint(),
+                fp,
+                "clone from event {at}: state at {k}"
+            );
         }
         if outcome == StepOutcome::Quiescent {
             break;

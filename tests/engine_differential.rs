@@ -44,7 +44,10 @@ fn assert_identical(a: &SimResult, b: &SimResult, label: &str) {
     // the headline numbers anyway — exact float equality, no tolerance.
     assert!(a.run.gmtt_secs == b.run.gmtt_secs, "{label}: gmtt");
     assert!(a.run.locality == b.run.locality, "{label}: locality");
-    assert!(a.run.makespan_secs == b.run.makespan_secs, "{label}: makespan");
+    assert!(
+        a.run.makespan_secs == b.run.makespan_secs,
+        "{label}: makespan"
+    );
     assert_eq!(a.replicas_created, b.replicas_created, "{label}: replicas");
     assert_eq!(a.evictions, b.evictions, "{label}: evictions");
     assert_eq!(
@@ -134,11 +137,7 @@ fn fault_plan_engine_matches_naive_scan() {
         straggler_factor: 4.0,
         corruption_rate_per_node_hour: 0.0,
     };
-    let cfg = SimConfig::ec2(
-        PolicyKind::GreedyLru,
-        SchedulerKind::fair_default(),
-        13,
-    );
+    let cfg = SimConfig::ec2(PolicyKind::GreedyLru, SchedulerKind::fair_default(), 13);
     let plan = FaultPlan::generate_valid(&spec, &cfg.topology(), 0, 0xD1FF);
     let cfg = cfg
         .with_speculation(Default::default())

@@ -135,11 +135,14 @@ fn tracing_is_observation_only() {
     scrubbed.budget_frac = 1.0;
     scrubbed.record_trace = true;
     for node in 0..19 {
-        scrubbed.faults.events.push(dare_mapred::FaultEvent::CorruptReplica {
-            at_secs: 2,
-            node,
-            block: 0,
-        });
+        scrubbed
+            .faults
+            .events
+            .push(dare_mapred::FaultEvent::CorruptReplica {
+                at_secs: 2,
+                node,
+                block: 0,
+            });
     }
     cases.push(("scrubbed-corrupt-dare-lru".to_string(), scrubbed));
 

@@ -31,7 +31,11 @@ fn partition_heal_reconciles_exactly_like_rejoin() {
     let rack_a = (0..topo.racks())
         .find(|&r| r != rack_b && !topo.rack_members(RackId(r)).is_empty())
         .expect("at least two populated racks");
-    let cut: Vec<u32> = topo.rack_members(RackId(rack_b)).iter().map(|n| n.0).collect();
+    let cut: Vec<u32> = topo
+        .rack_members(RackId(rack_b))
+        .iter()
+        .map(|n| n.0)
+        .collect();
     assert!(cut.len() >= 2, "want a multi-node cut, got {cut:?}");
 
     // Heal after 45 s: past the 30 s declare-dead timeout (3 s heartbeat
@@ -61,10 +65,17 @@ fn partition_heal_reconciles_exactly_like_rejoin() {
 
     // Enough jobs that the run outlives the declare-dead timeout, the
     // heal, and the post-heal re-replication drain.
-    let wl = synthesize("partition", &SwimParams { jobs: 50, ..SwimParams::wl1() }, seed);
+    let wl = synthesize(
+        "partition",
+        &SwimParams {
+            jobs: 50,
+            ..SwimParams::wl1()
+        },
+        seed,
+    );
     let run = |plan: FaultPlan| {
-        let mut cfg = SimConfig::cct(PolicyKind::Vanilla, SchedulerKind::Fifo, seed)
-            .with_invariant_checks();
+        let mut cfg =
+            SimConfig::cct(PolicyKind::Vanilla, SchedulerKind::Fifo, seed).with_invariant_checks();
         cfg.profile = profile.clone();
         mapred::run(cfg.with_faults(plan), &wl)
     };
@@ -75,7 +86,10 @@ fn partition_heal_reconciles_exactly_like_rejoin() {
     // block lost any physical copy (disks survive a partition).
     assert_eq!(a.faults.nodes_declared_dead, cut.len() as u64);
     assert_eq!(a.faults.nodes_rejoined, cut.len() as u64);
-    assert!(a.faults.blocks_re_replicated > 0, "cut must trigger recovery");
+    assert!(
+        a.faults.blocks_re_replicated > 0,
+        "cut must trigger recovery"
+    );
     assert_eq!(a.faults.blocks_lost, 0);
     assert_eq!(a.faults.blocks_lost_corruption, 0);
 

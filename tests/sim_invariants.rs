@@ -43,7 +43,11 @@ fn finished_runs_satisfy_structural_invariants() {
 
         let wl = synthesize(
             "prop",
-            &SwimParams { jobs, focal_prob, ..SwimParams::wl1() },
+            &SwimParams {
+                jobs,
+                focal_prob,
+                ..SwimParams::wl1()
+            },
             seed,
         );
         let mut cfg = SimConfig::cct(policy, sched, seed);
@@ -65,7 +69,11 @@ fn finished_runs_satisfy_structural_invariants() {
         assert!((0.0..=1.0).contains(&r.run.job_locality));
         assert!(r.run.rack_or_better >= r.run.locality - 1e-12);
         assert!(r.run.gmtt_secs > 0.0);
-        assert!(r.run.mean_slowdown > 0.9, "slowdown {}", r.run.mean_slowdown);
+        assert!(
+            r.run.mean_slowdown > 0.9,
+            "slowdown {}",
+            r.run.mean_slowdown
+        );
 
         // Replication accounting.
         if matches!(policy, PolicyKind::Vanilla) || budget == 0.0 {
@@ -111,13 +119,20 @@ fn faulty_runs_reach_terminal_states() {
             rack_outages: 0,
             stragglers: g.u32_in(0..2),
             straggler_factor: g.f64_in(1.5..6.0),
-            corruption_rate_per_node_hour: if g.bool(0.6) { g.f64_in(10.0..120.0) } else { 0.0 },
+            corruption_rate_per_node_hour: if g.bool(0.6) {
+                g.f64_in(10.0..120.0)
+            } else {
+                0.0
+            },
         };
         let kills = spec.kills;
 
         let wl = synthesize(
             "prop-faults",
-            &SwimParams { jobs, ..SwimParams::wl1() },
+            &SwimParams {
+                jobs,
+                ..SwimParams::wl1()
+            },
             seed,
         );
         let mut cfg = SimConfig::cct(policy, sched, seed).with_invariant_checks();
@@ -126,8 +141,12 @@ fn faulty_runs_reach_terminal_states() {
             .iter()
             .map(|f| f.size_bytes.div_ceil(cfg.dfs.block_size))
             .sum();
-        let plan =
-            mapred::FaultPlan::generate_valid(&spec, &cfg.topology(), blocks, g.u64_in(0..1_000_000));
+        let plan = mapred::FaultPlan::generate_valid(
+            &spec,
+            &cfg.topology(),
+            blocks,
+            g.u64_in(0..1_000_000),
+        );
         let corruptions = plan
             .events
             .iter()
@@ -172,8 +191,7 @@ fn faulty_runs_reach_terminal_states() {
         // a detection (read-path checksum failure or scrub hit), and only
         // actually-corrupted replicas ever fail verification.
         assert!(
-            r.faults.replicas_quarantined
-                <= r.faults.checksum_failures + r.faults.scrub_detections,
+            r.faults.replicas_quarantined <= r.faults.checksum_failures + r.faults.scrub_detections,
             "quarantine without a detection"
         );
         assert!(

@@ -44,11 +44,14 @@ fn cases() -> Vec<(String, SimConfig)> {
     });
     scrubbed.budget_frac = 1.0;
     for node in 0..19 {
-        scrubbed.faults.events.push(dare_mapred::FaultEvent::CorruptReplica {
-            at_secs: 2,
-            node,
-            block: 0,
-        });
+        scrubbed
+            .faults
+            .events
+            .push(dare_mapred::FaultEvent::CorruptReplica {
+                at_secs: 2,
+                node,
+                block: 0,
+            });
     }
     // A faster scanner + one rotten replica of an RF-3 block: a scrub pass
     // quarantines it within the run and the repair from a healthy copy
@@ -91,7 +94,10 @@ fn telemetry_is_observation_only() {
         let on = dare_mapred::run(cfg.with_self_profile(), &wl);
         let off = dare_mapred::run(off_cfg, &wl);
         assert!(on.telemetry.is_some(), "{name}: sampled run carries series");
-        assert!(off.telemetry.is_none(), "{name}: unsampled run carries none");
+        assert!(
+            off.telemetry.is_none(),
+            "{name}: unsampled run carries none"
+        );
         assert_eq!(on.run, off.run, "{name}: aggregate metrics must match");
         assert_eq!(on.outcomes, off.outcomes, "{name}: job outcomes must match");
         assert_eq!(on.faults, off.faults, "{name}: fault counters must match");
@@ -132,8 +138,7 @@ fn telemetry_jsonl_is_schema_valid_and_rederives_locality() {
         let faulted = !cfg.faults.events.is_empty();
         let r = dare_mapred::run(cfg, &wl);
         let t = r.telemetry.as_ref().unwrap();
-        validate_jsonl(&t.to_jsonl())
-            .unwrap_or_else(|e| panic!("{name}: invalid JSONL: {e}"));
+        validate_jsonl(&t.to_jsonl()).unwrap_or_else(|e| panic!("{name}: invalid JSONL: {e}"));
         let rate = |i: usize| match t.value(i, "locality_rate").unwrap() {
             dare_telemetry::Value::F64(v) => v,
             other => panic!("{name}: locality_rate is a float, got {other:?}"),
@@ -179,8 +184,15 @@ fn telemetry_jsonl_is_schema_valid_and_rederives_locality() {
 #[test]
 fn telemetry_jsonl_matches_golden() {
     const NAME: &str = "scrubbed-corrupt-dare-lru";
-    let cfg = cases().into_iter().find(|(n, _)| n == NAME).expect("known case").1;
-    let jsonl = dare_mapred::run(cfg, &golden_workload()).telemetry.unwrap().to_jsonl();
+    let cfg = cases()
+        .into_iter()
+        .find(|(n, _)| n == NAME)
+        .expect("known case")
+        .1;
+    let jsonl = dare_mapred::run(cfg, &golden_workload())
+        .telemetry
+        .unwrap()
+        .to_jsonl();
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join(format!("tests/golden/telemetry-{NAME}.jsonl"));
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
@@ -196,7 +208,11 @@ fn telemetry_jsonl_matches_golden() {
 #[test]
 fn committed_repair_records_repair_time() {
     const NAME: &str = "repaired-corrupt-dare-lru";
-    let cfg = cases().into_iter().find(|(n, _)| n == NAME).expect("known case").1;
+    let cfg = cases()
+        .into_iter()
+        .find(|(n, _)| n == NAME)
+        .expect("known case")
+        .1;
     let r = dare_mapred::run(cfg, &golden_workload());
     assert_eq!(r.faults.replicas_corrupted, 1, "one replica rots");
     assert_eq!(r.faults.blocks_lost, 0, "two healthy copies remain");
@@ -240,11 +256,7 @@ fn corruption_columns_are_gated() {
             "d_replicas_quarantined",
             "repair_time_secs",
         ] {
-            assert_eq!(
-                jsonl.contains(col),
-                gated,
-                "{name}: column {col} gating"
-            );
+            assert_eq!(jsonl.contains(col), gated, "{name}: column {col} gating");
         }
     }
 }
@@ -265,7 +277,11 @@ fn long_workload() -> dare_workload::Workload {
         .map(|id| dare_workload::JobSpec {
             id,
             arrival: dare_simcore::SimTime::from_secs(id as u64 * 10),
-            file: if id % 4 == 0 { (id as usize / 4) % 6 } else { 0 },
+            file: if id % 4 == 0 {
+                (id as usize / 4) % 6
+            } else {
+                0
+            },
             map_compute: SimDuration::from_secs(20),
             reduces: 1,
             output_bytes: 10 * MB,
@@ -311,9 +327,8 @@ fn capacity_steps_at_detection_not_at_crash() {
         }
         assert_eq!(v, full, "capacity must not change before a drop");
     }
-    let (drop_us, dropped) = first_drop.expect(
-        "the run outlives the heartbeat timeout, so the death is observed",
-    );
+    let (drop_us, dropped) =
+        first_drop.expect("the run outlives the heartbeat timeout, so the death is observed");
     assert!(
         drop_us >= detect_s * 1_000_000,
         "capacity stepped at t={drop_us}us, before the {detect_s}s detection \
