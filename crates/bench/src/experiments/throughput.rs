@@ -49,7 +49,7 @@ const REGRESSION_TOLERANCE: f64 = 0.20;
 /// A scale workload: `jobs` jobs round-robin over `files` files of
 /// `blocks_per_file` blocks (= map tasks per job), arrivals spread
 /// uniformly over `window_secs`, `map_secs` of compute per map.
-fn scale_workload(
+pub fn scale_workload(
     files: usize,
     blocks_per_file: u64,
     jobs: u32,
