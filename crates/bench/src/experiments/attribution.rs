@@ -26,10 +26,14 @@
 //! 3. the xray CSV/JSON exports are byte-identical when the same cell
 //!    is simulated and analyzed twice.
 
-use crate::harness::{metric, replicate_experiment, MetricCol, RowOrder};
+use crate::harness::{
+    experiments_command, metric, replicate_experiment, write_bench, MetricCol, RowOrder,
+    DEFAULT_SEED,
+};
 use dare_core::PolicyKind;
 use dare_mapred::golden::{golden_params, yahoo_params, GOLDEN_SEED};
 use dare_mapred::{SchedulerKind, SimConfig};
+use dare_simcore::json::Json;
 use dare_workload::swim::{synthesize, SwimParams};
 use dare_workload::Workload;
 use dare_xray::{analyze, Bucket, XrayReport};
@@ -162,7 +166,8 @@ pub fn run(_seed: u64, seeds: u32) -> usize {
 
     // --- Gate: DARE-LRU must strictly reduce critical-path fetch
     // seconds on the skewed profile, for every scheduler.
-    let mut comparisons = String::new();
+    let secs = |us: u64| Json::Num(dare_xray::secs(us));
+    let mut comparisons = Vec::new();
     for sched in ["fifo", "fair"] {
         let van = find("yahoo", sched, "vanilla");
         let lru = find("yahoo", sched, "dare-lru");
@@ -191,18 +196,14 @@ pub fn run(_seed: u64, seeds: u32) -> usize {
             dare_xray::secs(turn_cut),
             explained * 100.0
         );
-        if !comparisons.is_empty() {
-            comparisons.push(',');
-        }
-        comparisons.push_str(&format!(
-            "\n    {{\"scheduler\": \"{sched}\", \"vanilla_cp_fetch_s\": {}, \
-             \"dare_lru_cp_fetch_s\": {}, \"cp_fetch_cut_s\": {}, \"turnaround_cut_s\": {}, \
-             \"explained_frac\": {explained:.4}}}",
-            dare_xray::secs(van_fetch),
-            dare_xray::secs(lru_fetch),
-            dare_xray::secs(fetch_cut),
-            dare_xray::secs(turn_cut),
-        ));
+        comparisons.push(Json::obj([
+            ("scheduler", Json::from(sched)),
+            ("vanilla_cp_fetch_s", secs(van_fetch)),
+            ("dare_lru_cp_fetch_s", secs(lru_fetch)),
+            ("cp_fetch_cut_s", secs(fetch_cut)),
+            ("turnaround_cut_s", secs(turn_cut)),
+            ("explained_frac", Json::fixed(explained, 4)),
+        ]));
     }
 
     // --- Gate: byte-stable exports. Simulate and analyze the busiest
@@ -254,37 +255,32 @@ pub fn run(_seed: u64, seeds: u32) -> usize {
     st.emit("attribution");
 
     // --- Report.
-    let results = crate::harness::csv_path("x");
-    let report_path = results.parent().expect("csv dir").join("BENCH_xray.json");
-    let mut json = String::from("{\n  \"schema\": \"dare-xray-bench-v1\",\n");
-    json.push_str(&format!("  \"seed\": {GOLDEN_SEED},\n"));
-    json.push_str(&format!("  \"byte_stable\": {byte_stable},\n"));
-    json.push_str(&format!("  \"gates_failed\": {failed},\n"));
-    json.push_str("  \"cells\": [");
-    for (i, (wl, sched, policy, jobs, turn, fetch, all_local)) in base.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        json.push_str(&format!(
-            "\n    {{\"workload\": \"{wl}\", \"scheduler\": \"{sched}\", \"policy\": \"{policy}\", \
-             \"jobs\": {jobs}, \"turnaround_s\": {}, \"cp_fetch_s\": {}, \"whatif_all_local_s\": {}}}",
-            dare_xray::secs(*turn),
-            dare_xray::secs(*fetch),
-            dare_xray::secs(*all_local),
-        ));
-    }
-    json.push_str("\n  ],\n  \"yahoo_comparisons\": [");
-    json.push_str(&comparisons);
-    json.push_str("\n  ]\n}\n");
-    match std::fs::write(&report_path, &json) {
-        Ok(()) => println!("[attribution] wrote {}", report_path.display()),
-        Err(e) => {
-            eprintln!(
-                "[attribution] could not write {}: {e}",
-                report_path.display()
-            );
-            failed += 1;
-        }
+    let cells = base
+        .iter()
+        .map(|(wl, sched, policy, jobs, turn, fetch, all_local)| {
+            Json::obj([
+                ("workload", Json::from(wl.as_str())),
+                ("scheduler", sched.as_str().into()),
+                ("policy", policy.as_str().into()),
+                ("jobs", (*jobs).into()),
+                ("turnaround_s", secs(*turn)),
+                ("cp_fetch_s", secs(*fetch)),
+                ("whatif_all_local_s", secs(*all_local)),
+            ])
+        });
+    let written = write_bench(
+        "xray",
+        &experiments_command("attribution", DEFAULT_SEED, seeds, false),
+        [
+            ("seed", Json::from(GOLDEN_SEED)),
+            ("byte_stable", byte_stable.into()),
+            ("gates_failed", failed.into()),
+            ("cells", cells.collect()),
+            ("yahoo_comparisons", Json::Arr(comparisons)),
+        ],
+    );
+    if !written {
+        failed += 1;
     }
     failed
 }

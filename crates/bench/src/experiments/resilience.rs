@@ -153,7 +153,7 @@ fn collect(seed: u64, jobs: u32) -> Vec<(Vec<String>, Vec<f64>)> {
 }
 
 /// Failure intensity × policy sweep on the EC2 profile.
-pub fn run(seed: u64, seeds: u32) {
+pub fn run(seed: u64, seeds: u32) -> usize {
     let quick = std::env::var_os("BENCH_QUICK").is_some_and(|v| v != "0");
     let jobs: u32 = if quick { 30 } else { 100 };
 
@@ -167,5 +167,5 @@ pub fn run(seed: u64, seeds: u32) {
         |s| collect(s, jobs),
     );
     st.emit("resilience");
-    st.write_json("BENCH_resilience", "speculation", seed, jobs, quick);
+    usize::from(!st.write_bench("resilience", "speculation", seed, jobs, quick))
 }

@@ -3,6 +3,7 @@
 
 use crate::run::Sweep;
 use crate::spec::{levels, Cell, Metrics, AXES, METRICS};
+use dare_simcore::json::Json;
 use dare_simcore::stats::{summarize, Summary};
 use std::collections::BTreeMap;
 
@@ -89,58 +90,56 @@ impl Sweep {
     /// replicate. Contains no timing, so two runs of the same matrix
     /// produce identical bytes at any thread count.
     pub fn merged_json(&self) -> String {
-        let quoted = |xs: &[&str]| {
-            let q: Vec<String> = xs.iter().map(|x| format!("\"{x}\"")).collect();
-            q.join(", ")
-        };
-        let mut out = String::from("{\n");
-        out.push_str(&format!(
-            "  \"sweep\": \"dare-farm\",\n  \"base_seed\": {},\n  \"seeds\": {},\n  \"cells\": {},\n",
-            self.base_seed,
-            self.seeds,
-            self.runs.len()
-        ));
-        let axes: Vec<String> = AXES
+        let names = |xs: &[&str]| xs.iter().map(|&x| Json::from(x)).collect();
+        let axes = AXES
             .iter()
             .zip(levels(self.quick))
-            .map(|((name, seeded), levels)| {
-                format!(
-                    "{{\"name\": \"{name}\", \"seeded\": {seeded}, \"levels\": [{}]}}",
-                    quoted(levels)
-                )
-            })
-            .collect();
-        out.push_str(&format!(
-            "  \"axes\": [{}],\n  \"metrics\": [{}],\n  \"aggregate\": [\n",
-            axes.join(", "),
-            quoted(&METRICS)
-        ));
-        let rows = self.aggregate();
-        for (i, (cell, n, stats)) in rows.iter().enumerate() {
+            .map(|(&(name, seeded), levels)| {
+                Json::obj([
+                    ("name", Json::from(name)),
+                    ("seeded", seeded.into()),
+                    ("levels", names(levels)),
+                ])
+            });
+        let aggregate = self.aggregate().into_iter().map(|(cell, n, stats)| {
             let [scheduler, policy, profile, faults] = cell.coords;
-            out.push_str(&format!(
-                "    {{\"coords\": {{\"faults\": \"{faults}\", \"policy\": \"{policy}\", \
-                 \"profile\": \"{profile}\", \"scheduler\": \"{scheduler}\"}}, \"n\": {n}"
-            ));
-            for (m, s) in METRICS.iter().zip(stats) {
-                let (std, ci) = if s.has_spread() {
-                    (fmt(s.std), fmt(s.ci95))
-                } else {
-                    ("null".to_string(), "null".to_string())
+            let coords = Json::obj([
+                ("faults", Json::from(faults)),
+                ("policy", policy.into()),
+                ("profile", profile.into()),
+                ("scheduler", scheduler.into()),
+            ]);
+            let metrics = METRICS.iter().zip(&stats).map(|(&m, s)| {
+                let spread = |v: f64| {
+                    if s.has_spread() {
+                        Json::fixed(v, 6)
+                    } else {
+                        Json::Null
+                    }
                 };
-                out.push_str(&format!(
-                    ", \"{m}\": {{\"mean\": {}, \"std\": {std}, \"ci95\": {ci}}}",
-                    fmt(s.mean)
-                ));
-            }
-            out.push('}');
-            if i + 1 < rows.len() {
-                out.push(',');
-            }
-            out.push('\n');
-        }
-        out.push_str("  ]\n}\n");
-        out
+                let summary = Json::obj([
+                    ("mean", Json::fixed(s.mean, 6)),
+                    ("std", spread(s.std)),
+                    ("ci95", spread(s.ci95)),
+                ]);
+                (m, summary)
+            });
+            Json::obj(
+                [("coords", coords), ("n", n.into())]
+                    .into_iter()
+                    .chain(metrics),
+            )
+        });
+        Json::obj([
+            ("sweep", Json::from("dare-farm")),
+            ("base_seed", self.base_seed.into()),
+            ("seeds", self.seeds.into()),
+            ("cells", self.runs.len().into()),
+            ("axes", axes.collect()),
+            ("metrics", names(&METRICS)),
+            ("aggregate", aggregate.collect()),
+        ])
+        .render()
     }
 }
 

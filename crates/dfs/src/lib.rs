@@ -33,7 +33,7 @@ pub mod ids;
 pub mod namenode;
 pub mod placement;
 
-pub use dfs::{Dfs, DfsConfig, FailOutcome, Quarantined};
+pub use dfs::{Dfs, DfsConfig, Quarantined};
 pub use ids::{BlockId, FileId};
 pub use namenode::NameNode;
 pub use placement::DefaultPlacement;

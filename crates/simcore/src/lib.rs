@@ -16,6 +16,9 @@
 //! * [`fx`] — a SipHash-free [`std::hash::BuildHasher`] (FxHash-style
 //!   multiply-xor) and `HashMap`/`HashSet` aliases for hot point-lookup
 //!   tables whose iteration order is never observed.
+//! * [`json`] — the one JSON reader and writer (fault plans, bench
+//!   reports) and the `dare-bench-v1` envelope of every
+//!   `results/BENCH_*.json`.
 //! * [`numfmt`] — direct integer and six-decimal float writers for the
 //!   byte-stable JSONL and CSV exports (the text `core::fmt` would write).
 //! * [`rng`] — deterministic random-number generation with hierarchical
@@ -48,6 +51,7 @@ pub mod dist;
 pub mod events;
 pub mod fnv;
 pub mod fx;
+pub mod json;
 pub mod numfmt;
 pub mod parallel;
 pub mod quantile;

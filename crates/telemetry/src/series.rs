@@ -10,6 +10,7 @@
 //! endings — two identical runs serialize identically, which is what the
 //! determinism tests pin.
 
+use dare_simcore::json;
 use dare_simcore::numfmt::{push_fixed6, push_u64};
 use dare_simcore::quantile::P2Quantile;
 use std::fmt::Write as _;
@@ -445,60 +446,35 @@ pub fn validate_jsonl(jsonl: &str) -> Result<(), String> {
     // Per kind: the key sequence of its first line and the last `t_us`.
     let mut seen: std::collections::HashMap<String, (Vec<String>, u64)> = Default::default();
     for (lineno, line) in jsonl.lines().enumerate() {
-        let at = |msg: &str| format!("line {}: {msg}", lineno + 1);
-        let inner = line
-            .strip_prefix('{')
-            .and_then(|l| l.strip_suffix('}'))
-            .ok_or_else(|| at("not a JSON object"))?;
-        let mut keys = Vec::new();
-        let mut kind = String::new();
-        let mut t_us: Option<u64> = None;
-        for (i, field) in inner.split(',').enumerate() {
-            let (key, value) = field
-                .split_once(':')
-                .ok_or_else(|| at(&format!("malformed field {field:?}")))?;
-            let key = key
-                .strip_prefix('"')
-                .and_then(|k| k.strip_suffix('"'))
-                .ok_or_else(|| at(&format!("unquoted key in {field:?}")))?;
-            match (i, key) {
-                (0, "kind") => {
-                    kind = value.trim_matches('"').to_string();
-                    if !["cluster", "node", "job"].contains(&kind.as_str()) {
-                        return Err(at(&format!("unknown kind {kind:?}")));
-                    }
-                }
-                (0, _) => return Err(at("first key must be \"kind\"")),
-                (1, "t_us") => {
-                    t_us = Some(
-                        value
-                            .parse::<u64>()
-                            .map_err(|_| at(&format!("bad t_us {value:?}")))?,
-                    );
-                }
-                (1, _) => return Err(at("second key must be \"t_us\"")),
-                _ => {
-                    if key == "phase" {
-                        let v = value.trim_matches('"');
-                        if !["running", "done", "failed"].contains(&v) {
-                            return Err(at(&format!("bad phase {v:?}")));
-                        }
-                    } else if value.parse::<f64>().is_err() {
-                        return Err(at(&format!("non-numeric value for {key:?}: {value:?}")));
-                    }
-                }
-            }
-            keys.push(key.to_string());
+        let at = |msg: String| format!("line {}: {msg}", lineno + 1);
+        let row = json::parse(line).map_err(at)?;
+        let fields = row.as_obj("row").map_err(at)?;
+        let keys: Vec<String> = fields.iter().map(|(k, _)| k.clone()).collect();
+        if keys.len() < 2 || keys[..2] != ["kind", "t_us"] {
+            return Err(at("the first keys must be \"kind\" and \"t_us\"".into()));
         }
-        let t = t_us.ok_or_else(|| at("missing t_us"))?;
+        let kind = fields[0].1.as_str("kind").map_err(at)?;
+        if !["cluster", "node", "job"].contains(&kind) {
+            return Err(at(format!("unknown kind {kind:?}")));
+        }
+        let t = fields[1].1.as_u64("t_us").map_err(at)?;
+        for (key, value) in &fields[2..] {
+            let ok = match key.as_str() {
+                "phase" => matches!(value.as_str(key), Ok("running" | "done" | "failed")),
+                _ => value.as_f64(key).is_ok(),
+            };
+            if !ok {
+                return Err(at(format!("bad value for {key:?}")));
+            }
+        }
         let (expect, last_t) = seen
-            .entry(kind.clone())
+            .entry(kind.to_string())
             .or_insert_with(|| (keys.clone(), t));
         if t < *last_t {
-            return Err(at(&format!("t_us went backwards for kind {kind:?}")));
+            return Err(at(format!("t_us went backwards for kind {kind:?}")));
         }
         if *expect != keys {
-            return Err(at(&format!("key sequence drifted for kind {kind:?}")));
+            return Err(at(format!("key sequence drifted for kind {kind:?}")));
         }
         *last_t = t;
     }

@@ -7,6 +7,7 @@
 //! trace export follows.
 
 use crate::analyze::{JobXray, XrayReport, COMPONENT_BUCKETS};
+use dare_simcore::json::Json;
 
 /// Format integer microseconds as a fixed-point seconds string with six
 /// decimals (`1_500_000` → `"1.500000"`). Pure integer arithmetic for
@@ -63,76 +64,69 @@ pub fn to_csv(report: &XrayReport) -> String {
     out
 }
 
-/// Render the report as a single JSON object (`"schema":
-/// "dare-xray-v1"`): aggregate totals plus a per-job array. Hand-rolled
-/// and byte-stable; durations are fixed-point seconds numbers.
+/// Render the report as one JSON document (`"schema": "dare-xray-v1"`):
+/// aggregate totals plus a `per_job` array, one job a line. Durations
+/// are fixed-point seconds numbers.
 pub fn to_json(report: &XrayReport) -> String {
+    let s = |us: u64| Json::Num(secs(us));
+    // The bucket and what-if columns of the totals and of every job.
+    let buckets = |cp: [u64; 6], sum: [u64; 6], whatif: [u64; 3]| {
+        let cp =
+            (COMPONENT_BUCKETS.iter().zip(cp)).map(|(b, us)| (format!("cp_{}_s", b.name()), s(us)));
+        let sum = (COMPONENT_BUCKETS.iter().zip(sum))
+            .map(|(b, us)| (format!("sum_{}_s", b.name()), s(us)));
+        let names = [
+            "whatif_all_local_s",
+            "whatif_zero_sched_s",
+            "whatif_zero_fault_s",
+        ];
+        let whatif = names
+            .into_iter()
+            .zip(whatif)
+            .map(|(k, us)| (k.to_string(), s(us)));
+        cp.chain(sum).chain(whatif).collect::<Vec<_>>()
+    };
+    let named =
+        |fields: Vec<(&'static str, Json)>| fields.into_iter().map(|(k, v)| (k.to_string(), v));
+    let per_job = report.jobs.iter().map(|j| {
+        let head = vec![
+            ("job", Json::from(j.job)),
+            ("maps", j.maps.into()),
+            ("tasks", j.tasks.len().into()),
+            ("turnaround_s", s(j.turnaround_us)),
+            ("reduce_s", s(j.reduce_us)),
+            ("critical_task", j.critical_task.into()),
+        ];
+        let cp = COMPONENT_BUCKETS.map(|b| j.cp_bucket_us(b));
+        let sum = COMPONENT_BUCKETS.map(|b| j.sum_bucket_us(b));
+        let whatif = [
+            j.whatif_all_local_us,
+            j.whatif_zero_sched_us,
+            j.whatif_zero_fault_us,
+        ];
+        Json::Obj(named(head).chain(buckets(cp, sum, whatif)).collect())
+    });
     let t = report.totals();
-    let mut out = String::from("{\"schema\":\"dare-xray-v1\"");
-    out.push_str(&format!(
-        ",\"jobs\":{},\"jobs_failed\":{},\"tasks\":{},\"skipped_tasks\":{}",
-        t.jobs, report.jobs_failed, t.tasks, report.skipped_tasks
-    ));
-    out.push_str(&format!(
-        ",\"spec_launches\":{},\"spec_waste_s\":{}",
-        report.spec_launches,
-        secs(report.spec_waste_us)
-    ));
-    out.push_str(&format!(
-        ",\"turnaround_s\":{},\"reduce_s\":{}",
-        secs(t.turnaround_us),
-        secs(t.reduce_us)
-    ));
-    for (i, b) in COMPONENT_BUCKETS.iter().enumerate() {
-        out.push_str(&format!(",\"cp_{}_s\":{}", b.name(), secs(t.cp_us[i])));
-    }
-    for (i, b) in COMPONENT_BUCKETS.iter().enumerate() {
-        out.push_str(&format!(",\"sum_{}_s\":{}", b.name(), secs(t.sum_us[i])));
-    }
-    out.push_str(&format!(
-        ",\"whatif_all_local_s\":{},\"whatif_zero_sched_s\":{},\"whatif_zero_fault_s\":{}",
-        secs(t.whatif_all_local_us),
-        secs(t.whatif_zero_sched_us),
-        secs(t.whatif_zero_fault_us)
-    ));
-    out.push_str(",\"per_job\":[");
-    for (i, j) in report.jobs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"job\":{},\"maps\":{},\"tasks\":{},\"turnaround_s\":{},\"reduce_s\":{},\
-             \"critical_task\":{}",
-            j.job,
-            j.maps,
-            j.tasks.len(),
-            secs(j.turnaround_us),
-            secs(j.reduce_us),
-            j.critical_task
-        ));
-        for b in COMPONENT_BUCKETS {
-            out.push_str(&format!(
-                ",\"cp_{}_s\":{}",
-                b.name(),
-                secs(j.cp_bucket_us(b))
-            ));
-        }
-        for b in COMPONENT_BUCKETS {
-            out.push_str(&format!(
-                ",\"sum_{}_s\":{}",
-                b.name(),
-                secs(j.sum_bucket_us(b))
-            ));
-        }
-        out.push_str(&format!(
-            ",\"whatif_all_local_s\":{},\"whatif_zero_sched_s\":{},\"whatif_zero_fault_s\":{}}}",
-            secs(j.whatif_all_local_us),
-            secs(j.whatif_zero_sched_us),
-            secs(j.whatif_zero_fault_us)
-        ));
-    }
-    out.push_str("]}\n");
-    out
+    let head = vec![
+        ("schema", Json::from("dare-xray-v1")),
+        ("jobs", t.jobs.into()),
+        ("jobs_failed", report.jobs_failed.into()),
+        ("tasks", t.tasks.into()),
+        ("skipped_tasks", report.skipped_tasks.into()),
+        ("spec_launches", report.spec_launches.into()),
+        ("spec_waste_s", s(report.spec_waste_us)),
+        ("turnaround_s", s(t.turnaround_us)),
+        ("reduce_s", s(t.reduce_us)),
+    ];
+    let whatif = [
+        t.whatif_all_local_us,
+        t.whatif_zero_sched_us,
+        t.whatif_zero_fault_us,
+    ];
+    let fields = named(head)
+        .chain(buckets(t.cp_us, t.sum_us, whatif))
+        .chain([("per_job".to_string(), per_job.collect())]);
+    Json::Obj(fields.collect()).render()
 }
 
 /// Render the human attribution table printed by `dare-sim xray`: the
@@ -314,12 +308,12 @@ mod tests {
     fn json_carries_schema_and_totals() {
         let r = mini_report();
         let json = to_json(&r);
-        assert!(json.starts_with("{\"schema\":\"dare-xray-v1\""));
-        assert!(json.contains("\"jobs\":1"));
-        assert!(json.contains("\"cp_compute_s\":3.000000"));
-        assert!(json.contains("\"whatif_all_local_s\":4.500000"));
-        assert!(json.contains("\"per_job\":[{\"job\":3,"));
-        assert!(json.ends_with("]}\n"));
+        assert!(json.starts_with("{\n  \"schema\": \"dare-xray-v1\",\n  \"jobs\": 1,"));
+        assert!(json.contains("\n  \"cp_compute_s\": 3.000000,"));
+        assert!(json.contains("\n  \"whatif_all_local_s\": 4.500000,"));
+        assert!(json.contains("\"per_job\": [\n    {\"job\": 3, \"maps\": 1,"));
+        assert!(json.ends_with("\"whatif_zero_fault_s\": 4.500000}\n  ]\n}\n"));
+        dare_simcore::json::parse(&json).expect("one JSON document");
         assert_eq!(json, to_json(&r));
     }
 

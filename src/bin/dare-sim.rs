@@ -793,7 +793,7 @@ fn usage_chaos() -> String {
      --no-shrink          skip delta-debugging the failing schedule\n\
      --seeded-bug         arm the deliberate recovery-path mutation (pipeline check)\n\
      --out PATH           write the counterexample here (plan JSON goes to PATH.plan.json)\n\
-     --bench-json PATH    write the campaign stats JSON (BENCH_chaos format)\n\
+     --bench-json PATH    write the campaign stats JSON (BENCH_chaos format; release builds only)\n\
      --replay PATH        re-run a saved counterexample and diff its trace\n\
      --expect-violation   exit nonzero unless a violation is found"
         .into()
@@ -878,8 +878,10 @@ fn run_chaos(argv: &[String]) -> i32 {
     );
 
     if let Some(path) = &args.bench_json {
-        if let Err(code) = write_out(path, "bench JSON", chaos::bench_json(&args.cfg, &report)) {
-            return code;
+        let report = chaos::bench_json(&args.cfg, &report);
+        if let Err(e) = dare_repro::simcore::json::write_bench_report(path, &report) {
+            eprintln!("error: {e}");
+            return 2;
         }
         println!("campaign stats saved to {path}");
     }
@@ -1455,6 +1457,21 @@ mod tests {
         assert!(parse_chaos_args(&argv("--alphabet warp")).is_err());
         assert!(parse_chaos_args(&argv("--bogus 1")).is_err());
         assert!(parse_chaos_args(&argv("--density 0")).is_err());
+    }
+
+    /// A debug build runs the campaign but refuses the bench report: the
+    /// command exits 2 and leaves no file.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn chaos_bench_json_is_refused_by_a_debug_build() {
+        let path = std::env::temp_dir().join(format!(
+            "dare-sim-test-bench-chaos-{}.json",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let args = format!("--nodes 8 --budget-runs 1 --bench-json {}", path.display());
+        assert_eq!(run_chaos(&argv(&args)), 2);
+        assert!(!path.exists(), "a refused report leaves no file");
     }
 
     #[test]

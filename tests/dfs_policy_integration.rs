@@ -156,10 +156,12 @@ fn failure_recovery_keeps_policy_and_dfs_in_sync() {
     }
     assert!(!tracked.is_empty());
 
-    // The node dies; the engine must clear the policy state via forget.
-    let live: Vec<NodeId> = (0..NODES).map(NodeId).filter(|&n| n != node).collect();
-    dfs.fail_node(node, &live, &mut rng);
+    // The node dies as in the engine: the disk goes with it, then the
+    // name node drops it. The engine must clear the policy state via forget.
+    dfs.wipe_node(node);
+    dfs.mark_node_dead(node);
     for &b in &tracked {
+        assert!(!dfs.visible_locations(b).contains(&node));
         policy.forget(b);
         assert!(!dfs.is_physically_present(node, b));
     }
