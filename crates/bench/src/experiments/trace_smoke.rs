@@ -68,19 +68,11 @@ pub fn run(_seed: u64) -> usize {
     // scenario with the most moving parts (fair scheduler + DARE-LRU).
     let show = "fair-dare-lru";
     let trace = run_golden(show).trace.expect("traced");
-    let out = crate::harness::csv_path("x");
-    let out = out
-        .parent()
-        .expect("csv dir")
-        .join(format!("trace_smoke_{show}.json"));
-    match std::fs::write(&out, to_chrome(&trace)) {
-        Ok(()) => println!(
-            "[trace-smoke] wrote {} ({} events; open at ui.perfetto.dev)",
-            out.display(),
-            trace.records().len()
-        ),
-        Err(e) => eprintln!("[trace-smoke] could not write {}: {e}", out.display()),
-    }
+    println!(
+        "[trace-smoke] {show}: {} events; open the JSON at ui.perfetto.dev",
+        trace.records().len()
+    );
+    crate::harness::write_result(&format!("trace_smoke_{show}.json"), &to_chrome(&trace));
     if failed > 0 {
         eprintln!(
             "[trace-smoke] {failed} scenario(s) failed; refresh on purpose with \

@@ -42,5 +42,5 @@ pub mod experiments {
     pub mod verify;
 }
 
-pub use harness::{csv_path, write_csv, Table};
+pub use harness::{csv_path, results_dir, write_csv, Table};
 pub use plot::{all_specs, PlotSpec};
