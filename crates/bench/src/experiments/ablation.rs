@@ -32,7 +32,7 @@ pub fn writes(seed: u64, seeds: u32) {
         RowOrder::FirstAppearance,
         seed,
         seeds,
-        |seed| {
+        |seed, _| {
             let runs: Vec<(String, PolicyKind)> = vec![
                 ("lru".into(), PolicyKind::GreedyLru),
                 ("et-p0.9".into(), PolicyKind::ElephantTrap { p: 0.9, threshold: 1 }),
@@ -81,7 +81,7 @@ pub fn lfu(seed: u64, seeds: u32) {
         RowOrder::FirstAppearance,
         seed,
         seeds,
-        |seed| {
+        |seed, _| {
             let mut rows = Vec::new();
             for wl in [dare_workload::wl1(seed), dare_workload::wl2(seed)] {
                 let mut runs = Vec::new();
@@ -120,7 +120,7 @@ pub fn delay(seed: u64, seeds: u32) {
         RowOrder::FirstAppearance,
         seed,
         seeds,
-        |seed| {
+        |seed, _| {
             let wl = dare_workload::wl2(seed);
             let ds: Vec<u32> = vec![0, 1, 2, 4, 8, 16];
             let mut runs = Vec::new();
@@ -179,7 +179,7 @@ pub fn scarlett(seed: u64, seeds: u32) {
         RowOrder::FirstAppearance,
         seed,
         seeds,
-        |seed| {
+        |seed, _| {
             let stable = dare_workload::wl1(seed);
             let drifting = synthesize(
                 "wl1-drifting",
@@ -292,7 +292,7 @@ pub fn resilience(seed: u64, seeds: u32) {
         RowOrder::FirstAppearance,
         seed,
         seeds,
-        |seed| {
+        |seed, _| {
             let wl = dare_workload::wl2(seed);
             parallel_map(cases.clone(), |c| {
                 let mut cfg = SimConfig::cct(c.policy, SchedulerKind::Fifo, seed);
@@ -335,7 +335,7 @@ pub fn schedulers(seed: u64, seeds: u32) {
         RowOrder::FirstAppearance,
         seed,
         seeds,
-        |seed| {
+        |seed, _| {
             let wl = dare_workload::wl2(seed);
             let scheds = [
                 SchedulerKind::Fifo,
@@ -378,7 +378,7 @@ pub fn tail(seed: u64, seeds: u32) {
         RowOrder::FirstAppearance,
         seed,
         seeds,
-        |seed| {
+        |seed, _| {
             let mut rows = Vec::new();
             for wl in [dare_workload::wl1(seed), dare_workload::wl2(seed)] {
                 let runs: Vec<(&str, PolicyKind)> = vec![

@@ -238,7 +238,7 @@ pub fn run(_seed: u64, seeds: u32) -> usize {
         RowOrder::FirstAppearance,
         GOLDEN_SEED,
         seeds,
-        |seed| {
+        |seed, _| {
             let mut rows = Vec::new();
             for wl in workloads(seed) {
                 for (sched_name, sched, policy_name, policy) in grid() {

@@ -20,6 +20,7 @@
 use crate::harness::{metric, replicate_experiment, MetricCol, RowOrder};
 use dare_core::PolicyKind;
 use dare_mapred::{FaultPlan, FaultSpec, ScannerConfig, SchedulerKind, SimConfig};
+use dare_simcore::json::Json;
 use dare_simcore::parallel::parallel_map;
 use dare_simcore::SimDuration;
 use dare_workload::swim::{synthesize, SwimParams};
@@ -154,8 +155,14 @@ pub fn run(seed: u64, seeds: u32) -> usize {
         RowOrder::FirstAppearance,
         seed,
         seeds,
-        |s| collect(s, jobs),
+        |s, _| collect(s, jobs),
     );
     st.emit("durability");
-    usize::from(!st.write_bench("durability", "scanner", seed, jobs, quick))
+    let config = [
+        ("profile", Json::from("ec2")),
+        ("scheduler", "fair".into()),
+        ("scanner", true.into()),
+        ("jobs", jobs.into()),
+    ];
+    usize::from(!st.write_bench("durability", config, seed, quick))
 }

@@ -15,7 +15,7 @@ pub fn run(seed: u64, seeds: u32) {
         RowOrder::FirstAppearance,
         seed,
         seeds,
-        |seed| {
+        |seed, _| {
             let root = DetRng::new(seed);
             let mut topo_rng = root.substream("fig1-topo");
             let mut probe_rng = root.substream("fig1-probe");

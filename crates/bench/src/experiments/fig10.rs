@@ -17,7 +17,7 @@ pub fn run(seed: u64, seeds: u32) {
         RowOrder::FirstAppearance,
         seed,
         seeds,
-        |s| {
+        |s, _| {
             collect_matrix(s, &[dare_workload::wl1(s)], &|s| {
                 SimConfig::ec2(PolicyKind::Vanilla, SchedulerKind::Fifo, s)
             })

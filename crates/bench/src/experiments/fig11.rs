@@ -18,7 +18,7 @@ pub fn run(seed: u64, seeds: u32) {
         RowOrder::FirstAppearance,
         seed,
         seeds,
-        |seed| {
+        |seed, _| {
             let wl = dare_workload::wl1(seed);
             let ps: Vec<f64> = (0..=10).map(|i| i as f64 / 10.0).collect();
             parallel_map(ps, |p| {

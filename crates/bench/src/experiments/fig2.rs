@@ -18,7 +18,7 @@ pub fn run(seed: u64, seeds: u32) {
         RowOrder::NumericFirstLabel,
         seed,
         seeds,
-        |seed| {
+        |seed, _| {
             let log = generate(&YahooParams::default(), seed);
             let plain = rank_frequency(&log, AnalysisOpts::default());
             let weighted = rank_frequency(

@@ -17,7 +17,7 @@ pub fn run(seed: u64, seeds: u32) {
         RowOrder::FirstAppearance,
         seed,
         seeds,
-        |seed| {
+        |seed, _| {
             let log = generate(&YahooParams::default(), seed);
             let cdf = age_at_access_cdf(&log, true);
             cdf.series(&points_h)

@@ -20,7 +20,7 @@ fn emit(name: &str, title: &str, day: Option<u64>, seed: u64, seeds: u32) {
         RowOrder::NumericFirstLabel,
         seed,
         seeds,
-        |seed| {
+        |seed, _| {
             let log = generate(&YahooParams::default(), seed);
             let plain = burst_window_distribution(&log, 0.8, day, false);
             let weighted = burst_window_distribution(&log, 0.8, day, true);

@@ -13,7 +13,7 @@ pub fn run(seed: u64, seeds: u32) {
         RowOrder::FirstAppearance,
         seed,
         seeds,
-        |seed| {
+        |seed, _| {
             let pop = FilePopularity::experiment();
             let wl = dare_workload::wl1(seed);
 

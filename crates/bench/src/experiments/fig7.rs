@@ -84,7 +84,7 @@ pub fn run(seed: u64, seeds: u32) {
         RowOrder::FirstAppearance,
         seed,
         seeds,
-        |s| {
+        |s, _| {
             collect_matrix(s, &[dare_workload::wl1(s), dare_workload::wl2(s)], &|s| {
                 SimConfig::cct(PolicyKind::Vanilla, SchedulerKind::Fifo, s)
             })

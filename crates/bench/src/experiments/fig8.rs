@@ -17,7 +17,7 @@ pub fn sweep_p(seed: u64, seeds: u32) {
         RowOrder::FirstAppearance,
         seed,
         seeds,
-        |seed| {
+        |seed, _| {
             let wl = dare_workload::wl2(seed);
             let ps: Vec<f64> = (0..10).map(|i| i as f64 / 10.0).collect();
             let mut runs = Vec::new();
@@ -57,7 +57,7 @@ pub fn sweep_threshold(seed: u64, seeds: u32) {
         RowOrder::FirstAppearance,
         seed,
         seeds,
-        |seed| {
+        |seed, _| {
             let wl = dare_workload::wl2(seed);
             let thresholds: Vec<u64> = vec![1, 2, 3, 4, 5];
             let mut runs = Vec::new();

@@ -27,7 +27,7 @@ fn sweep(policies: &[PolicyKind], title: &str, csv: &str, seed: u64, seeds: u32)
         RowOrder::FirstAppearance,
         seed,
         seeds,
-        |seed| {
+        |seed, _| {
             let wl = dare_workload::wl2(seed);
             let mut runs = Vec::new();
             for &policy in policies {

@@ -20,6 +20,7 @@
 use crate::harness::{metric, replicate_experiment, MetricCol, RowOrder};
 use dare_core::PolicyKind;
 use dare_mapred::{FaultPlan, FaultSpec, SchedulerKind, SimConfig};
+use dare_simcore::json::Json;
 use dare_simcore::parallel::parallel_map;
 use dare_workload::swim::{synthesize, SwimParams};
 
@@ -65,13 +66,12 @@ fn levels(horizon_secs: u64) -> Vec<Level> {
     ]
 }
 
-const METRICS: [MetricCol; 13] = [
+const METRICS: [MetricCol; 12] = [
     metric("jobs_ok", 0),
     metric("jobs_failed", 0),
     metric("job_locality", 3),
     metric("gmtt_s", 1),
     metric("p95_slowdown", 2),
-    metric("reexecuted", 0),
     metric("tasks_retried", 0),
     metric("tasks_failed", 0),
     metric("declared_dead", 0),
@@ -140,7 +140,6 @@ fn collect(seed: u64, jobs: u32) -> Vec<(Vec<String>, Vec<f64>)> {
                 r.run.gmtt_secs,
                 r.run.p95_slowdown,
                 r.faults.tasks_retried as f64,
-                r.faults.tasks_retried as f64,
                 r.faults.tasks_failed as f64,
                 r.faults.nodes_declared_dead as f64,
                 r.faults.nodes_rejoined as f64,
@@ -164,8 +163,14 @@ pub fn run(seed: u64, seeds: u32) -> usize {
         RowOrder::FirstAppearance,
         seed,
         seeds,
-        |s| collect(s, jobs),
+        |s, _| collect(s, jobs),
     );
     st.emit("resilience");
-    usize::from(!st.write_bench("resilience", "speculation", seed, jobs, quick))
+    let config = [
+        ("profile", Json::from("ec2")),
+        ("scheduler", "fair".into()),
+        ("speculation", true.into()),
+        ("jobs", jobs.into()),
+    ];
+    usize::from(!st.write_bench("resilience", config, seed, quick))
 }

@@ -15,6 +15,10 @@
 //! same simulated work and the ratio measures engine efficiency, not
 //! metric redefinition.
 //!
+//! Each 1k-node leg is timed as the median of at least 5 rounds and of
+//! at least 1 s of event loop in total, with the two legs' rounds
+//! interleaved; the report records each leg's `rounds`.
+//!
 //! Output is `results/BENCH_throughput.json`. The run fails (non-zero
 //! through the dispatcher) when the batched configuration is less than
 //! 3.70× the staggered baseline on the 1k-node profile, or when
@@ -35,6 +39,7 @@ use dare_core::PolicyKind;
 use dare_mapred::{SchedulerKind, SimConfig, SimResult};
 use dare_net::ClusterProfile;
 use dare_simcore::json::{self, Json};
+use dare_simcore::stats::quantile;
 use dare_simcore::{SimDuration, SimTime};
 use dare_workload::{FileSpec, JobSpec, Workload};
 
@@ -48,6 +53,10 @@ const BLOCK: u64 = 128 * MB;
 const MIN_SPEEDUP: f64 = 3.70;
 /// Largest tolerated relative drop below the committed report's speedup.
 const REGRESSION_TOLERANCE: f64 = 0.20;
+/// Event-loop wall seconds the rounds of one leg add up to at least.
+const LEG_SECS: f64 = 1.0;
+/// Fewest rounds of a 1k-node leg.
+const LEG_ROUNDS: usize = 5;
 
 /// A scale workload: `jobs` jobs round-robin over `files` files of
 /// `blocks_per_file` blocks (= map tasks per job), arrivals spread
@@ -95,54 +104,84 @@ fn scale_cfg(nodes: u32) -> SimConfig {
 
 struct Leg {
     name: &'static str,
-    /// Wall seconds of the event loop (`Engine::run` after construction);
-    /// `events_per_sec` is quoted against this, because it is the event
-    /// kernel and dispatch machinery under test — setup is identical
-    /// work across legs and reported separately.
+    /// Rounds the medians are taken over.
+    rounds: usize,
+    /// Median wall seconds of the event loop (`Engine::run` after
+    /// construction); `events_per_sec` is quoted against this, because it
+    /// is the event kernel and dispatch machinery under test — setup is
+    /// identical work across legs and reported separately.
     wall_secs: f64,
+    /// Median wall seconds of `Engine::new`.
     setup_secs: f64,
     logical_events: u64,
     events_per_sec: f64,
     makespan_secs: f64,
 }
 
-fn run_leg(name: &'static str, rounds: u32, cfg: &SimConfig, wl: &Workload) -> Leg {
-    // Best-of-`rounds`: the runs are deterministic, so the fastest
-    // repetition is the least-perturbed measurement of the same work.
-    let mut best: Option<(f64, f64)> = None;
-    let mut last: Option<SimResult> = None;
-    for _ in 0..rounds {
-        let t0 = std::time::Instant::now();
-        let engine = dare_mapred::Engine::new(cfg.clone(), wl);
-        let setup_secs = t0.elapsed().as_secs_f64();
-        let t1 = std::time::Instant::now();
-        let r: SimResult = engine.run();
-        let wall_secs = t1.elapsed().as_secs_f64().max(1e-9);
-        if best.is_none_or(|(w, _)| wall_secs < w) {
-            best = Some((wall_secs, setup_secs));
-        }
-        last = Some(r);
+/// One leg's per-round samples.
+#[derive(Default)]
+struct Rounds {
+    walls: Vec<f64>,
+    setups: Vec<f64>,
+    last: Option<SimResult>,
+}
+
+impl Rounds {
+    fn loop_secs(&self) -> f64 {
+        self.walls.iter().sum()
     }
-    let (wall_secs, setup_secs) = best.expect("at least one round");
-    let r = last.expect("at least one round");
-    let leg = Leg {
-        name,
-        wall_secs,
-        setup_secs,
-        logical_events: r.logical_events,
-        events_per_sec: r.logical_events as f64 / wall_secs,
-        makespan_secs: r.run.makespan_secs,
-    };
-    println!(
-        "[throughput] {:<18} {:>12} logical events in {:>7.2}s wall (+{:.2}s setup) = {:>12.0} ev/s (makespan {:.0}s, {} jobs)",
-        leg.name, leg.logical_events, leg.wall_secs, leg.setup_secs, leg.events_per_sec, leg.makespan_secs, r.run.jobs
-    );
-    leg
+}
+
+/// Time `legs` on `wl`, each as the median of at least `min_rounds`
+/// rounds and of [`LEG_SECS`] of event loop. The runs are deterministic,
+/// so round-to-round spread is host noise: a leg of a few hundredths of
+/// a second needs many rounds before its median settles, and the legs'
+/// rounds interleave (the leg with the least loop time so far runs
+/// next) so that a host slowing down mid-run slows every leg alike.
+fn run_legs<const N: usize>(
+    legs: [(&'static str, SimConfig); N],
+    min_rounds: usize,
+    wl: &Workload,
+) -> [Leg; N] {
+    let mut rounds: [Rounds; N] = std::array::from_fn(|_| Rounds::default());
+    let done = |r: &Rounds| r.walls.len() >= min_rounds && r.loop_secs() >= LEG_SECS;
+    while let Some(i) = (0..N)
+        .filter(|&i| !done(&rounds[i]))
+        .min_by(|&a, &b| rounds[a].loop_secs().total_cmp(&rounds[b].loop_secs()))
+    {
+        let r = &mut rounds[i];
+        let t0 = std::time::Instant::now();
+        let engine = dare_mapred::Engine::new(legs[i].1.clone(), wl);
+        r.setups.push(t0.elapsed().as_secs_f64());
+        let t1 = std::time::Instant::now();
+        r.last = Some(engine.run());
+        r.walls.push(t1.elapsed().as_secs_f64().max(1e-9));
+    }
+    std::array::from_fn(|i| {
+        let (name, r) = (legs[i].0, std::mem::take(&mut rounds[i]));
+        let result = r.last.expect("at least one round");
+        let wall_secs = quantile(&r.walls, 0.5);
+        let leg = Leg {
+            name,
+            rounds: r.walls.len(),
+            wall_secs,
+            setup_secs: quantile(&r.setups, 0.5),
+            logical_events: result.logical_events,
+            events_per_sec: result.logical_events as f64 / wall_secs,
+            makespan_secs: result.run.makespan_secs,
+        };
+        println!(
+            "[throughput] {:<18} {:>12} logical events in {:>7.3}s wall (+{:.3}s setup; median of {}) = {:>12.0} ev/s (makespan {:.0}s, {} jobs)",
+            leg.name, leg.logical_events, leg.wall_secs, leg.setup_secs, leg.rounds, leg.events_per_sec, leg.makespan_secs, result.run.jobs
+        );
+        leg
+    })
 }
 
 fn leg_json(l: &Leg) -> Json {
     Json::obj([
         ("name", Json::from(l.name)),
+        ("rounds", l.rounds.into()),
         ("wall_secs", Json::fixed(l.wall_secs, 3)),
         ("setup_secs", Json::fixed(l.setup_secs, 3)),
         ("logical_events", l.logical_events.into()),
@@ -189,9 +228,14 @@ pub fn run(_seed: u64) -> usize {
         if quick { " (quick)" } else { "" }
     );
 
-    let cal = run_leg("calendar-staggered", 3, &scale_cfg(nodes), &wl);
-    let batched = scale_cfg(nodes).with_batched_heartbeats();
-    let opt = run_leg("calendar-batched", 3, &batched, &wl);
+    let legs = [
+        ("calendar-staggered", scale_cfg(nodes)),
+        (
+            "calendar-batched",
+            scale_cfg(nodes).with_batched_heartbeats(),
+        ),
+    ];
+    let [cal, opt] = run_legs(legs, LEG_ROUNDS, &wl);
 
     let speedup = opt.events_per_sec / cal.events_per_sec;
     println!("[throughput] batched speedup vs staggered baseline: {speedup:.2}x");
@@ -241,12 +285,9 @@ pub fn run(_seed: u64) -> usize {
         // used to pick this shape.
         let wl = scale_workload(100, 10_000, 100, 600, 300);
         println!("[throughput] headline: 10000 nodes, 1000000 map tasks");
-        Some(run_leg(
-            "headline-10k",
-            1,
-            &scale_cfg(10_000).with_batched_heartbeats(),
-            &wl,
-        ))
+        let cfg = scale_cfg(10_000).with_batched_heartbeats();
+        let [headline] = run_legs([("headline-10k", cfg)], 1, &wl);
+        Some(headline)
     };
 
     // --- Report.

@@ -197,8 +197,8 @@ pub struct SeedTable {
     pub seeds: u32,
 }
 
-/// Run `collect` once per replicate seed and merge the rows into means
-/// with appended `<metric>_std` / `<metric>_ci95` columns.
+/// Run `collect(seed, replicate)` once per replicate and merge the rows
+/// into means with appended `<metric>_std` / `<metric>_ci95` columns.
 ///
 /// Replicate seeds follow [`cell_seed`] with no seeded coordinates, so
 /// replicate 0 *is* `base_seed` — a `--seeds 1` run reproduces the repo's
@@ -206,7 +206,9 @@ pub struct SeedTable {
 /// (empty) spread columns. Rows are matched across replicates by their label
 /// columns; spread columns are empty strings when a row has fewer than
 /// two replicates. Mean columns keep their legacy positions so the
-/// committed gnuplot scripts' 1-based column indices stay valid.
+/// committed gnuplot scripts' 1-based column indices stay valid. An
+/// experiment with seeded coordinates derives its own seeds from the
+/// replicate index and its base seed.
 pub fn replicate_experiment<F>(
     title: &str,
     labels: &[&str],
@@ -217,7 +219,7 @@ pub fn replicate_experiment<F>(
     collect: F,
 ) -> SeedTable
 where
-    F: Fn(u64) -> Vec<(Vec<String>, Vec<f64>)>,
+    F: Fn(u64, u32) -> Vec<(Vec<String>, Vec<f64>)>,
 {
     let seeds = seeds.max(1);
     // label-key -> (first-appearance index, per-metric samples)
@@ -225,7 +227,7 @@ where
     let mut index: std::collections::HashMap<Vec<String>, usize> = std::collections::HashMap::new();
     for rep in 0..seeds {
         let seed = cell_seed(base_seed, "", rep);
-        for (row_labels, values) in collect(seed) {
+        for (row_labels, values) in collect(seed, rep) {
             assert_eq!(row_labels.len(), labels.len(), "label arity in {title}");
             assert_eq!(values.len(), metrics.len(), "metric arity in {title}");
             let at = *index.entry(row_labels.clone()).or_insert_with(|| {
@@ -288,27 +290,20 @@ impl SeedTable {
         write_csv(name, &self.table);
     }
 
-    /// Write the machine-readable companion of the CSV to
-    /// `results/BENCH_<bench>.json`: the EC2/Fair run configuration with
-    /// `"<feature>": true`, then per row its labels and the mean and 95 %
-    /// CI half-width of every metric across seeds. `bench` is also the
-    /// experiment id. Returns whether the file was written.
-    pub fn write_bench(
+    /// The body of `results/BENCH_<bench>.json`: a `config` object
+    /// holding the caller's run configuration `config`, then `seed`,
+    /// `seeds` and `quick`; then per row its labels and the mean and
+    /// 95 % CI half-width of every metric across seeds.
+    pub fn bench_body<K: Into<String>>(
         &self,
-        bench: &str,
-        feature: &str,
+        config: impl IntoIterator<Item = (K, Json)>,
         seed: u64,
-        jobs: u32,
         quick: bool,
-    ) -> bool {
-        let config = Json::obj([
-            ("profile", Json::from("ec2")),
-            ("scheduler", "fair".into()),
-            (feature, true.into()),
-            ("jobs", jobs.into()),
-            ("seed", seed.into()),
-            ("seeds", self.seeds.into()),
-            ("quick", quick.into()),
+    ) -> [(&'static str, Json); 2] {
+        let config = config.into_iter().map(|(k, v)| (k.into(), v)).chain([
+            ("seed".to_string(), seed.into()),
+            ("seeds".to_string(), self.seeds.into()),
+            ("quick".to_string(), quick.into()),
         ]);
         let rows = self.rows.iter().map(|(labels, sums)| {
             // Header: label columns, then one mean column per metric.
@@ -323,10 +318,26 @@ impl SeedTable {
             });
             Json::obj(label_cells.chain(metric_cells))
         });
+        [
+            ("config", Json::Obj(config.collect())),
+            ("rows", rows.collect()),
+        ]
+    }
+
+    /// Write [`SeedTable::bench_body`] to `results/BENCH_<bench>.json`;
+    /// `bench` is also the experiment id. Returns whether the file was
+    /// written.
+    pub fn write_bench<K: Into<String>>(
+        &self,
+        bench: &str,
+        config: impl IntoIterator<Item = (K, Json)>,
+        seed: u64,
+        quick: bool,
+    ) -> bool {
         write_bench(
             bench,
             &experiments_command(bench, seed, self.seeds, quick),
-            [("config", config), ("rows", rows.collect())],
+            self.bench_body(config, seed, quick),
         )
     }
 }
@@ -369,11 +380,23 @@ pub struct MatrixCell {
 }
 
 /// Run the {vanilla, LRU, ElephantTrap} × scheduler matrix for one
-/// workload on one base configuration, in parallel.
+/// workload on one base configuration, on every available core.
 pub fn run_matrix(
     base: &SimConfig,
     workload: &Workload,
     schedulers: &[SchedulerKind],
+) -> Vec<MatrixCell> {
+    let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+    run_matrix_threads(base, workload, schedulers, threads)
+}
+
+/// [`run_matrix`] on up to `threads` workers. Cells come back in
+/// scheduler-major, policy-minor order at any thread count.
+pub fn run_matrix_threads(
+    base: &SimConfig,
+    workload: &Workload,
+    schedulers: &[SchedulerKind],
+    threads: usize,
 ) -> Vec<MatrixCell> {
     let policies = [
         PolicyKind::Vanilla,
@@ -387,7 +410,7 @@ pub fn run_matrix(
         }
     }
 
-    dare_simcore::parallel::parallel_map(cells, |(s, p)| {
+    dare_simcore::parallel::parallel_map_threads(cells, threads, |(s, p)| {
         let mut cfg = base.clone();
         cfg.scheduler = s;
         cfg.policy = p;
@@ -480,8 +503,8 @@ mod tests {
             RowOrder::FirstAppearance,
             77,
             1,
-            |seed| {
-                assert_eq!(seed, 77, "replicate 0 must be the base seed");
+            |seed, replicate| {
+                assert_eq!((seed, replicate), (77, 0), "replicate 0 is the base seed");
                 vec![(vec!["a".into()], vec![1.5])]
             },
         );
@@ -500,7 +523,10 @@ mod tests {
             RowOrder::FirstAppearance,
             77,
             2,
-            |seed| vec![(vec!["a".into()], vec![if seed == 77 { 1.0 } else { 3.0 }])],
+            |seed, replicate| {
+                assert_eq!(seed, cell_seed(77, "", replicate));
+                vec![(vec!["a".into()], vec![1.0 + 2.0 * replicate as f64])]
+            },
         );
         let s = st.rows[0].1[0];
         assert_eq!(s.n, 2);
@@ -508,6 +534,31 @@ mod tests {
         assert!((s.std - 2f64.sqrt()).abs() < 1e-12);
         assert!((s.ci95 - 1.96).abs() < 1e-12);
         assert!(st.table.to_csv().contains("a,2.000,1.414,1.960"));
+    }
+
+    #[test]
+    fn bench_body_puts_the_callers_config_before_the_run_keys() {
+        let st = replicate_experiment(
+            "t",
+            &["k"],
+            &[metric("v", 3)],
+            RowOrder::FirstAppearance,
+            77,
+            2,
+            |_, replicate| vec![(vec!["a".into()], vec![1.0 + 2.0 * replicate as f64])],
+        );
+        let config = [("profile", Json::from("ec2")), ("jobs", 30u32.into())];
+        let body = Json::obj(st.bench_body(config, 77, true)).render();
+        assert!(
+            body.contains(
+                r#""config": {"profile": "ec2", "jobs": 30, "seed": 77, "seeds": 2, "quick": true}"#
+            ),
+            "{body}"
+        );
+        assert!(
+            body.contains(r#"{"k": "a", "v": 2.000000, "v_ci95": 1.960000}"#),
+            "{body}"
+        );
     }
 
     #[test]
@@ -521,7 +572,7 @@ mod tests {
             RowOrder::NumericFirstLabel,
             77,
             2,
-            |seed| {
+            |seed, _| {
                 if seed == 77 {
                     vec![
                         (vec!["1".into()], vec![10.0]),

@@ -1,47 +1,41 @@
 //! End-to-end determinism of the experiment farm through the *real*
-//! engine: the quick farm matrix, run single-threaded and with eight
-//! workers, must merge to byte-identical CSV and JSON. Per-cell results
-//! are a pure function of (coordinates, derived seed), never of thread
-//! count or completion order.
+//! engine: the quick farm, run on one worker and on eight, must merge to
+//! identical tables. Each run is a pure function of its coordinates and
+//! derived seed, never of thread count or completion order.
 
-use dare_bench::harness::cell_seed;
-use dare_bench::run::{run_cell, sweep};
-use dare_bench::spec::{cells, METRICS};
+use dare_bench::experiments::farm::{env_seed, table, LABELS, METRICS};
+use dare_bench::harness::{cell_seed, replicate_experiment, RowOrder};
 
 #[test]
 fn quick_farm_matrix_is_byte_stable_across_thread_counts() {
-    // 2 schedulers x 2 policies x 1 profile x 2 fault levels x 2 seeds
-    // = 16 engine runs per pass; quick cells use 6-job workloads.
-    let run = |threads| sweep(20110926, 2, true, threads, |c| run_cell(c, true));
-    let one = run(1);
-    let eight = run(8);
-
+    // 1 profile x 2 fault levels x 2 schedulers x 3 policies x 2 seeds
+    // = 24 engine runs per pass; quick workloads have 6 jobs.
+    let one = table(20110926, 2, true, 1);
+    let eight = table(20110926, 2, true, 8);
     assert_eq!(
-        one.cells_csv(),
-        eight.cells_csv(),
-        "per-cell CSV depends on thread count"
+        one.table.to_csv(),
+        eight.table.to_csv(),
+        "farm table depends on thread count"
     );
     assert_eq!(
-        one.agg_csv(),
-        eight.agg_csv(),
-        "aggregate CSV depends on thread count"
+        one.rows, eight.rows,
+        "farm summaries depend on thread count"
     );
-    assert_eq!(
-        one.merged_json(),
-        eight.merged_json(),
-        "merged JSON depends on thread count"
-    );
+    assert_eq!(one.rows.len(), 2 * 2 * 3);
 
     // Sanity on the content itself: the calm cells completed all jobs
     // without failures.
-    let jobs_failed = METRICS.iter().position(|m| *m == "jobs_failed").unwrap();
-    for (cell, values) in &one.runs {
-        if cell.coords[3] == "calm" {
+    let faults = LABELS.iter().position(|&l| l == "faults").unwrap();
+    let jobs_failed = METRICS
+        .iter()
+        .position(|m| m.name == "jobs_failed")
+        .unwrap();
+    for (labels, sums) in &one.rows {
+        assert_eq!(sums[jobs_failed].n, 2);
+        if labels[faults] == "calm" {
             assert_eq!(
-                values[jobs_failed],
-                0.0,
-                "calm cell {} failed jobs",
-                cell.key()
+                sums[jobs_failed].mean, 0.0,
+                "calm cell {labels:?} failed jobs"
             );
         }
     }
@@ -53,17 +47,23 @@ fn farm_seeds_anchor_to_the_legacy_single_seed_runs() {
     // verbatim, which keeps `--seeds 1` output aligned with the
     // historical single-seed tables.
     assert_eq!(cell_seed(20110926, "", 0), 20110926);
-    // The farm's cells hash their seeded axes (profile, faults) in, so
-    // even replicate 0 leaves the base seed; the same coordinate at
+    // The harness hands each replicate its index next to its seed, and
+    // the farm hashes its seeded axes (profile, faults) in, so even
+    // replicate 0 leaves the base seed; the same environment at
     // different replicates draws different seeds.
-    let cells = cells(7, 3, true);
-    assert!(cells.iter().all(|c| c.seed != 7));
-    let seeds: Vec<u64> = cells
-        .iter()
-        .filter(|c| c.coords == cells[0].coords)
-        .map(|c| c.seed)
-        .collect();
+    let seeds = std::cell::RefCell::new(Vec::new());
+    replicate_experiment("t", &[], &[], RowOrder::FirstAppearance, 7, 3, |s, rep| {
+        assert_eq!(s, cell_seed(7, "", rep));
+        seeds.borrow_mut().push(env_seed(7, "cct", "heavy", rep));
+        Vec::new()
+    });
+    let seeds = seeds.into_inner();
     assert_eq!(seeds.len(), 3);
+    assert!(seeds.iter().all(|&s| s != 7));
     assert_ne!(seeds[0], seeds[1]);
     assert_ne!(seeds[1], seeds[2]);
+    assert_eq!(
+        env_seed(20110926, "ec2", "heavy", 2),
+        cell_seed(20110926, "faults=heavy;profile=ec2", 2)
+    );
 }

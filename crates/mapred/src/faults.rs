@@ -6,8 +6,8 @@
 //! [`FaultEvent`]s) and the *failure-handling knobs* (heartbeat-timeout
 //! detection, task retry cap, recovery parallelism). Plans can be written
 //! by hand or generated from a [`FaultSpec`] with
-//! [`FaultPlan::generate`], which draws every random choice from its own
-//! named [`DetRng`] substream — so an identical
+//! [`FaultPlan::generate_with_blocks`], which draws every random choice
+//! from its own named [`DetRng`] substream — so an identical
 //! `(spec, seed)` pair always yields an identical plan, and an *empty*
 //! plan leaves every other random stream in the simulator untouched.
 
@@ -376,10 +376,9 @@ impl FaultPlan {
         check_overlap(&windows).map_err(|(n, a, b)| overlap_msg(n, a, b))
     }
 
-    /// Validate rack indices against the built topology's rack count.
-    /// Prefer [`FaultPlan::validate_topology`], which also rejects
-    /// rack-outage windows overlapping node faults.
-    pub fn validate_racks(&self, racks: u32) -> Result<(), String> {
+    /// Validate rack indices against the built topology's rack count;
+    /// the first check of [`FaultPlan::validate_topology`].
+    fn validate_racks(&self, racks: u32) -> Result<(), String> {
         for ev in &self.events {
             match *ev {
                 FaultEvent::RackOutage { rack, .. } if rack >= racks => {
@@ -443,16 +442,6 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Generate a random plan from a [`FaultSpec`].
-    ///
-    /// Equivalent to [`FaultPlan::generate_with_blocks`] with an empty
-    /// namespace: the corruption rate is ignored because there are no
-    /// blocks to target. Kept for callers that build their plan before
-    /// the workload is known.
-    pub fn generate(spec: &FaultSpec, nodes: u32, racks: u32, seed: u64) -> FaultPlan {
-        Self::generate_with_blocks(spec, nodes, racks, 0, seed)
-    }
-
     /// Generate a random plan from a [`FaultSpec`], including silent
     /// corruption events sampled over a namespace of `blocks` blocks.
     ///
@@ -467,9 +456,9 @@ impl FaultPlan {
     /// All draws come from the `"fault-plan"` substream of `seed`, so the
     /// generated schedule is a pure function of `(spec, nodes, racks,
     /// blocks, seed)` and never perturbs the simulator's other random
-    /// streams. With a zero corruption rate (or zero blocks) the output
-    /// is identical to what [`FaultPlan::generate`] produced before
-    /// corruption existed.
+    /// streams. With a zero corruption rate (or zero blocks) no
+    /// corruption is drawn and the plan is identical to the one the
+    /// generator produced before corruption existed.
     pub fn generate_with_blocks(
         spec: &FaultSpec,
         nodes: u32,
@@ -792,7 +781,7 @@ fn overlap_msg(node: u32, a: (u64, u64), b: (u64, u64)) -> String {
     )
 }
 
-/// Shape parameters for [`FaultPlan::generate`].
+/// Shape parameters for [`FaultPlan::generate_with_blocks`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
     /// Fault times are drawn uniformly from `[1, horizon_secs]`.
@@ -906,14 +895,14 @@ mod tests {
             stragglers: 2,
             ..FaultSpec::default()
         };
-        let a = FaultPlan::generate(&spec, 19, 4, 42);
-        let b = FaultPlan::generate(&spec, 19, 4, 42);
+        let a = FaultPlan::generate_with_blocks(&spec, 19, 4, 0, 42);
+        let b = FaultPlan::generate_with_blocks(&spec, 19, 4, 0, 42);
         assert_eq!(a, b, "same inputs must give the same plan");
         assert_eq!(a.events.len(), 8);
         assert!(a.validate(19).is_ok());
         assert!(a.validate_racks(4).is_ok());
 
-        let c = FaultPlan::generate(&spec, 19, 4, 43);
+        let c = FaultPlan::generate_with_blocks(&spec, 19, 4, 0, 43);
         assert_ne!(a, c, "different seeds should differ");
     }
 
@@ -1144,7 +1133,7 @@ mod tests {
         };
         assert_eq!(
             FaultPlan::generate_with_blocks(&legacy_spec, 20, 2, 100, 42),
-            FaultPlan::generate(&legacy_spec, 20, 2, 42),
+            FaultPlan::generate_with_blocks(&legacy_spec, 20, 2, 0, 42),
         );
         let full = FaultSpec {
             kills: 1,
@@ -1154,7 +1143,7 @@ mod tests {
         };
         assert_eq!(
             FaultPlan::generate_with_blocks(&full, 20, 2, 100, 42),
-            FaultPlan::generate(&full, 20, 2, 42),
+            FaultPlan::generate_with_blocks(&full, 20, 2, 0, 42),
             "corruption draws come last, so earlier events are unchanged"
         );
     }
@@ -1491,7 +1480,7 @@ mod tests {
         };
         let valid = |p: &FaultPlan| p.validate(6).is_ok() && p.validate_topology(&topo).is_ok();
         let (good, bad): (Vec<u64>, Vec<u64>) =
-            (0..64).partition(|&s| valid(&FaultPlan::generate(&spec, 6, 1, s)));
+            (0..64).partition(|&s| valid(&FaultPlan::generate_with_blocks(&spec, 6, 1, 0, s)));
         assert!(
             !good.is_empty() && !bad.is_empty(),
             "the spec draws both kinds"
@@ -1499,7 +1488,7 @@ mod tests {
         for s in good {
             assert_eq!(
                 FaultPlan::generate_valid(&spec, &topo, 0, s),
-                FaultPlan::generate(&spec, 6, 1, s),
+                FaultPlan::generate_with_blocks(&spec, 6, 1, 0, s),
                 "seed {s}: a valid plan is kept as drawn"
             );
         }
@@ -1521,7 +1510,7 @@ mod tests {
             crashes: 6,
             ..FaultSpec::default()
         };
-        let p = FaultPlan::generate(&spec, 12, 2, 7);
+        let p = FaultPlan::generate_with_blocks(&spec, 12, 2, 0, 7);
         let mut killed = Vec::new();
         let mut crashed = Vec::new();
         for ev in &p.events {

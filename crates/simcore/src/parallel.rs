@@ -242,7 +242,7 @@ mod tests {
     #[test]
     fn hundred_k_trivial_items_complete() {
         // The chunked path must shrug off sweeps where the closure is
-        // cheaper than a lock: 100k trivial cells is the farm's shape.
+        // cheaper than a lock: 100k trivial cells.
         let out = parallel_map_threads((0..100_000u64).collect(), 8, |x| x ^ 1);
         assert_eq!(out.len(), 100_000);
         assert_eq!(out[0], 1);

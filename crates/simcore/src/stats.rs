@@ -134,9 +134,9 @@ impl OnlineStats {
 /// `1.96 s/√n`) over N independent seeds of one experiment cell.
 ///
 /// `std` and `ci95` are **0.0 when `n < 2`** — a single replicate has no
-/// spread estimate. They are never NaN; presentation layers (the farm's
-/// CSV merger) render them as empty fields instead of fabricating a zero
-/// spread. Normal approximation rather than Student-t: at the ~5-10 seed
+/// spread estimate. They are never NaN; presentation layers (the bench
+/// harness's replicated tables) render them as empty fields instead of
+/// fabricating a zero spread. Normal approximation rather than Student-t: at the ~5-10 seed
 /// replications the experiment farm runs, the difference is well inside
 /// the simulator-vs-paper tolerance bands, and it keeps the half-width a
 /// closed form.
