@@ -37,6 +37,12 @@ pub struct NameNode {
     /// hottest path.
     merged: Vec<Vec<NodeId>>,
     pending: Vec<PendingReport>,
+    /// No pending report is visible before this time, so
+    /// [`NameNode::process_reports`] returns at once when called earlier.
+    /// Lowered on every enqueue and recomputed by every scan; removals
+    /// leave it stale-low, which costs one scan. The default (zero)
+    /// forces the first scan.
+    next_due: SimTime,
     /// Reusable buffer of (block, node) pairs promoted to visibility by the
     /// most recent [`NameNode::process_reports`] call.
     promoted: Vec<(BlockId, NodeId)>,
@@ -172,6 +178,7 @@ impl NameNode {
     /// Queue a `DNA_DYNREPL` notification: `node` now holds a dynamic
     /// replica of `block`; the scheduler learns of it at `visible_at`.
     pub fn enqueue_dynamic_report(&mut self, visible_at: SimTime, block: BlockId, node: NodeId) {
+        self.next_due = self.next_due.min(visible_at);
         self.pending.push(PendingReport {
             visible_at,
             block,
@@ -186,6 +193,10 @@ impl NameNode {
     /// valid until the next call.
     pub fn process_reports(&mut self, now: SimTime) -> &[(BlockId, NodeId)] {
         self.promoted.clear();
+        if now < self.next_due {
+            return &self.promoted;
+        }
+        self.next_due = SimTime::MAX;
         let mut i = 0;
         while i < self.pending.len() {
             if self.pending[i].visible_at <= now {
@@ -201,6 +212,7 @@ impl NameNode {
                 }
                 self.reports_processed += 1;
             } else {
+                self.next_due = self.next_due.min(self.pending[i].visible_at);
                 i += 1;
             }
         }
@@ -347,6 +359,29 @@ mod tests {
         assert_eq!(nn.dynamic_locations(b), &[NodeId(5)]);
         assert_eq!(nn.pending_reports(), 0);
         assert_eq!(nn.reports_processed, 1);
+    }
+
+    #[test]
+    fn reports_not_yet_due_return_at_once_then_promote_in_scan_order() {
+        let (mut nn, f) = nn_with_one_file();
+        let b = nn.file(f).blocks[0]; // primaries 0, 1
+        for (secs, node) in [(10, 5), (5, 6), (7, 7), (5, 8)] {
+            nn.enqueue_dynamic_report(SimTime::from_secs(secs), b, NodeId(node));
+        }
+        assert!(nn.process_reports(SimTime::from_secs(4)).is_empty());
+        assert_eq!(nn.pending_reports(), 4);
+        assert_eq!(nn.reports_processed, 0);
+        // The swap-remove scan's order: each due report is replaced by
+        // the last pending one, which is examined next.
+        let promoted = nn.process_reports(SimTime::from_secs(7)).to_vec();
+        assert_eq!(promoted, [(b, NodeId(6)), (b, NodeId(8)), (b, NodeId(7))]);
+        assert_eq!(nn.pending_reports(), 1);
+        assert_eq!(nn.reports_processed, 3);
+        assert!(nn.process_reports(SimTime::from_secs(9)).is_empty());
+        assert_eq!(nn.pending_reports(), 1);
+        assert_eq!(nn.process_reports(SimTime::from_secs(10)), [(b, NodeId(5))]);
+        assert_eq!(nn.pending_reports(), 0);
+        assert_eq!(nn.reports_processed, 4);
     }
 
     #[test]

@@ -9,6 +9,17 @@
 //! sharing the active millisecond instead of a heap over the entire
 //! pending set.
 //!
+//! The wheel's entries live in one slab, not in a buffer per bucket:
+//! each bucket is the head of an intrusive singly linked list through
+//! the slab, and drained entries go on a free list for the next push.
+//! Storage therefore grows with the peak number of pending events, not
+//! with the wheel size, and a fresh queue costs two flat arrays. A
+//! short run that touches thousands of buckets once each (every cell of
+//! the paper's matrix) would otherwise pay one allocation per bucket.
+//! A bucket's list pours into the active heap in reverse push order;
+//! the heap orders by the unique `(time, sequence)` key, so pop order
+//! does not depend on it.
+//!
 //! Ties between simultaneous events break by insertion order (a
 //! monotonically increasing sequence number), which keeps event
 //! interleavings — and therefore whole simulation runs — deterministic.
@@ -56,6 +67,8 @@ const WIDTH_LOG2: u32 = 10;
 const WHEEL_LOG2: u32 = 13;
 const WHEEL: usize = 1 << WHEEL_LOG2;
 const WHEEL_MASK: u64 = (WHEEL as u64) - 1;
+/// End of a bucket list or of the free list.
+const NIL: u32 = u32::MAX;
 
 #[inline]
 fn bucket_of(time: SimTime) -> u64 {
@@ -89,12 +102,20 @@ pub struct EventQueue<E> {
     cur: BinaryHeap<Scheduled<E>>,
     /// Absolute index of the bucket `cur` is draining.
     cur_bucket: u64,
-    /// Fixed wheel of future buckets within the horizon. Slot `s` holds
+    /// Fixed wheel of future buckets within the horizon: the head of
+    /// each slot's list in `slab` (`NIL` when empty). Slot `s` holds
     /// events of exactly one absolute bucket `b ≡ s (mod WHEEL)` with
     /// `cur_bucket < b < cur_bucket + WHEEL`.
-    wheel: Vec<Vec<Scheduled<E>>>,
+    wheel: Vec<u32>,
+    /// Wheel entries; `None` while an index is on the free list.
+    slab: Vec<Option<Scheduled<E>>>,
+    /// Parallel to `slab`: the next entry of the same slot's list, or of
+    /// the free list.
+    next: Vec<u32>,
+    /// Head of the free list of `slab` indices.
+    free: u32,
     /// One occupancy bit per wheel slot (`trailing_zeros` scan finds the
-    /// next non-empty bucket without touching the slot vectors).
+    /// next non-empty bucket without reading the slot heads).
     occ: Vec<u64>,
     /// Beyond-horizon events, min-first.
     overflow: BinaryHeap<Scheduled<E>>,
@@ -114,7 +135,10 @@ impl<E> EventQueue<E> {
         EventQueue {
             cur: BinaryHeap::new(),
             cur_bucket: 0,
-            wheel: (0..WHEEL).map(|_| Vec::new()).collect(),
+            wheel: vec![NIL; WHEEL],
+            slab: Vec::new(),
+            next: Vec::new(),
+            free: NIL,
             occ: vec![0u64; WHEEL / 64],
             overflow: BinaryHeap::new(),
             len: 0,
@@ -165,8 +189,8 @@ impl<E> EventQueue<E> {
     ///
     /// Only the occupied wheel slots are read, found through the
     /// occupancy bits: the engine's quiescence test calls this on every
-    /// step once the jobs are done, and walking all `WHEEL` slot vectors
-    /// there cost more than the events themselves.
+    /// step once the jobs are done, and walking all `WHEEL` slots there
+    /// cost more than the events themselves.
     pub fn for_each_scheduled(&self, mut f: impl FnMut(SimTime, u64, &E)) {
         let mut visit = |s: &Scheduled<E>| f(s.time, s.seq, &s.event);
         self.cur.iter().for_each(&mut visit);
@@ -175,7 +199,11 @@ impl<E> EventQueue<E> {
             while bits != 0 {
                 let slot = (w << 6) + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                self.wheel[slot].iter().for_each(&mut visit);
+                let mut i = self.wheel[slot];
+                while i != NIL {
+                    visit(self.slab[i as usize].as_ref().expect("linked entry"));
+                    i = self.next[i as usize];
+                }
             }
         }
         self.overflow.iter().for_each(&mut visit);
@@ -197,12 +225,28 @@ impl<E> EventQueue<E> {
         if b <= self.cur_bucket {
             self.cur.push(s);
         } else if b < self.cur_bucket + WHEEL as u64 {
-            let slot = (b & WHEEL_MASK) as usize;
-            self.wheel[slot].push(s);
-            self.set_occ(slot);
+            self.link((b & WHEEL_MASK) as usize, s);
         } else {
             self.overflow.push(s);
         }
+    }
+
+    /// Put `s` at the head of wheel slot `slot`'s list, reusing a freed
+    /// slab entry when there is one.
+    fn link(&mut self, slot: usize, s: Scheduled<E>) {
+        let i = if self.free == NIL {
+            self.slab.push(Some(s));
+            self.next.push(NIL);
+            (self.slab.len() - 1) as u32
+        } else {
+            let i = self.free;
+            self.free = self.next[i as usize];
+            self.slab[i as usize] = Some(s);
+            i
+        };
+        self.next[i as usize] = self.wheel[slot];
+        self.wheel[slot] = i;
+        self.set_occ(slot);
     }
 
     /// Find the earliest non-empty bucket after `cur_bucket`, jump to it,
@@ -226,13 +270,15 @@ impl<E> EventQueue<E> {
         self.cur_bucket = target;
         let slot = (target & WHEEL_MASK) as usize;
         if self.occ[slot >> 6] & (1u64 << (slot & 63)) != 0 && wheel_bucket == Some(target) {
-            let mut drained = std::mem::take(&mut self.wheel[slot]);
             self.clear_occ(slot);
-            for s in drained.drain(..) {
+            let mut i = std::mem::replace(&mut self.wheel[slot], NIL);
+            while i != NIL {
+                let s = self.slab[i as usize].take().expect("linked entry");
+                let after = std::mem::replace(&mut self.next[i as usize], self.free);
+                self.free = i;
                 self.cur.push(s);
+                i = after;
             }
-            // Keep the slot's allocation for reuse.
-            self.wheel[slot] = drained;
         }
         // Pull newly-in-horizon overflow events forward: same-bucket ones
         // into `cur`, the rest onto the wheel. Keeping overflow drained to
@@ -246,9 +292,7 @@ impl<E> EventQueue<E> {
             if b <= self.cur_bucket {
                 self.cur.push(s);
             } else {
-                let slot = (b & WHEEL_MASK) as usize;
-                self.wheel[slot].push(s);
-                self.set_occ(slot);
+                self.link((b & WHEEL_MASK) as usize, s);
             }
         }
         debug_assert!(!self.cur.is_empty());
@@ -296,7 +340,7 @@ mod tests {
 
     /// The calendar queue and its differential oracle — a plain binary
     /// heap keyed by `(time, insertion seq)` — fed the same schedule.
-    #[derive(Default)]
+    #[derive(Clone, Default)]
     struct WithOracle {
         cal: EventQueue<u64>,
         heap: BinaryHeap<Scheduled<u64>>,
@@ -433,7 +477,10 @@ mod tests {
     /// Under randomized interleaved push/pop workloads — same-time
     /// bursts, in-horizon spreads, and far-overflow times — the calendar
     /// pops the exact `(time, insertion-order)` sequence the heap oracle
-    /// does, and every 16th operation it visits the same schedule.
+    /// does, and every 16th operation it visits the same schedule. A
+    /// clone taken at a random step (the engine's `Clone`, which the
+    /// model checker forks by) is fed the same operations from then on
+    /// and pops the same sequence as the original.
     #[test]
     fn calendar_matches_heap_oracle() {
         run_cases(env_cases(64), 0xCA1E_17DA, |g| {
@@ -441,7 +488,12 @@ mod tests {
             let mut now = 0u64;
             let mut next_tag = 0u64;
             let ops = g.usize_in(1..400);
+            let clone_at = g.usize_in(0..ops);
+            let mut fork: Option<WithOracle> = None;
             for op in 0..ops {
+                if op == clone_at {
+                    fork = Some(q.clone());
+                }
                 if op % 16 == 0 {
                     q.assert_same_schedule();
                 }
@@ -457,13 +509,63 @@ mod tests {
                     let burst = g.usize_in(1..6);
                     for _ in 0..burst {
                         q.push(SimTime::from_micros(t), next_tag);
+                        if let Some(f) = fork.as_mut() {
+                            f.push(SimTime::from_micros(t), next_tag);
+                        }
                         next_tag += 1;
                     }
-                } else if let Some((t, _)) = q.pop() {
-                    now = now.max(t.as_micros());
+                } else {
+                    let got = q.pop();
+                    if let Some(f) = fork.as_mut() {
+                        assert_eq!(f.pop(), got, "clone diverged");
+                    }
+                    if let Some((t, _)) = got {
+                        now = now.max(t.as_micros());
+                    }
                 }
             }
             // Drain: the full remaining sequences must be identical.
+            let rest = q.drain();
+            if let Some(mut f) = fork {
+                assert_eq!(f.drain(), rest, "clone diverged");
+            }
+        });
+    }
+
+    /// A steady population of re-arming chains (heartbeat-like, with a
+    /// few beyond-horizon hops) over several wheel turns: the calendar
+    /// keeps matching the oracle while drained entries are reused, so
+    /// the slab never grows past the pending count.
+    #[test]
+    fn steady_population_reuses_freed_entries() {
+        run_cases(env_cases(8), 0x51AB_F4EE, |g| {
+            let mut q = WithOracle::default();
+            let chains = g.u64_in(1..200);
+            for c in 0..chains {
+                q.push(SimTime::from_micros(g.u64_in(0..3_000_000)), c);
+            }
+            // Five wheel turns (8.4 s each) of simulated time.
+            let end = (5 * WHEEL as u64) << WIDTH_LOG2;
+            let mut ops = 0usize;
+            while let Some((t, c)) = q.pop() {
+                if t.as_micros() >= end {
+                    break;
+                }
+                let hop = if g.bool(0.02) {
+                    g.u64_in(9_000_000..20_000_000)
+                } else {
+                    g.u64_in(2_900_000..3_100_000)
+                };
+                q.push(SimTime::from_micros(t.as_micros() + hop), c);
+                ops += 1;
+                if ops.is_multiple_of(64) {
+                    q.assert_same_schedule();
+                }
+            }
+            assert!(
+                q.cal.slab.len() as u64 <= chains,
+                "slab outgrew the pending count"
+            );
             q.drain();
         });
     }
