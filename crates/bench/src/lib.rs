@@ -10,7 +10,6 @@
 
 pub mod cli;
 pub mod harness;
-pub mod microbench;
 pub mod plot;
 
 pub mod experiments {

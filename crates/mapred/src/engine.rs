@@ -38,7 +38,7 @@ mod transfer;
 /// Borrow-based location lookup over the DFS's merged visible-location
 /// lists. `locations` returns the name node's maintained slice, so the
 /// scheduler's probe path performs no allocation.
-pub struct DfsLookup<'a>(pub &'a Dfs);
+pub(crate) struct DfsLookup<'a>(pub(crate) &'a Dfs);
 
 impl LocationLookup for DfsLookup<'_> {
     fn locations(&self, block: BlockId) -> &[NodeId] {
@@ -393,9 +393,8 @@ impl Engine {
     }
 
     /// [`Engine::new`] driven by `scheduler` instead of the indexed
-    /// scheduler `cfg.scheduler` names. The differential tests and the
-    /// scheduler benchmark pass the reference scheduler
-    /// (`Scheduler::naive`) through here.
+    /// scheduler `cfg.scheduler` names. The engine differential test
+    /// passes the reference scheduler (`Scheduler::naive`) through here.
     pub fn with_scheduler(cfg: SimConfig, workload: &Workload, scheduler: Scheduler) -> Self {
         Self::build(cfg, workload, Some(scheduler)).expect("invalid simulation input")
     }

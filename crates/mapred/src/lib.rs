@@ -42,7 +42,7 @@ pub mod result;
 pub mod scarlett;
 
 pub use config::{ScannerConfig, SchedulerKind, SimConfig, TelemetryConfig};
-pub use engine::{DfsLookup, Engine, StepOutcome};
+pub use engine::{Engine, StepOutcome};
 pub use error::SimError;
 pub use faults::{FaultEvent, FaultPlan, FaultSpec};
 pub use result::SimResult;

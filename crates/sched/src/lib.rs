@@ -223,9 +223,10 @@ impl Scheduler {
         }
     }
 
-    /// The naive-scan reference scheduler of `kind`: the differential
-    /// oracle the tests and the scheduler benchmark pass to
-    /// `Engine::with_scheduler` (see [`oracle`]).
+    /// The naive-scan reference scheduler of `kind` (see [`oracle`]): the
+    /// differential oracle the tests replay against the indexed path,
+    /// directly or through `Engine::with_scheduler`, and the "before"
+    /// side of the `index_speedup` release test.
     pub fn naive(kind: SchedulerKind) -> Self {
         Scheduler {
             naive: true,

@@ -9,13 +9,13 @@
 //! one reason: to *prove* the indexed scheduler bit-identical.
 //! `tests/differential_oracle.rs` replays the same seeded offer streams
 //! against both and asserts the assignment and skip sequences match
-//! exactly; the scheduler microbenchmark uses them as the "before" side
-//! of the speedup measurement. Only the delay-scheduling accept rule and
-//! the hand-out are shared with the indexed path.
+//! exactly; `tests/index_speedup.rs` uses them as the "before" side of
+//! the release-build speedup gate. Only the delay-scheduling accept rule
+//! and the hand-out are shared with the indexed path.
 //!
-//! Every function here is `#[cold]`: the reference runs only in tests
-//! and the benchmark, and inlined into `Scheduler::pick_map` its scans
-//! slowed the indexed offer path (about 6% of `traced-faults` `run_s`).
+//! Every function here is `#[cold]`: the reference runs only in tests,
+//! and inlined into `Scheduler::pick_map` its scans slowed the indexed
+//! offer path (about 6% of `traced-faults` `run_s`).
 //!
 //! Selection semantics being checked (both paths must implement them):
 //! the pick is the *first pending position* within the best locality

@@ -54,7 +54,7 @@
 //! lists go to queue-wide spare pools. Recycled storage is bounded by the
 //! peak number of concurrently active jobs (and of live lists), and once
 //! it has grown to that peak, add → take → complete → retire allocates
-//! nothing; `benches/sched_index.rs` gates this at zero allocations per
+//! nothing; `tests/alloc_free.rs` gates this at zero allocations per
 //! map task.
 //!
 //! # Deficit order and job lookup
