@@ -288,6 +288,11 @@ pub struct Engine {
     /// Races resolved while a duplicate attempt was still running (the
     /// committed completion "won"; the duplicate's work is discarded).
     pub speculative_wins: u64,
+    /// Before this instant no job can pass `try_speculate`'s straggler
+    /// check, as of its last fruitless scan; `None` once anything that
+    /// check reads has changed (an attempt launched, finished, was killed
+    /// or requeued, or a job failed).
+    spec_due: Option<SimTime>,
     /// Structured event recorder (only with `SimConfig::record_trace`).
     /// Every emission point is guarded so untraced runs pay nothing.
     tracer: Option<Trace>,

@@ -308,6 +308,7 @@ impl Engine {
             gray_nic: vec![1.0; n],
             speculative_launches: 0,
             speculative_wins: 0,
+            spec_due: None,
             tracer: cfg.record_trace.then(Trace::default),
             skip_scratch: Vec::new(),
             telem: {

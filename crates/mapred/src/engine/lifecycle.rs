@@ -1,10 +1,11 @@
 use super::observe::trace_loc;
 use super::{DfsLookup, Engine, Ev, Fetch};
+use crate::config::SpeculationConfig;
 use dare_core::{PolicyCtx, PolicyKind, ReplicationDecision};
 use dare_dfs::BlockId;
 use dare_net::{NodeId, MB};
 use dare_sched::{locality::classify, JobId, Locality, PendingTask, TaskId};
-use dare_simcore::SimDuration;
+use dare_simcore::{SimDuration, SimTime};
 use dare_trace::{FlowCtx, FlowKind, TraceEvent};
 
 impl Engine {
@@ -117,7 +118,7 @@ impl Engine {
         let n = self.nodes.len();
         self.logical_events += n as u64;
         self.process_promotions();
-        let may_assign = self.queue.total_pending() > 0 || self.cfg.speculation.is_some();
+        let may_assign = self.queue.has_pending() || self.cfg.speculation.is_some();
         if may_assign {
             for node in 0..n {
                 if self.nodes.free_map(node) > 0 && self.node_up(node) {
@@ -135,6 +136,7 @@ impl Engine {
     /// already recorded the task) but still drives the DARE policy, since
     /// a backup is a genuinely scheduled map task.
     fn launch_map(&mut self, node: u32, job: u32, task: u32, block: BlockId, speculative: bool) {
+        self.spec_due = None;
         let node_id = NodeId(node);
         {
             let js = &mut self.jobs[job as usize];
@@ -320,33 +322,43 @@ impl Engine {
         if !self.node_up(node as usize) || self.nodes.free_map(node as usize) == 0 {
             return false;
         }
+        // A fruitless scan left a due time before which no job can pass
+        // the straggler check below, and nothing it reads has changed
+        // since: the scan would find nothing and tighten nothing.
+        if self.spec_due.is_some_and(|due| self.now < due) {
+            #[cfg(any(test, debug_assertions))]
+            for ji in 0..self.queue.len() {
+                if let Some((job, threshold)) = self.spec_threshold(spec, ji) {
+                    let oldest = self.jobs[job as usize].oldest_live_start;
+                    assert!(
+                        self.under_threshold(oldest, threshold),
+                        "job {job} may speculate at t={} before the due time",
+                        self.now
+                    );
+                }
+            }
+            return false;
+        }
         // A job is speculation-eligible when all its maps are handed out
-        // but some attempts straggle well past the job's average. The
-        // common case (nothing straggling anywhere) must stay O(jobs):
+        // but some attempts straggle well past the job's average.
         // `oldest_live_start` lower-bounds every live attempt's start, so
         // a job whose oldest attempt is under threshold needs no scan.
+        let mut due = SimTime::MAX;
         for ji in 0..self.queue.len() {
-            let (job, eligible) = {
-                let j = &self.queue.jobs()[ji];
-                (j.id.0, j.pending().is_empty() && j.running_maps() > 0)
+            let Some((job, threshold)) = self.spec_threshold(spec, ji) else {
+                continue;
             };
-            if !eligible {
+            let js = &self.jobs[job as usize];
+            if self.under_threshold(js.oldest_live_start, threshold) {
+                // Even the oldest attempt is not straggling, nor will it
+                // be before this instant (rounded down by a µs).
+                let wait = SimDuration::from_micros((threshold * 1e6) as u64);
+                due = due.min(js.oldest_live_start + wait);
                 continue;
             }
-            let js = &self.jobs[job as usize];
-            if js.maps_done == 0 {
-                continue; // no baseline duration yet
-            }
-            let avg = js.completed_secs / js.maps_done as f64;
-            let threshold = (avg * spec.slowdown_factor).max(spec.min_elapsed_secs);
-            if self
-                .now
-                .saturating_since(js.oldest_live_start)
-                .as_secs_f64()
-                <= threshold
-            {
-                continue; // even the oldest attempt is not straggling
-            }
+            // Passing the check makes the next offer scan again: whether
+            // a straggler can be backed up depends on the offered node.
+            due = due.min(self.now);
             let straggler = (0..js.blocks.len()).find(|&t| {
                 !js.done[t]
                     && js.live_attempts[t] == 1
@@ -373,7 +385,33 @@ impl Engine {
                 .unwrap_or(self.now);
             self.jobs[job as usize].oldest_live_start = min_start;
         }
+        self.spec_due = Some(due);
         false
+    }
+
+    /// Speculation threshold, in seconds, of the active job at queue
+    /// position `ji`, with its id: `None` while the job still has pending
+    /// maps, runs none, or has no completed map to average.
+    fn spec_threshold(&self, spec: SpeculationConfig, ji: usize) -> Option<(u32, f64)> {
+        let j = &self.queue.jobs()[ji];
+        if !j.pending().is_empty() || j.running_maps() == 0 {
+            return None;
+        }
+        let js = &self.jobs[j.id.0 as usize];
+        if js.maps_done == 0 {
+            return None; // no baseline duration yet
+        }
+        let avg = js.completed_secs / js.maps_done as f64;
+        Some((
+            j.id.0,
+            (avg * spec.slowdown_factor).max(spec.min_elapsed_secs),
+        ))
+    }
+
+    /// True when an attempt started at `start` has run no longer than
+    /// `threshold` seconds: it is not straggling.
+    fn under_threshold(&self, start: SimTime, threshold: f64) -> bool {
+        self.now.saturating_since(start).as_secs_f64() <= threshold
     }
 
     pub(super) fn on_local_read_done(&mut self, node: u32, job: u32, task: u32, attempt: u32) {
@@ -411,6 +449,7 @@ impl Engine {
     }
 
     pub(super) fn on_compute_done(&mut self, node: u32, job: u32, task: u32, attempt: u32) {
+        self.spec_due = None;
         if self.nodes.crashed(node as usize) {
             return; // zombie: the node went silent while computing
         }
@@ -544,6 +583,7 @@ impl Engine {
     /// events go stale, cancel its fetch flows, refund surviving runners'
     /// slots, and roll back the attempt's locality accounting.
     fn kill_attempt(&mut self, job: u32, task: u32) {
+        self.spec_due = None;
         let aborted = self.jobs[job as usize].attempts[task as usize];
         let js = &mut self.jobs[job as usize];
         js.attempts[task as usize] += 1;
@@ -635,6 +675,7 @@ impl Engine {
     /// unregister it, count it out of the task's live attempts and trace
     /// the abort.
     pub(super) fn release_attempt(&mut self, job: u32, task: u32, attempt: u32, node: u32) {
+        self.spec_due = None;
         self.unregister_attempt(job, task, node);
         let live = &mut self.jobs[job as usize].live_attempts[task as usize];
         *live = live.saturating_sub(1);
@@ -649,6 +690,7 @@ impl Engine {
     /// Put the task back in the scheduler's pending set (and the locality
     /// index, under the block's current locations).
     fn requeue_now(&mut self, job: u32, task: u32) {
+        self.spec_due = None;
         let block = self.jobs[job as usize].blocks[task as usize];
         self.emit(TraceEvent::TaskRequeued {
             job,
@@ -676,6 +718,7 @@ impl Engine {
     /// remaining attempts are killed, its pending work leaves the queue,
     /// and a `Failed` outcome is recorded.
     fn fail_job(&mut self, job: u32) {
+        self.spec_due = None;
         let ji = job as usize;
         if self.jobs[ji].failed {
             return;

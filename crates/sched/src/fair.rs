@@ -22,10 +22,13 @@
 //! The deficit order is the queue's incrementally maintained sorted key
 //! vector, walked in place (`JobQueue::deficit_nth`) until the first job
 //! accepts; per-job task selection comes from the locality index
-//! ([`JobQueue::pick_best_for`]). An offer sorts, copies and allocates
-//! nothing, and examines exactly the jobs a sort-then-scan would: the
-//! declined jobs before the taker. The reference scheduler walks
-//! [`crate::oracle`]'s full sort instead, through the same accept rule.
+//! ([`JobQueue::pick_best_for`]). The vector holds only the jobs with a
+//! pending task, so the walk never visits a drained job (one whose maps
+//! are all handed out), and an offer with nothing pending anywhere ends
+//! at once. An offer sorts, copies and allocates nothing, and examines
+//! exactly the jobs a sort-then-scan would: the declined jobs before the
+//! taker. The reference scheduler walks [`crate::oracle`]'s full sort
+//! instead, through the same accept rule.
 //!
 //! [`SchedulerKind::Fair`]: crate::SchedulerKind::Fair
 //! [`JobQueue::pick_best_for`]: crate::JobQueue::pick_best_for
@@ -76,7 +79,9 @@ impl Scheduler {
             };
             k += 1;
             let Some((idx, loc)) = self.best_task(queue, job_id, node, lookup, topo) else {
-                continue; // nothing pending: all its maps are running
+                // Nothing pending: all its maps are running. Both orders
+                // list only jobs with pending work; this is defensive.
+                continue;
             };
             let job = queue.job_mut(job_id).expect("job exists");
             let skip_count = job.skip_count;

@@ -17,13 +17,17 @@
 //! rack's) ascending position list, whose head is the pick, without
 //! touching the per-task location lists. An offer is one probe.
 //!
+//! The head job comes from the queue's `head_hint`, a lower bound on the
+//! position of the first job with pending maps, so an offer does not
+//! re-scan the drained jobs at the front of the queue.
+//!
 //! [`SchedulerKind::Fifo`]: crate::SchedulerKind::Fifo
 
 use crate::queue::{JobId, JobQueue};
 
 /// The first job (arrival order) with pending maps: it gets the slot.
-pub(crate) fn head_job(queue: &JobQueue) -> Option<JobId> {
-    Some(queue.jobs().iter().find(|j| !j.pending().is_empty())?.id)
+pub(crate) fn head_job(queue: &mut JobQueue) -> Option<JobId> {
+    queue.first_ready()
 }
 
 #[cfg(test)]

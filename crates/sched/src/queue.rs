@@ -60,12 +60,27 @@
 //! # Deficit order and job lookup
 //!
 //! The Fair scheduler considers jobs by (running maps, arrival, id). The
-//! queue keeps that order as a sorted vector of keys, unique per job and
-//! covering every active job, updated on the same mutations (a running
-//! count changes by one, so its key moves by one rotate). Fair walks it in
+//! queue keeps that order as a sorted vector of keys, unique per job, over
+//! the *ready* jobs only: those with at least one pending task. A job's
+//! key is inserted when its pending count goes 0 → 1 ([`JobQueue::add_job`]
+//! with tasks, [`JobQueue::requeue_task`]), removed when it reaches 0
+//! ([`JobQueue::take_task`]) or the job leaves, and moved (by one rotate:
+//! a running count changes by one) only while present. Fair walks it in
 //! place through `JobQueue::deficit_nth` and stops at the first job that
-//! accepts the slot. Jobs are found by id through a dense slot table
-//! indexed by [`JobId`].
+//! accepts the slot, so an offer never visits a drained job (all maps
+//! handed out, some still running). On the paper's matrix 94% of the jobs
+//! a walk over every active job visited were drained.
+//!
+//! FIFO wants the first ready job in arrival order. The queue keeps
+//! `head_hint`, a lower bound on its position in `jobs`:
+//! `JobQueue::first_ready` advances it past drained jobs, a requeue
+//! lowers it to the job's position, and removing a job before it shifts it
+//! down. A job's pending count only returns from 0 through a requeue, so
+//! the advance is amortised O(1) per offer. The ready-key count and a
+//! pending-task counter answer [`JobQueue::has_pending`] and
+//! [`JobQueue::total_pending`] in O(1).
+//!
+//! Jobs are found by id through a dense slot table indexed by [`JobId`].
 
 use crate::locality::Locality;
 use crate::LocationLookup;
@@ -405,8 +420,13 @@ pub struct JobQueue {
     /// Job id → position in `jobs` (`NONE` when not active).
     slot: Vec<u32>,
     /// Fair-scheduler deficit order: ascending (running maps, arrival, id)
-    /// over *all* active jobs (drained jobs are skipped by the walker).
+    /// over the active jobs with at least one pending task.
     deficit: Vec<DeficitKey>,
+    /// Lower bound on the position in `jobs` of the first job with a
+    /// pending task (every job before it is drained).
+    head_hint: usize,
+    /// Unscheduled map tasks across jobs.
+    pending_total: usize,
     block_watchers: BlockWatchers,
     /// Emptied job entries, kept for reuse by `add_job`.
     spare_jobs: Vec<JobEntry>,
@@ -474,9 +494,10 @@ impl JobQueue {
             self.slot.resize(id.idx() + 1, NONE);
         }
         self.slot[id.idx()] = self.jobs.len() as u32;
-        let key = job.deficit_key();
-        let at = self.deficit.partition_point(|k| *k < key);
-        self.deficit.insert(at, key);
+        if !job.pending.is_empty() {
+            self.pending_total += job.pending.len();
+            self.insert_deficit(job.deficit_key());
+        }
         self.jobs.push(job);
     }
 
@@ -538,12 +559,36 @@ impl JobQueue {
         self.probes
     }
 
-    /// The `k`-th active job in deficit order (fewest running maps, then
-    /// arrival, then id), drained jobs included. Walking `k = 0, 1, ...`
-    /// visits every active job once, provided no running count changes
-    /// in between.
+    /// The `k`-th job with pending work in deficit order (fewest running
+    /// maps, then arrival, then id). Walking `k = 0, 1, ...` visits every
+    /// such job once, provided the queue is not mutated in between.
     pub(crate) fn deficit_nth(&self, k: usize) -> Option<JobId> {
         self.deficit.get(k).map(|&(_, _, id)| id)
+    }
+
+    /// The first job in arrival order with pending work: FIFO's head.
+    /// Advances `head_hint` past the drained jobs it steps over.
+    pub(crate) fn first_ready(&mut self) -> Option<JobId> {
+        if self.deficit.is_empty() {
+            return None;
+        }
+        while self.jobs[self.head_hint].pending.is_empty() {
+            self.head_hint += 1;
+        }
+        Some(self.jobs[self.head_hint].id)
+    }
+
+    fn insert_deficit(&mut self, key: DeficitKey) {
+        let at = self.deficit.partition_point(|k| *k < key);
+        self.deficit.insert(at, key);
+    }
+
+    fn remove_deficit(&mut self, key: DeficitKey) {
+        let at = self
+            .deficit
+            .binary_search(&key)
+            .expect("ready job in deficit order");
+        self.deficit.remove(at);
     }
 
     /// Move job `i`'s deficit key from `old` to its current key.
@@ -552,7 +597,7 @@ impl JobQueue {
         let from = self
             .deficit
             .binary_search(&old)
-            .expect("job in deficit order");
+            .expect("ready job in deficit order");
         let to = self.deficit.partition_point(|k| *k < new);
         if to > from {
             // `to` counts the old key, which leaves the prefix.
@@ -579,7 +624,12 @@ impl JobQueue {
             job.index.move_last_to(moved.task.0, pending_idx as u32);
         }
         job.running_maps += 1;
-        self.reorder_deficit(i, old);
+        self.pending_total -= 1;
+        if job.pending.is_empty() {
+            self.remove_deficit(old);
+        } else {
+            self.reorder_deficit(i, old);
+        }
         self.block_watchers.unwatch(t.block, id, t.task);
         t
     }
@@ -598,6 +648,7 @@ impl JobQueue {
         let i = self.index_of(id).expect("requeue on unknown job");
         let job = &mut self.jobs[i];
         let old = job.deficit_key();
+        let was_ready = !job.pending.is_empty();
         let pos = job.pending.len() as u32;
         job.pending.push(PendingTask { task, block });
         job.index.index_task(
@@ -608,7 +659,13 @@ impl JobQueue {
             &mut self.spare_lists,
         );
         job.running_maps = job.running_maps.saturating_sub(1);
-        self.reorder_deficit(i, old);
+        self.pending_total += 1;
+        if was_ready {
+            self.reorder_deficit(i, old);
+        } else {
+            self.insert_deficit(self.jobs[i].deficit_key());
+            self.head_hint = self.head_hint.min(i);
+        }
         self.block_watchers.watch(block, id, task);
     }
 
@@ -621,7 +678,9 @@ impl JobQueue {
         debug_assert!(job.running_maps > 0);
         let old = job.deficit_key();
         job.running_maps -= 1;
-        self.reorder_deficit(i, old);
+        if !job.pending.is_empty() {
+            self.reorder_deficit(i, old);
+        }
     }
 
     /// Drop a job whose map phase is fully done (no pending, no running).
@@ -654,11 +713,13 @@ impl JobQueue {
         for job in &self.jobs[i..] {
             self.slot[job.id.idx()] -= 1;
         }
-        let at = self
-            .deficit
-            .binary_search(&j.deficit_key())
-            .expect("job in deficit order");
-        self.deficit.remove(at);
+        if i < self.head_hint {
+            self.head_hint -= 1;
+        }
+        if !j.pending.is_empty() {
+            self.pending_total -= j.pending.len();
+            self.remove_deficit(j.deficit_key());
+        }
         for t in j.pending.drain(..) {
             self.block_watchers.unwatch(t.block, id, t.task);
         }
@@ -716,12 +777,12 @@ impl JobQueue {
 
     /// True when any job still has unscheduled map tasks.
     pub fn has_pending(&self) -> bool {
-        self.jobs.iter().any(|j| !j.pending.is_empty())
+        !self.deficit.is_empty()
     }
 
     /// Total unscheduled map tasks across jobs.
     pub fn total_pending(&self) -> usize {
-        self.jobs.iter().map(|j| j.pending.len()).sum()
+        self.pending_total
     }
 
     /// Snapshot of the queue's depth for telemetry: active jobs,
@@ -984,7 +1045,7 @@ mod tests {
         );
     }
 
-    /// Active jobs in deficit order, walked the way Fair walks them.
+    /// Ready jobs in deficit order, walked the way Fair walks them.
     fn deficit_order(q: &JobQueue) -> Vec<JobId> {
         (0..).map_while(|k| q.deficit_nth(k)).collect()
     }
@@ -994,7 +1055,7 @@ mod tests {
         let topo = Topology::single_rack(4);
         let lk = empty_lookup();
         let mut q = JobQueue::new();
-        q.add_job(JobId(0), SimTime::ZERO, tasks(&[1, 2]), &lk, &topo);
+        q.add_job(JobId(0), SimTime::ZERO, tasks(&[1, 2, 5]), &lk, &topo);
         q.add_job(JobId(1), SimTime::from_secs(1), tasks(&[3, 4]), &lk, &topo);
         assert_eq!(
             deficit_order(&q),
@@ -1010,17 +1071,19 @@ mod tests {
         q.on_map_complete(JobId(0));
         assert_eq!(deficit_order(&q), vec![JobId(0), JobId(1)]);
 
-        // A requeue moves a key down, a retire drops it.
+        // Job 1 hands out its last task and leaves the order, though two
+        // of its maps still run.
         let t = q.take_task(JobId(1), 0);
         q.take_task(JobId(1), 0);
-        assert_eq!(deficit_order(&q), vec![JobId(0), JobId(1)]);
+        assert_eq!(deficit_order(&q), vec![JobId(0)]);
+        // A completion while drained moves nothing.
+        q.on_map_complete(JobId(1));
+        assert_eq!(deficit_order(&q), vec![JobId(0)]);
+        // A requeue brings it back at its key: 0 running, arrival 1.
         q.requeue_task(JobId(1), t.task, t.block, &lk, &topo);
+        assert_eq!(deficit_order(&q), vec![JobId(0), JobId(1)]);
         q.take_task(JobId(0), 0);
-        assert_eq!(
-            deficit_order(&q),
-            vec![JobId(0), JobId(1)],
-            "1 running each"
-        );
+        assert_eq!(deficit_order(&q), vec![JobId(1), JobId(0)]);
         q.abandon_job(JobId(0));
         assert_eq!(deficit_order(&q), vec![JobId(1)]);
     }
@@ -1032,20 +1095,125 @@ mod tests {
         let mut q = JobQueue::new();
         q.add_job(JobId(0), SimTime::ZERO, tasks(&[1]), &lk, &topo);
         q.add_job(JobId(1), SimTime::from_secs(1), tasks(&[2]), &lk, &topo);
-        q.take_task(JobId(0), 0);
+        let t = q.take_task(JobId(0), 0);
 
-        // The drained job stays in the order; the walker skips it because
-        // it has nothing to pick, and that costs no probe.
-        assert_eq!(deficit_order(&q), vec![JobId(1), JobId(0)]);
+        // The drained job leaves the order, so a walk never visits it.
+        // Asked directly, it still has nothing to pick and costs no probe.
+        assert_eq!(deficit_order(&q), vec![JobId(1)]);
+        assert_eq!(q.first_ready(), Some(JobId(1)));
         let before = q.probes();
-        assert_eq!(
-            q.pick_best_for(JobId(0), NodeId(0), &topo),
-            None,
-            "drained job filtered out"
-        );
+        assert_eq!(q.pick_best_for(JobId(0), NodeId(0), &topo), None);
         assert_eq!(q.probes(), before);
-        assert!(q.pick_best_for(JobId(1), NodeId(0), &topo).is_some());
-        assert_eq!(q.probes(), before + 1);
+
+        // With both drained nothing is ready.
+        q.take_task(JobId(1), 0);
+        assert!(deficit_order(&q).is_empty());
+        assert!(!q.has_pending());
+        assert_eq!(q.total_pending(), 0);
+        assert_eq!(q.first_ready(), None);
+
+        // A requeue brings job 0 back at its key, and as FIFO's head.
+        q.requeue_task(JobId(0), t.task, t.block, &lk, &topo);
+        assert_eq!(deficit_order(&q), vec![JobId(0)]);
+        assert_eq!(q.first_ready(), Some(JobId(0)));
+        assert_eq!(q.total_pending(), 1);
+    }
+
+    /// The ready order, FIFO's head and the pending counters equal a
+    /// recomputation from `jobs()` after every operation of a seeded
+    /// random sequence of adds, takes, completions, requeues, retirements
+    /// and abandons.
+    #[test]
+    fn ready_order_matches_a_recomputation_under_random_operations() {
+        use dare_simcore::DetRng;
+        let topo = Topology::single_rack(4);
+        let lk = empty_lookup();
+        let mut requeued_before_hint = 0;
+        for seed in 0..20u64 {
+            let mut rng = DetRng::new(seed);
+            let mut q = JobQueue::new();
+            // Running attempts the queue has handed out: (job, task, block).
+            let mut running: Vec<(JobId, TaskId, BlockId)> = Vec::new();
+            let (mut next_id, mut clock) = (0u32, 0u64);
+            for step in 0..400 {
+                match rng.index(6) {
+                    0 => {
+                        clock += rng.index(2) as u64;
+                        let n = rng.index(4);
+                        let blocks: Vec<u64> = (0..n as u64).collect();
+                        let at = SimTime::from_secs(clock);
+                        q.add_job(JobId(next_id), at, tasks(&blocks), &lk, &topo);
+                        next_id += 1;
+                    }
+                    1 => {
+                        let ready: Vec<JobId> = q
+                            .jobs()
+                            .iter()
+                            .filter(|j| !j.pending().is_empty())
+                            .map(|j| j.id)
+                            .collect();
+                        if !ready.is_empty() {
+                            let id = ready[rng.index(ready.len())];
+                            let n = q.job(id).expect("active").pending().len();
+                            let t = q.take_task(id, rng.index(n));
+                            running.push((id, t.task, t.block));
+                        }
+                    }
+                    2 if !running.is_empty() => {
+                        let (id, _, _) = running.swap_remove(rng.index(running.len()));
+                        q.on_map_complete(id);
+                    }
+                    3 if !running.is_empty() => {
+                        // Half the time, requeue into the earliest running
+                        // job: often one before the head hint.
+                        let pos = |id: JobId| q.index_of(id).expect("active");
+                        let r = if rng.coin(0.5) {
+                            (0..running.len())
+                                .min_by_key(|&r| pos(running[r].0))
+                                .expect("non-empty")
+                        } else {
+                            rng.index(running.len())
+                        };
+                        let (id, task, block) = running.swap_remove(r);
+                        if pos(id) < q.head_hint {
+                            requeued_before_hint += 1;
+                        }
+                        q.requeue_task(id, task, block, &lk, &topo);
+                    }
+                    4 => {
+                        let idle = q.jobs().iter().find(|j| {
+                            j.pending().is_empty() && !running.iter().any(|r| r.0 == j.id)
+                        });
+                        if let Some(id) = idle.map(|j| j.id) {
+                            q.retire_job(id);
+                        }
+                    }
+                    5 if !q.is_empty() && rng.coin(0.2) => {
+                        let id = q.jobs()[rng.index(q.len())].id;
+                        q.abandon_job(id);
+                        running.retain(|r| r.0 != id);
+                    }
+                    _ => {}
+                }
+                let mut want: Vec<&JobEntry> = q
+                    .jobs()
+                    .iter()
+                    .filter(|j| !j.pending().is_empty())
+                    .collect();
+                let head = want.first().map(|j| j.id);
+                let pending: usize = want.iter().map(|j| j.pending().len()).sum();
+                want.sort_by_key(|j| (j.running_maps(), j.arrival, j.id));
+                let want: Vec<JobId> = want.iter().map(|j| j.id).collect();
+                assert_eq!(deficit_order(&q), want, "seed {seed} step {step}");
+                assert_eq!(q.has_pending(), !want.is_empty());
+                assert_eq!(q.total_pending(), pending, "seed {seed} step {step}");
+                assert_eq!(q.first_ready(), head, "seed {seed} step {step}");
+            }
+        }
+        assert!(
+            requeued_before_hint > 0,
+            "no requeue landed before the hint"
+        );
     }
 
     #[test]
