@@ -219,8 +219,8 @@ pub fn run(_seed: u64) -> usize {
     // Same scenario in quick and full mode: the 1k legs cost a few
     // seconds, and an identical scenario keeps the quick-mode speedup
     // directly comparable to the committed full-mode ratio the
-    // regression gate checks against. Quick mode only skips the
-    // 10k-node headline.
+    // regression gate checks against. Quick mode skips the 10k-node
+    // headline and writes no report.
     let (files, blocks, jobs, window, map_secs) = (40, 250, 40, 3_600, 600);
     let wl = scale_workload(files, blocks, jobs, window, map_secs);
     let tasks = blocks * jobs as u64;
@@ -280,6 +280,13 @@ pub fn run(_seed: u64) -> usize {
             "[throughput] quick mode: skipping the 10k-node headline run; {} left as committed",
             report_path.display()
         );
+        // A full run's report write refuses a debug build; a quick run
+        // writes nothing, so it refuses here: debug timings say nothing
+        // about the release program the gates hold.
+        if cfg!(debug_assertions) {
+            eprintln!("[throughput] FAIL: a debug build does not time the release program; build with --release");
+            failed += 1;
+        }
         return failed;
     }
 

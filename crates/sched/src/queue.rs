@@ -76,9 +76,8 @@
 //! `JobQueue::first_ready` advances it past drained jobs, a requeue
 //! lowers it to the job's position, and removing a job before it shifts it
 //! down. A job's pending count only returns from 0 through a requeue, so
-//! the advance is amortised O(1) per offer. The ready-key count and a
-//! pending-task counter answer [`JobQueue::has_pending`] and
-//! [`JobQueue::total_pending`] in O(1).
+//! the advance is amortised O(1) per offer. An empty ready order answers
+//! [`JobQueue::has_pending`] in O(1).
 //!
 //! Jobs are found by id through a dense slot table indexed by [`JobId`].
 
@@ -425,8 +424,6 @@ pub struct JobQueue {
     /// Lower bound on the position in `jobs` of the first job with a
     /// pending task (every job before it is drained).
     head_hint: usize,
-    /// Unscheduled map tasks across jobs.
-    pending_total: usize,
     block_watchers: BlockWatchers,
     /// Emptied job entries, kept for reuse by `add_job`.
     spare_jobs: Vec<JobEntry>,
@@ -495,7 +492,6 @@ impl JobQueue {
         }
         self.slot[id.idx()] = self.jobs.len() as u32;
         if !job.pending.is_empty() {
-            self.pending_total += job.pending.len();
             self.insert_deficit(job.deficit_key());
         }
         self.jobs.push(job);
@@ -624,7 +620,6 @@ impl JobQueue {
             job.index.move_last_to(moved.task.0, pending_idx as u32);
         }
         job.running_maps += 1;
-        self.pending_total -= 1;
         if job.pending.is_empty() {
             self.remove_deficit(old);
         } else {
@@ -659,7 +654,6 @@ impl JobQueue {
             &mut self.spare_lists,
         );
         job.running_maps = job.running_maps.saturating_sub(1);
-        self.pending_total += 1;
         if was_ready {
             self.reorder_deficit(i, old);
         } else {
@@ -717,7 +711,6 @@ impl JobQueue {
             self.head_hint -= 1;
         }
         if !j.pending.is_empty() {
-            self.pending_total -= j.pending.len();
             self.remove_deficit(j.deficit_key());
         }
         for t in j.pending.drain(..) {
@@ -782,7 +775,7 @@ impl JobQueue {
 
     /// Total unscheduled map tasks across jobs.
     pub fn total_pending(&self) -> usize {
-        self.pending_total
+        self.jobs.iter().map(|j| j.pending.len()).sum()
     }
 
     /// Snapshot of the queue's depth for telemetry: active jobs,
@@ -1104,6 +1097,8 @@ mod tests {
         let before = q.probes();
         assert_eq!(q.pick_best_for(JobId(0), NodeId(0), &topo), None);
         assert_eq!(q.probes(), before);
+        assert!(q.pick_best_for(JobId(1), NodeId(0), &topo).is_some());
+        assert_eq!(q.probes(), before + 1);
 
         // With both drained nothing is ready.
         q.take_task(JobId(1), 0);
@@ -1119,7 +1114,7 @@ mod tests {
         assert_eq!(q.total_pending(), 1);
     }
 
-    /// The ready order, FIFO's head and the pending counters equal a
+    /// The ready order, FIFO's head and the pending queries equal a
     /// recomputation from `jobs()` after every operation of a seeded
     /// random sequence of adds, takes, completions, requeues, retirements
     /// and abandons.
